@@ -6,7 +6,8 @@ Subcommands
 synth         channel polynomial coefficients and path counts
 rank          channels ordered by average reliability, pointwise value, or beta score
 poset         Hasse diagram of an order relation in DOT format
-verify        named exact checks with one PASS/FAIL line each (exit 1 on failure)
+verify        the named exact checks of `checks`, one PASS/FAIL line each
+              (exit 1 on failure)
 distribution  decile histogram of average reliabilities (CSV)
 avrplot       (label, average reliability) pairs for plotting (CSV)
 
@@ -23,9 +24,8 @@ import json
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from math import comb
 
-from . import construction, golden, monomials, orders, polynomials, reliability, synthesis
+from . import checks, construction, orders, polynomials, synthesis
 from .monomials import Monomial
 from .orders import Relation
 
@@ -71,13 +71,10 @@ def _channel_entry(m: int, u: int, table: synthesis.ChannelTable) -> dict:
 def cmd_synth(args: argparse.Namespace) -> int:
     _check_cap(args.m, args.force)
     m = args.m
+    if args.u is not None and not 0 <= args.u < (1 << m):
+        raise ValueError(f"u={args.u} out of range for m={m}")
+    labels = [args.u] if args.u is not None else range(1 << m)
     table = synthesis.synth_all(m, force=args.force)
-    if args.u is not None:
-        if not 0 <= args.u < (1 << m):
-            raise ValueError(f"u={args.u} out of range for m={m}")
-        labels = [args.u]
-    else:
-        labels = list(range(1 << m))
     entries = [_channel_entry(m, u, table) for u in labels]
     if args.format == "json":
         print(json.dumps({"m": m, "channels": entries}, indent=2))
@@ -96,12 +93,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _parse_criterion(text: str) -> construction.Criterion:
-    if text == "avr":
-        return construction.Criterion.average()
-    if text.startswith("p="):
-        return construction.Criterion.pointwise_at(Fraction(text[2:]))
-    if text.startswith("beta="):
-        return construction.Criterion.beta_expansion(Decimal(text[5:]))
+    try:
+        if text == "avr":
+            return construction.Criterion.average()
+        if text.startswith("p="):
+            return construction.Criterion.pointwise_at(Fraction(text[2:]))
+        if text.startswith("beta="):
+            return construction.Criterion.beta_expansion(Decimal(text[5:]))
+    except (ZeroDivisionError, decimal.InvalidOperation):  # p=a/0, beta=<not a decimal>
+        raise ValueError(f"--by {text!r} is not a valid number") from None
     raise ValueError(f"--by must be 'avr', 'p=<rational>', or 'beta=<decimal>', got {text!r}")
 
 
@@ -109,11 +109,11 @@ def cmd_rank(args: argparse.Namespace) -> int:
     _check_cap(args.m, args.force)
     m = args.m
     criterion = _parse_criterion(args.by)
-    table = synthesis.synth_all(m, force=args.force)
-    ranking = construction.rank(criterion, m, table)
     k = args.k if args.k is not None else 1 << m
     if not 0 <= k <= (1 << m):
         raise ValueError(f"--k {k} out of range for m={m}")
+    table = synthesis.synth_all(m, force=args.force)
+    ranking = construction.rank(criterion, m, table)
     tol = Fraction(1, 2**30)
     records = []
     for u in ranking.order[:k]:
@@ -176,295 +176,23 @@ def cmd_poset(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _Suite:
-    """Collects named checks and prints one PASS/FAIL line per check."""
-
-    def __init__(self) -> None:
-        self.failures = 0
-        self.count = 0
-
-    def check(self, name: str, ok: bool, detail: str = "") -> None:
-        self.count += 1
-        if ok:
-            print(f"PASS {name}")
-        else:
-            self.failures += 1
-            print(f"FAIL {name}: {detail}" if detail else f"FAIL {name}")
-
-
-def _pointwise_leq_from_counts(diff_counts: list[int], d: polynomials.IntPoly) -> bool:
-    """Is d >= 0 on [0,1]?  Fast path on precomputed basis coefficients."""
-    verdict = polynomials.nonneg_on_01(d, diff_counts)
-    return verdict in (polynomials.SignVerdict.NONNEGATIVE,
-                       polynomials.SignVerdict.IDENTICALLY_ZERO)
-
-
-def _verify_orders(suite: _Suite, m: int, table: synthesis.ChannelTable) -> None:
-    monos = monomials.all_monomials(m)
-    n = 1 << m
-
-    ax_m = min(m, 5)
-    ax_monos = monomials.all_monomials(ax_m)
-    ok = True
-    detail = ""
-    for rel, leq in ((Relation.WEAK, orders.leq_weak),
-                     (Relation.STANDARD, orders.leq_std),
-                     (Relation.DOMINANCE, orders.leq_dominance)):
-        for f in ax_monos:
-            if not leq(f, f):
-                ok, detail = False, f"{rel.value} not reflexive at {f}"
-        for f in ax_monos:
-            for g in ax_monos:
-                if f != g and leq(f, g) and leq(g, f):
-                    ok, detail = False, f"{rel.value} not antisymmetric at {f},{g}"
-        rel_pairs = [(f, g) for f in ax_monos for g in ax_monos if leq(f, g)]
-        below = {}
-        for f, g in rel_pairs:
-            below.setdefault(g.bits, set()).add(f.bits)
-        for f, g in rel_pairs:
-            for h in ax_monos:
-                if leq(g, h) and f.bits not in below.get(h.bits, ()):
-                    ok, detail = False, f"{rel.value} not transitive at {f},{g},{h}"
-    suite.check(f"orders/poset-axioms m={ax_m}", ok, detail)
-
-    # implication chain weak => standard => dominance => pointwise
-    counts = [polynomials.to_path_counts(table[u], n).counts for u in range(n)]
-    chain_ok = True
-    chain_detail = ""
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            f, g = monos[u], monos[v]
-            w = orders.leq_weak(f, g)
-            s = orders.leq_std(f, g)
-            dres = orders.leq_dominance(f, g)
-            if w and not s:
-                chain_ok, chain_detail = False, f"weak !=> standard at {f},{g}"
-            if s and not dres:
-                chain_ok, chain_detail = False, f"standard !=> dominance at {f},{g}"
-            if dres:
-                diff = [counts[v][i] - counts[u][i] for i in range(n + 1)]
-                if not _pointwise_leq_from_counts(diff, table[v] - table[u]):
-                    chain_ok, chain_detail = False, f"dominance !=> pointwise at {f},{g}"
-    suite.check(f"orders/implication-chain m={m}", chain_ok, chain_detail)
-
-    # multiplication compatibility over every valid triple
-    ok = True
-    detail = ""
-    for f in monos:
-        for g in monos:
-            if f.bits < g.bits and f.degree == g.degree:
-                for i in range(m):
-                    h = Monomial(m, 1 << i)
-                    if not (h.divides(f) or h.divides(g)):
-                        if not orders.mult_compatible(f, g, h):
-                            ok, detail = False, f"f={f} g={g} h={h}"
-    suite.check(f"orders/multiplication-compat m={m}", ok, detail)
-
-    # closures are decreasing sets; interval and Hasse sanity
-    ok = True
-    detail = ""
-    for u in range(n):
-        if monos[u].degree <= 2:
-            for rel in (Relation.STANDARD, Relation.DOMINANCE):
-                cl = orders.closure(monos[u], rel)
-                if not orders.is_decreasing(cl, rel):
-                    ok, detail = False, f"closure({monos[u]}, {rel.value}) not decreasing"
-    top = Monomial(m, 1 << (m - 1))
-    iv = orders.interval(Monomial(m, 0), top, Relation.STANDARD)
-    if iv != {f for f in monos if f.degree <= 1}:
-        ok, detail = False, "interval(1, x_{m-1}) != degree<=1 monomials"
-    for rel in (Relation.WEAK, Relation.STANDARD, Relation.DOMINANCE):
-        leq = {Relation.WEAK: orders.leq_weak, Relation.STANDARD: orders.leq_std,
-               Relation.DOMINANCE: orders.leq_dominance}[rel]
-        for a, b in orders.hasse_edges(min(m, orders.HASSE_CAP), rel):
-            mm = min(m, orders.HASSE_CAP)
-            fa, fb = Monomial(mm, a), Monomial(mm, b)
-            if not leq(fa, fb) or fa == fb:
-                ok, detail = False, f"hasse edge {a}->{b} not a strict relation"
-    suite.check(f"orders/closure-decreasing m={m}", ok, detail)
-
-
-def _verify_reliability(suite: _Suite, m: int, table: synthesis.ChannelTable) -> None:
-    me = min(m, 4)
-    ok = True
-    detail = ""
-    for u in range(1 << me):
-        mono = Monomial(me, u)
-        got = reliability.oracle_path_counts(reliability.build_graph(mono))
-        want = polynomials.to_path_counts(synthesis.synth_poly(mono), 1 << me)
-        if got != want:
-            ok, detail = False, f"u={u}: {got.counts} != {want.counts}"
-    suite.check(f"reliability/oracle-equivalence m={me}", ok, detail)
-
-    n = 1 << m
-    ok = True
-    detail = ""
-    for i_ones in range(m + 1):
-        u = (1 << i_ones) - 1
-        want = polynomials.to_path_counts(table[u], n)
-        got = reliability.ni_inclusion_exclusion(m, i_ones)
-        if got != want:
-            ok, detail = False, f"i_ones={i_ones}"
-    suite.check(f"reliability/inclusion-exclusion m={m}", ok, detail)
-
-    ok = True
-    detail = ""
-    for i_ones in range(m + 1):
-        u = (1 << i_ones) - 1
-        closed = reliability.avr_closed_form(m, i_ones)
-        integral = table.avr(u)
-        if closed != integral:
-            ok, detail = False, f"i_ones={i_ones}: {closed} != {integral}"
-        if closed + reliability.avr_closed_form_complement(m, i_ones) != 1:
-            ok, detail = False, f"complement at i={i_ones} does not sum to 1"
-    suite.check(f"reliability/closed-form-avr m={m}", ok, detail)
-
-
-def _verify_identities(suite: _Suite, m: int, table: synthesis.ChannelTable) -> None:
-    n = 1 << m
-    total = polynomials.IntPoly()
-    for u in range(n):
-        total = total + table[u]
-    suite.check(f"identities/erasure-conservation m={m}",
-                total == polynomials.IntPoly([0, n]),
-                f"sum of channels != {n}p")
-
-    ok = True
-    detail = ""
-    for u in range(n):
-        ubar = u ^ (n - 1)
-        if u < ubar and synthesis.dual_poly(table[u]) != table[ubar]:
-            ok, detail = False, f"u={u}"
-    suite.check(f"identities/duality m={m}", ok, detail)
-
-    ok = True
-    detail = ""
-    for u in range(n):
-        if table.avr(u) + table.avr(u ^ (n - 1)) != 1:
-            ok, detail = False, f"u={u}"
-    suite.check(f"identities/avr-complement m={m}", ok, detail)
-
-    ok = True
-    detail = ""
-    for u in range(n):
-        pc = polynomials.to_path_counts(table[u], n)
-        length = 1 << (m - Monomial(m, u).degree)
-        if pc.counts[n] != 1:
-            ok, detail = False, f"u={u}: N_n != 1"
-        if any(not 0 <= pc.counts[i] <= comb(n, i) for i in range(n + 1)):
-            ok, detail = False, f"u={u}: N_i outside [0, C(n,i)]"
-        if any(pc.counts[i] != 0 for i in range(length)):
-            ok, detail = False, f"u={u}: N_i nonzero below minimal path length"
-    suite.check(f"identities/path-count-bounds m={m}", ok, detail)
-
-    ok = True
-    detail = ""
-    tol = Fraction(1, 2**20)
-    for i_ones in range(1, m):
-        u = (1 << i_ones) - 1
-        t1 = synthesis.threshold_estimate(table[u], tol)
-        t2 = synthesis.threshold_estimate(synthesis.dual_poly(table[u]), tol)
-        if abs(t1 + t2 - 1) > 2 * tol:
-            ok, detail = False, f"u={u}: {float(t1)} + {float(t2)} != 1"
-    suite.check(f"identities/threshold-symmetry m={m}", ok, detail)
-
-
-def _verify_tables(suite: _Suite, m: int, table: synthesis.ChannelTable) -> None:
-    if m in golden.AVR_2DP_ROWS:
-        ok = True
-        detail = ""
-        for u, cited in golden.AVR_2DP_ROWS[m]:
-            exact = table.avr(u)
-            if abs(exact - Fraction(cited)) >= Fraction(1, 100):
-                ok, detail = False, f"u={u}: exact {float(exact):.4f} vs cited {cited}"
-            if (m, u) in golden.AVR_2DP_LOOSE:
-                if exact != golden.AVR_2DP_LOOSE[(m, u)]:
-                    ok, detail = False, f"u={u}: exact value drifted"
-            elif str(construction.render_avr(exact, 2)) != cited:
-                ok, detail = False, f"u={u}: rendered {construction.render_avr(exact, 2)} != {cited}"
-        suite.check(f"tables/avr-2dp m={m}", ok, detail)
-
-    if m <= construction.INCOMPARABLE_M_CAP:
-        pairs = construction.incomparable_pairs(m, table)
-        if m == 5:
-            suite.check("tables/incomparable-pairs m=5",
-                        pairs == golden.INCOMPARABLE_PAIRS_M5,
-                        f"got {pairs}")
-        elif m == 4:
-            suite.check("tables/incomparable-pairs m=4", pairs == [], f"got {pairs}")
-        mask = (1 << m) - 1
-        closed = all(tuple(sorted((mask ^ v, mask ^ u))) in set(pairs) for u, v in pairs)
-        suite.check(f"tables/incomparable-complement-closure m={m}", closed,
-                    "complement of an incomparable pair is comparable")
-
-    if m == 5:
-        ranking = construction.rank(construction.Criterion.average(), m, table)
-        suite.check("tables/avr-ordering-prefix m=5",
-                    ranking.order[:17] == golden.ORDER_PREFIX_M5,
-                    f"got {ranking.order[:17]}")
-        got = construction.avr_of_pairs([p for p, _ in golden.FIRST4_PAIR_DECIMALS], table, 3)
-        got4 = construction.avr_of_pairs([p for p, _ in golden.FIRST4_PAIR_DECIMALS], table, 4)
-        ok = True
-        detail = ""
-        for k, ((pair, cited), d3, d4) in enumerate(zip(golden.FIRST4_PAIR_DECIMALS, got, got4)):
-            for slot in (0, 1):
-                cited_d = Decimal(cited[slot])
-                rendered = d4[slot] if len(cited[slot]) > 5 else d3[slot]
-                ulp = Decimal(1).scaleb(cited_d.as_tuple().exponent)
-                if abs(rendered - cited_d) > ulp:
-                    ok, detail = False, f"pair {pair} slot {slot}: {rendered} vs {cited_d}"
-        suite.check("tables/pair-avr-decimals m=5", ok, detail)
-    if m == 6:
-        ranking = construction.rank(construction.Criterion.average(), m, table)
-        suite.check("tables/avr-ordering-prefix m=6",
-                    ranking.order[:33] == golden.ORDER_PREFIX_M6[:33],
-                    f"got {ranking.order[:33]}")
-
-    counts = construction.avr_distribution(m, table)
-    ok = sum(counts) == (1 << m)
-    # mirror symmetry of the histogram follows from complementation only when
-    # no average sits exactly on a decile edge (at m=2, 1/5 does)
-    if all((table.avr(u) * 10).denominator != 1 for u in range(1 << m)):
-        ok = ok and counts == counts[::-1]
-    detail = f"buckets {counts}"
-    if m in golden.DISTRIBUTION_FIRST5:
-        ok = ok and tuple(counts[:5]) == golden.DISTRIBUTION_FIRST5[m]
-    suite.check(f"tables/avr-distribution m={m}", ok, detail)
-
-    if m in golden.BETA_INCOMPATIBLE_AT_122:
-        got = construction.beta_incompatible_count(m, Decimal("1.22"), table)
-        suite.check(f"tables/beta-incompatible m={m}",
-                    got == golden.BETA_INCOMPATIBLE_AT_122[m],
-                    f"got {got}, want {golden.BETA_INCOMPATIBLE_AT_122[m]}")
-    if m in golden.BETA_ZERO_POINTS:
-        ok = all(construction.beta_incompatible_count(m, Decimal(b), table) == 0
-                 for b in golden.BETA_ZERO_POINTS[m])
-        suite.check(f"tables/beta-zero-range m={m}", ok)
-    if m == 5:
-        avr_rank = construction.rank(construction.Criterion.average(), m, table)
-        beta_rank = construction.rank(
-            construction.Criterion.beta_expansion(Decimal("1.22")), m)
-        suite.check("tables/beta-avr-coincidence m=5",
-                    avr_rank.order == beta_rank.order)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_cap(args.m, args.force)
     table = synthesis.synth_all(args.m, force=args.force)
-    suite = _Suite()
-    run = args.suite
-    if run in ("orders", "all"):
-        _verify_orders(suite, args.m, table)
-    if run in ("reliability", "all"):
-        _verify_reliability(suite, args.m, table)
-    if run in ("identities", "all"):
-        _verify_identities(suite, args.m, table)
-    if run in ("tables", "all"):
-        _verify_tables(suite, args.m, table)
-    print(f"{suite.count - suite.failures}/{suite.count} checks passed")
-    return 1 if suite.failures else 0
+    count = failures = 0
+    for check in checks.REGISTRY:
+        if args.suite not in ("all", check.suite) or not check.applies(args.m):
+            continue
+        count += 1
+        detail = check.run(args.m, table)
+        label = f"{check.name} m={check.examines(args.m)}"
+        if detail is None:
+            print(f"PASS {label}")
+        else:
+            failures += 1
+            print(f"FAIL {label}: {detail}")
+    print(f"{count - failures}/{count} checks passed")
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("verify", help="run exact verification checks")
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--suite", choices=("orders", "reliability", "identities", "tables", "all"),
-                    default="all")
+    sp.add_argument("--suite", choices=checks.SUITES + ("all",), default="all")
     sp.add_argument("--force", action="store_true", help="override the m cap")
     sp.set_defaults(func=cmd_verify)
 

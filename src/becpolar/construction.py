@@ -45,8 +45,8 @@ class Criterion:
 
     @classmethod
     def beta_expansion(cls, beta: Decimal) -> "Criterion":
-        if beta <= 1:
-            raise ValueError(f"beta must exceed 1, got {beta}")
+        if not beta.is_finite() or beta <= 1:
+            raise ValueError(f"beta must be a finite number above 1, got {beta}")
         return cls("beta", beta=beta)
 
     def label(self) -> str:

@@ -4,8 +4,8 @@ Known-correct outputs at small sizes: two-decimal average reliabilities for
 m = 2..4, the m = 4 degree-2 path-count vectors, the m = 5 incomparable label
 pairs and their decimal averages, ranking prefixes for m = 5 and m = 6, the
 decile histogram rows for m = 5..11, and the ranking-disagreement counts for
-the beta criterion.  Exact-arithmetic checks in `cli.verify` and the test
-suite compare against these.
+the beta criterion.  The named checks of `becpolar.checks`, which both
+`becpolar verify` and the acceptance suite run, compare against these.
 """
 
 from __future__ import annotations
@@ -52,6 +52,12 @@ FIRST4_PAIR_DECIMALS = [
     ((7, 20), ("0.4712", "0.4710")),
     ((7, 24), ("0.4712", "0.5288")),
 ]
+
+# Six-place renderings of the m = 5 pair averages, frozen from exact
+# integration; label 16 (0.216528) renders as 0.217 at the cited three places.
+PAIR_AVR_6DP_M5: dict[int, str] = {
+    3: "0.221200", 16: "0.216528", 12: "0.395684", 17: "0.382549",
+    7: "0.471160", 20: "0.470982", 24: "0.528840"}
 
 # Average-reliability ranking prefixes (most reliable first).
 ORDER_PREFIX_M5 = (0, 1, 2, 4, 8, 16, 3, 5, 6, 9, 10, 17, 12, 18, 20, 7, 24)

@@ -108,18 +108,6 @@ ONE = IntPoly([1])
 P = IntPoly([0, 1])
 
 
-def add(a: IntPoly, b: IntPoly) -> IntPoly:
-    return a + b
-
-
-def sub(a: IntPoly, b: IntPoly) -> IntPoly:
-    return a - b
-
-
-def mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    return a * b
-
-
 def square_step(z: IntPoly) -> IntPoly:
     """Erasure polynomial of two copies in series: z -> z^2."""
     return z.square()
@@ -132,8 +120,12 @@ def parallel_step(z: IntPoly) -> IntPoly:
 
 def eval_rational(a: IntPoly, p: Fraction) -> Fraction:
     """Exact Horner evaluation at a rational point."""
+    return _horner(a.coeffs, p)
+
+
+def _horner(coeffs: Sequence[int], p: Fraction) -> Fraction:
     acc = Fraction(0)
-    for c in reversed(a.coeffs):
+    for c in reversed(coeffs):
         acc = acc * p + c
     return acc
 
@@ -220,11 +212,11 @@ def nonneg_on_01(d: IntPoly, path_counts: Sequence[int] | None = None) -> SignVe
     if all(c <= 0 for c in counts):
         return SignVerdict.CROSSES_ZERO
     f = _primitive(list(d.coeffs))
-    odd = [1]
+    odd = ONE
     for factor, mult in _squarefree_decomposition(f):
         if mult % 2 == 1:
-            odd = _raw_mul(odd, factor)
-    odd = _strip_endpoint_roots(odd)
+            odd = odd * IntPoly(factor)
+    odd = _strip_endpoint_roots(list(odd.coeffs))
     if len(odd) >= 2 and _count_roots_open01(odd) > 0:
         return SignVerdict.CROSSES_ZERO
     sf = _strip_endpoint_roots(_squarefree_part(f))
@@ -240,19 +232,6 @@ def nonneg_on_01(d: IntPoly, path_counts: Sequence[int] | None = None) -> SignVe
 # Integer Sturm machinery.  Raw polynomials below are plain lists of ints in
 # ascending degree order with no trailing zeros.
 # ---------------------------------------------------------------------------
-
-
-def _raw_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _raw_sub(a: list[int], b: list[int]) -> list[int]:
@@ -400,16 +379,9 @@ def _variations(values: Iterable) -> int:
 
 def _count_roots_between(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
     """Distinct roots in (lo, hi]; endpoints must not be roots of chain[0]."""
-    vlo = _variations(_eval_raw(c, lo) for c in chain)
-    vhi = _variations(_eval_raw(c, hi) for c in chain)
+    vlo = _variations(_horner(c, lo) for c in chain)
+    vhi = _variations(_horner(c, hi) for c in chain)
     return vlo - vhi
-
-
-def _eval_raw(a: list[int], p: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * p + c
-    return acc
 
 
 def _count_roots_open01(f: list[int]) -> int:
@@ -426,7 +398,7 @@ def _nonroot_point(f: list[int], lo: Fraction, hi: Fraction) -> Fraction:
     while True:
         for k in range(1, denom):
             p = lo + (hi - lo) * Fraction(k, denom)
-            if _eval_raw(f, p) != 0:
+            if _horner(f, p) != 0:
                 return p
         denom += 1
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from becpolar import synthesis
+from becpolar import checks, synthesis
 
 
 class ChannelCache:
@@ -19,6 +19,10 @@ class ChannelCache:
         if m not in self._tables:
             self._tables[m] = synthesis.synth_all(m)
         return self._tables[m]
+
+    def check(self, name: str, m: int) -> str | None:
+        """Failure detail of the registered check `name` at m, None if it passes."""
+        return checks.named(name).run(m, self.table(m))
 
     def avrs(self, m: int) -> list[Fraction]:
         if m not in self._avrs:

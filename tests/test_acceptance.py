@@ -2,38 +2,12 @@
 its measured runtime and asserting the stated budget.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Exact-arithmetic results are compared against the golden values in
-`becpolar.golden`; the two documented loose renderings (m=4 labels 6 and 9,
-and the 0.216 entry of the first pair) are checked against their pinned exact
-fractions plus a one-unit-in-the-last-place agreement rule.
+lines.  A criterion is a set of named checks from `becpolar.checks`, run at
+every m the criterion covers; the checks hold the assertions and compare
+against the golden values in `becpolar.golden`.
 """
 
 import time
-from decimal import Decimal
-from fractions import Fraction
-
-from becpolar import golden
-from becpolar.construction import (
-    Criterion,
-    avr_distribution,
-    avr_of_pairs,
-    beta_incompatible_count,
-    incomparable_pairs,
-    rank,
-    render_avr,
-)
-from becpolar.monomials import Monomial, all_monomials
-from becpolar.orders import leq_dominance, leq_pointwise, leq_std, leq_weak, mult_compatible, Comparison
-from becpolar.polynomials import SignVerdict, nonneg_on_01, to_path_counts
-from becpolar.reliability import (
-    avr_closed_form,
-    avr_closed_form_complement,
-    build_graph,
-    ni_inclusion_exclusion,
-    oracle_path_counts,
-)
-from becpolar.synthesis import dual_poly, synth_poly
-from becpolar.polynomials import IntPoly, integrate01
 
 
 class _Timer:
@@ -57,184 +31,80 @@ class _Timer:
         return False
 
 
+def _passes(cache, name, *ms):
+    for m in ms:
+        detail = cache.check(name, m)
+        assert detail is None, f"{name} m={m}: {detail}"
+
+
 def test_criterion_01_avr_table_two_decimals(cache):
     with _Timer("criterion-1 two-decimal average reliabilities m=2..4", 1.0):
-        for m, row in golden.AVR_2DP_ROWS.items():
-            table = cache.table(m)
-            seen = []
-            for u, cited in row:
-                exact = table.avr(u)
-                # agreement at two decimal places: within one ulp of the citation
-                assert abs(exact - Fraction(cited)) < Fraction(1, 100)
-                if (m, u) in golden.AVR_2DP_LOOSE:
-                    assert exact == golden.AVR_2DP_LOOSE[(m, u)]
-                else:
-                    assert str(render_avr(exact, 2)) == cited
-                seen.append(exact)
-            assert seen == sorted(seen)  # rows are listed in ranked order
+        _passes(cache, "tables/avr-2dp", 2, 3, 4)
 
 
 def test_criterion_02_degree2_path_count_vectors(cache):
     with _Timer("criterion-2 m=4 degree-2 path-count vectors", 1.0):
-        table = cache.table(4)
-        assert to_path_counts(table[6], 16).counts == golden.PATH_COUNTS_M4_U6
-        assert to_path_counts(table[9], 16).counts == golden.PATH_COUNTS_M4_U9
+        _passes(cache, "tables/degree2-path-counts", 4)
 
 
 def test_criterion_03_incomparable_pairs(cache):
     with _Timer("criterion-3 incomparable pairs m=5 (seven) and m=4 (none)", 10.0):
-        assert incomparable_pairs(5, cache.table(5)) == golden.INCOMPARABLE_PAIRS_M5
-        assert incomparable_pairs(4, cache.table(4)) == []
+        _passes(cache, "tables/incomparable-pairs", 5, 4)
 
 
 def test_criterion_04_average_ordering_prefixes(cache):
     with _Timer("criterion-4 average-reliability ordering prefixes m=5, m=6", 10.0):
-        order5 = rank(Criterion.average(), 5, cache.table(5)).order
-        assert order5[:17] == golden.ORDER_PREFIX_M5
-        order6 = rank(Criterion.average(), 6, cache.table(6)).order
-        assert order6[:33] == golden.ORDER_PREFIX_M6[:33]
+        _passes(cache, "tables/avr-ordering-prefix", 5, 6)
 
 
-def test_criterion_05_closed_form_equals_integration():
+def test_criterion_05_closed_form_equals_integration(cache):
     with _Timer("criterion-5 closed-form average == exact integral, m<=8", 120.0):
-        checks = 0
-        for m in range(1, 9):
-            for i_ones in range(m + 1):
-                u = (1 << i_ones) - 1
-                z = synth_poly(Monomial.from_int(u, m))
-                assert avr_closed_form(m, i_ones) == integrate01(z)
-                assert avr_closed_form(m, i_ones) + \
-                    avr_closed_form_complement(m, i_ones) == 1
-                checks += 1
-        assert checks == 44
+        _passes(cache, "reliability/closed-form-avr", *range(1, 9))
 
 
 def test_criterion_06_inclusion_exclusion_counts(cache):
     with _Timer("criterion-6 inclusion-exclusion path counts m<=6", 30.0):
-        for m in range(1, 7):
-            table = cache.table(m)
-            for i_ones in range(m + 1):
-                u = (1 << i_ones) - 1
-                want = to_path_counts(table[u], 1 << m)
-                assert ni_inclusion_exclusion(m, i_ones) == want
+        _passes(cache, "reliability/inclusion-exclusion", *range(1, 7))
 
 
 def test_criterion_07_oracle_equivalence(cache):
     with _Timer("criterion-7 subset-enumeration oracle, all m=4 channels", 30.0):
-        table = cache.table(4)
-        for u in range(16):
-            mono = Monomial.from_int(u, 4)
-            got = oracle_path_counts(build_graph(mono))
-            assert got == to_path_counts(table[u], 16)
+        _passes(cache, "reliability/oracle-equivalence", 4)
 
 
 def test_criterion_08_strong_order_implies_pointwise(cache):
     with _Timer("criterion-8 dominance implies pointwise, chain, m<=6", 300.0):
-        for m in range(1, 7):
-            table = cache.table(m)
-            n = 1 << m
-            counts = [to_path_counts(table[u], n).counts for u in range(n)]
-            monos = all_monomials(m)
-            for u in range(n):
-                for v in range(n):
-                    if u == v:
-                        continue
-                    f, g = monos[u], monos[v]
-                    w, s, d = leq_weak(f, g), leq_std(f, g), leq_dominance(f, g)
-                    assert (not w) or s
-                    assert (not s) or d
-                    if d:
-                        diff = [counts[v][i] - counts[u][i] for i in range(n + 1)]
-                        verdict = nonneg_on_01(table[v] - table[u], diff)
-                        assert verdict is SignVerdict.NONNEGATIVE
+        _passes(cache, "orders/implication-chain", *range(1, 7))
 
 
 def test_criterion_09_polynomial_identities(cache):
     with _Timer("criterion-9 conservation, duality, complement sums, m<=8", 120.0):
-        for m in range(1, 9):
-            table = cache.table(m)
-            n = 1 << m
-            total = IntPoly()
-            for u in range(n):
-                total = total + table[u]
-            assert total == IntPoly([0, n])
-            avrs = cache.avrs(m)
-            for u in range(n):
-                ubar = u ^ (n - 1)
-                assert avrs[u] + avrs[ubar] == 1
-                if u < ubar:
-                    assert dual_poly(table[u]) == table[ubar]
+        for name in ("identities/erasure-conservation", "identities/duality",
+                     "identities/avr-complement"):
+            _passes(cache, name, *range(1, 9))
 
 
 def test_criterion_10_distribution_rows(cache):
     with _Timer("criterion-10 decile histogram rows m=5..9", 300.0):
-        for m in range(5, 10):
-            counts = avr_distribution(m, cache.table(m))
-            assert tuple(counts[:5]) == golden.DISTRIBUTION_FIRST5[m]
-            assert counts == counts[::-1]
-            assert sum(counts) == 1 << m
+        _passes(cache, "tables/avr-distribution", *range(5, 10))
 
 
 def test_criterion_11_beta_incompatible_counts(cache):
     with _Timer("criterion-11 beta-vs-average disagreement counts", 300.0):
-        for m, want in golden.BETA_INCOMPATIBLE_AT_122.items():
-            got = beta_incompatible_count(m, Decimal("1.22"), cache.table(m))
-            assert got == want, f"m={m}: {got} != {want}"
-        for b in golden.BETA_ZERO_POINTS[5]:
-            assert beta_incompatible_count(5, Decimal(b), cache.table(5)) == 0
+        _passes(cache, "tables/beta-incompatible", *range(6, 10))
+        _passes(cache, "tables/beta-zero-range", 5)
 
 
 def test_criterion_12_pair_decimal_values(cache):
     with _Timer("criterion-12 cited pair decimals at m=5", 60.0):
-        table = cache.table(5)
-        pairs = [p for p, _ in golden.FIRST4_PAIR_DECIMALS]
-        # the fourth cited value pair matches the fourth listed pair exactly
-        # (complement identity forces its second value); no mismatch found
-        assert table.avr(24) == 1 - table.avr(7)
-        for (pair, cited) in golden.FIRST4_PAIR_DECIMALS:
-            digits = max(len(c) - 2 for c in cited)
-            rendered = avr_of_pairs([pair], table, digits)[0]
-            for slot in (0, 1):
-                cited_d = Decimal(cited[slot])
-                ulp = Decimal(1).scaleb(cited_d.as_tuple().exponent)
-                assert abs(rendered[slot] - cited_d) <= ulp, \
-                    f"pair {pair} slot {slot}: {rendered[slot]} vs {cited_d}"
-        # exact six-decimal values, frozen from exact integration
-        assert str(render_avr(table.avr(3), 6)) == "0.221200"
-        assert str(render_avr(table.avr(16), 6)) == "0.216528"
-        assert str(render_avr(table.avr(12), 6)) == "0.395684"
-        assert str(render_avr(table.avr(17), 6)) == "0.382549"
-        assert str(render_avr(table.avr(7), 6)) == "0.471160"
-        assert str(render_avr(table.avr(20), 6)) == "0.470982"
-        assert str(render_avr(table.avr(24), 6)) == "0.528840"
-        # the one loose citation: exact 0.216528 rounds to 0.217, cited 0.216
-        assert str(render_avr(table.avr(16), 3)) == "0.217"
+        _passes(cache, "tables/pair-avr-decimals", 5)
+        # the fourth cited pair (7, 24) is a complement pair: avr(24) = 1 - avr(7)
+        _passes(cache, "identities/avr-complement", 5)
 
 
 def test_criterion_13_property_suite(cache):
     with _Timer("criterion-13 no duplicate averages; order-average "
                 "compatibility; multiplication compatibility", 300.0):
-        for m in range(1, 9):
-            avrs = cache.avrs(m)
-            assert len(set(avrs)) == len(avrs)
-        for m in range(1, 7):
-            table = cache.table(m)
-            avrs = cache.avrs(m)
-            monos = all_monomials(m)
-            n = 1 << m
-            for u in range(n):
-                for v in range(u + 1, n):
-                    verdict = leq_pointwise(monos[u], monos[v], table).result
-                    if verdict is Comparison.LESS_OR_EQUAL:
-                        assert avrs[u] <= avrs[v]
-                    elif verdict is Comparison.GREATER_OR_EQUAL:
-                        assert avrs[v] <= avrs[u]
-        for m in range(2, 7):
-            monos = all_monomials(m)
-            for f in monos:
-                for g in monos:
-                    if f.bits < g.bits and f.degree == g.degree:
-                        for i in range(m):
-                            h = Monomial(m, 1 << i)
-                            if not (h.divides(f) or h.divides(g)):
-                                assert mult_compatible(f, g, h)
+        _passes(cache, "tables/distinct-averages", *range(1, 9))
+        _passes(cache, "tables/pointwise-avr-compat", *range(1, 7))
+        _passes(cache, "orders/multiplication-compat", *range(2, 7))

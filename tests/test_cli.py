@@ -105,6 +105,27 @@ class TestRank:
         code, _, _ = run_cli(capsys, "rank", "--m", "3", "--by", "p=1")
         assert code == 2
 
+    @pytest.mark.parametrize("by", ["p=1/0", "beta=abc", "beta=NaN", "beta=Infinity"])
+    def test_bad_number_is_usage_error(self, capsys, by):
+        code, _, err = run_cli(capsys, "rank", "--m", "3", "--by", by)
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth", "--m", "10", "--u", "5000"),
+    ("rank", "--m", "10", "--by", "avr", "--k", "5000"),
+])
+def test_bad_u_and_k_exit_before_synthesis(capsys, monkeypatch, argv):
+    from becpolar import synthesis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("synthesis ran before the usage check")
+    monkeypatch.setattr(synthesis, "synth_all", refuse)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "out of range" in err
+
 
 class TestPoset:
     def test_m2_chain(self, capsys):
@@ -156,6 +177,11 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--m", "3", "--suite", "identities")
         assert code == 0
         assert "PASS identities/duality m=3" in out
+
+    def test_m1_prints_no_vacuous_threshold_check(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--m", "1")
+        assert code == 0
+        assert "identities/threshold-symmetry" not in out
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         # sabotage one golden value to confirm FAIL reporting and exit 1
