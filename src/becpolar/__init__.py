@@ -51,7 +51,7 @@ from .construction import (
     avr_of_pairs,
     beta_avr_conflicts,
     beta_incompatible_count,
-    beta_value,
+    beta_scores,
     construct,
     incomparable_pairs,
     rank,

@@ -111,7 +111,7 @@ def _implication_chain(m, table):
                     yield f"dominance !=> pointwise at {f},{g}"
 
 
-@_check("orders/multiplication-compat")
+@_check("orders/multiplication-compat", applies=lambda m: m >= 2)
 def _multiplication_compat(m, table):
     monos = monomials.all_monomials(m)
     for f in monos:

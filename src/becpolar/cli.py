@@ -11,8 +11,8 @@ verify        the named exact checks of `checks`, one PASS/FAIL line each
 distribution  decile histogram of average reliabilities (CSV)
 avrplot       (label, average reliability) pairs for plotting (CSV)
 
-Exact scores are printed as num/den strings; decimal columns are
-presentation-only renderings.  Exit codes: 0 success, 1 verification failure,
+Exact scores are printed as num/den strings, beta scores as exact decimals;
+the other decimal columns are presentation-only renderings.  Exit codes: 0 success, 1 verification failure,
 2 usage error.
 """
 
@@ -49,6 +49,14 @@ def _dec(value: Fraction, places: int = 6) -> str:
 
 def _frac(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
+
+
+def _beta_decimal(score: Fraction, beta: Decimal, m: int) -> str:
+    """A beta score, a sum of powers below beta^m, written exactly as a
+    decimal without trailing zeros."""
+    places = (m - 1) * max(0, -beta.as_tuple().exponent)
+    text = format(construction.render_avr(score, places), "f")
+    return text.rstrip("0").rstrip(".") if "." in text else text
 
 
 # ---------------------------------------------------------------------------
@@ -119,18 +127,14 @@ def cmd_rank(args: argparse.Namespace) -> int:
     for u in ranking.order[:k]:
         avr = table.avr(u)
         score = ranking.scores[u]
-        if isinstance(score, Fraction):
-            score_str, score_dec = _frac(score), _dec(score)
-        else:
-            score_str, score_dec = str(score), str(
-                score.quantize(Decimal("0.000001"), rounding=decimal.ROUND_HALF_UP))
+        exact = _beta_decimal(score, criterion.beta, m) if criterion.kind == "beta" else _frac(score)
         threshold = synthesis.threshold_estimate(table[u], tol)
         records.append({
             "u": u,
             "monomial": str(Monomial(m, u)),
             "degree": Monomial(m, u).degree,
-            "score": score_str,
-            "score_decimal": score_dec,
+            "score": exact,
+            "score_decimal": _dec(score),
             "avr": _frac(avr),
             "avr_decimal": _dec(avr),
             "threshold_decimal": _dec(threshold),

@@ -2,15 +2,14 @@
 
 Three ranking criteria: exact pointwise erasure probability at a fixed
 rational p, exact average reliability over p in [0, 1], and the beta-expansion
-score beta(u) = sum u_i beta^i (high-precision decimal).  Also the derived
-statistics: pointwise-incomparable pairs, decimal views of selected pairs,
-the decile histogram of average reliabilities, and the count of channel pairs
-on which the average-reliability and beta rankings disagree.
+score beta(u) = sum u_i beta^i.  Every score is an exact `Fraction`.  Also
+the derived statistics: pointwise-incomparable pairs, decimal views of
+selected pairs, the decile histogram of average reliabilities, and the
+disagreement between the average-reliability and beta rankings.
 """
 
 from __future__ import annotations
 
-import decimal
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -20,9 +19,10 @@ from .monomials import Monomial
 from .polynomials import eval_rational, integrate01
 from .synthesis import ChannelTable, synth_all
 
-BETA_DIGITS = 50
-BETA_RECHECK_DIGITS = 80
 INCOMPARABLE_M_CAP = 6
+# Largest written size of beta (digits plus positive exponent): it bounds the
+# size of the exact numerator, so scoring cannot run away on e.g. 1e999999999.
+BETA_SIZE_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,9 @@ class Criterion:
     def beta_expansion(cls, beta: Decimal) -> "Criterion":
         if not beta.is_finite() or beta <= 1:
             raise ValueError(f"beta must be a finite number above 1, got {beta}")
+        t = beta.as_tuple()
+        if len(t.digits) + max(t.exponent, 0) > BETA_SIZE_CAP:
+            raise ValueError(f"beta={beta} needs more than {BETA_SIZE_CAP} digits written out")
         return cls("beta", beta=beta)
 
     def label(self) -> str:
@@ -64,51 +67,34 @@ class RankedChannels:
     m: int
     criterion: Criterion
     order: tuple[int, ...]
-    scores: tuple  # Fraction per channel for pointwise/average, Decimal for beta
+    scores: tuple[Fraction, ...]  # exact score per channel label
 
 
-def beta_value(u: Monomial, beta: Decimal) -> Decimal:
-    """Beta-expansion score sum_{i in support} beta^i at BETA_DIGITS precision."""
-    if beta <= 1:
-        raise ValueError(f"beta must exceed 1, got {beta}")
-    with decimal.localcontext() as ctx:
-        ctx.prec = BETA_DIGITS
-        acc = Decimal(0)
-        for i in u.support():
-            acc += beta ** i
-        return +acc
-
-
-def _beta_scores(m: int, beta: Decimal, digits: int) -> list[Decimal]:
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        powers = [beta ** i for i in range(m)]
-        return [+sum((powers[i] for i in range(m) if (u >> i) & 1), Decimal(0))
-                for u in range(1 << m)]
+def beta_scores(m: int, beta: Decimal) -> list[Fraction]:
+    """Exact beta-expansion score sum_{i in support(u)} beta^i of every label
+    u < 2^m, for a beta accepted by `Criterion.beta_expansion`."""
+    b = Fraction(beta)
+    scores = [Fraction(0)]
+    for i in range(m):  # labels with top bit i are those below 2^i plus beta^i
+        power = b ** i
+        scores += [s + power for s in scores]
+    return scores
 
 
 def rank(criterion: Criterion, m: int, table: ChannelTable | None = None) -> RankedChannels:
     """Score every channel under the criterion and sort ascending (best first).
 
-    Pointwise and average scores are exact rationals; beta scores are decimals
-    at BETA_DIGITS significant digits, with near-ties recomputed at
-    BETA_RECHECK_DIGITS before ordering.  Ties break by ascending label.
+    Every score is an exact rational.  Ties break by ascending label; beta
+    scores never tie, since two labels with equal scores would make the
+    rational beta > 1 a root of a polynomial with coefficients in {-1, 0, 1},
+    whose rational roots are +-1.
     """
     n = 1 << m
-    if criterion.kind == "beta":
-        scores = _beta_scores(m, criterion.beta, BETA_DIGITS)
-        # Re-check near-ties at higher precision before trusting the sort.
-        ordered = sorted(range(n), key=lambda u: (scores[u], u))
-        eps = Decimal(1).scaleb(-(BETA_DIGITS - 10))
-        if any(abs(scores[ordered[k + 1]] - scores[ordered[k]]) < eps
-               and scores[ordered[k + 1]] != scores[ordered[k]]
-               for k in range(n - 1)):
-            scores = _beta_scores(m, criterion.beta, BETA_RECHECK_DIGITS)
-            ordered = sorted(range(n), key=lambda u: (scores[u], u))
-        return RankedChannels(m, criterion, tuple(ordered), tuple(scores))
-    if table is None:
+    if criterion.kind != "beta" and table is None:
         table = synth_all(m)
-    if criterion.kind == "pointwise":
+    if criterion.kind == "beta":
+        scores = beta_scores(m, criterion.beta)
+    elif criterion.kind == "pointwise":
         scores = [eval_rational(table[u], criterion.p) for u in range(n)]
     elif criterion.kind == "average":
         scores = [integrate01(table[u]) for u in range(n)]
@@ -148,14 +134,15 @@ def incomparable_pairs(m: int, table: ChannelTable | None = None) -> list[tuple[
 def render_avr(value: Fraction, digits: int) -> Decimal:
     """Exact rational rounded half-up to the given number of decimal places.
 
-    Integer arithmetic throughout, so arbitrarily large denominators round
-    correctly.
+    Integer arithmetic throughout, and the `Decimal` is built from a string
+    rather than under a `decimal` context, so no value is rounded a second
+    time, however many digits it has.
     """
     scaled = value * 10**digits
     q, r = divmod(scaled.numerator, scaled.denominator)
     if 2 * r >= scaled.denominator:
         q += 1
-    return Decimal(q).scaleb(-digits)
+    return Decimal(f"{q}E{-digits}")
 
 
 def avr_of_pairs(pairs: list[tuple[int, int]], table: ChannelTable,
@@ -188,25 +175,27 @@ def avr_distribution(m: int, table: ChannelTable | None = None) -> list[int]:
 
 def beta_avr_conflicts(m: int, beta: Decimal,
                        table: ChannelTable | None = None) -> list[tuple[int, int]]:
-    """Ordered pairs ranked strictly by average reliability but strictly the
-    other way by beta score.  Each conflicting unordered pair appears once."""
-    avr_ranking = rank(Criterion.average(), m, table)
-    beta_scores = _beta_scores(m, beta, BETA_DIGITS)
+    """Exact discordant pairs of the two rankings: ordered pairs (u, v) ranked
+    strictly by average reliability as u before v and strictly the other way
+    by beta score.  Each discordant unordered pair appears once."""
+    avr = rank(Criterion.average(), m, table).scores
+    beta_score = beta_scores(m, Criterion.beta_expansion(beta).beta)
     n = 1 << m
-    avr = avr_ranking.scores
     return [(u, v) for u in range(n) for v in range(n)
-            if avr[u] < avr[v] and beta_scores[u] > beta_scores[v]]
+            if avr[u] < avr[v] and beta_score[u] > beta_score[v]]
 
 
 def beta_incompatible_count(m: int, beta: Decimal,
                             table: ChannelTable | None = None) -> int:
-    """Number of channel pairs on which the beta ranking contradicts the
-    average-reliability ranking.
+    """The paper's beta-incompatibility statistic: the number of ranking
+    positions at which the beta and average-reliability orders hold different
+    channels, divided by 4.
 
-    Counted as rank-displaced positions between the two sorted sequences:
-    each conflicting pair displaces two channels, and displacements mirror
-    under complementation, so the pair count is displaced / 4.  Zero iff the
-    two rankings coincide.
+    It is zero iff the two rankings coincide, but it is not the number of
+    discordant pairs (for that, take `len(beta_avr_conflicts(...))`): at
+    beta = 1.22 it is 2/10/36 at m = 6/7/8, against 4/30/134 discordant
+    pairs.  Displacements mirror under complementation, so the displaced
+    count is a multiple of 4.
     """
     avr_ranking = rank(Criterion.average(), m, table)
     beta_ranking = rank(Criterion.beta_expansion(beta), m)

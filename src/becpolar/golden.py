@@ -77,8 +77,10 @@ DISTRIBUTION_FIRST5: dict[int, tuple[int, ...]] = {
     11: (199, 209, 204, 204, 208),
 }
 
-# Ranking-disagreement pair counts between the average-reliability and beta
-# rankings at beta = 1.22.
+# The paper's beta-incompatibility statistic at beta = 1.22: ranking
+# positions where the average-reliability and beta orders differ, divided by
+# 4 (`construction.beta_incompatible_count`).  It is not the number of
+# discordant pairs, which `construction.beta_avr_conflicts` lists exactly.
 BETA_INCOMPATIBLE_AT_122: dict[int, int] = {6: 2, 7: 10, 8: 36, 9: 99}
 
 # beta values at which the beta ranking coincides with the average ranking

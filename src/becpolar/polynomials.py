@@ -229,18 +229,10 @@ def nonneg_on_01(d: IntPoly, path_counts: Sequence[int] | None = None) -> SignVe
 
 
 # ---------------------------------------------------------------------------
-# Integer Sturm machinery.  Raw polynomials below are plain lists of ints in
-# ascending degree order with no trailing zeros.
+# Integer Sturm machinery.  Raw polynomials below are plain sequences of ints
+# (lists, or `IntPoly.coeffs` tuples) in ascending degree order with no
+# trailing zeros.
 # ---------------------------------------------------------------------------
-
-
-def _raw_sub(a: list[int], b: list[int]) -> list[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def _derivative(a: list[int]) -> list[int]:
@@ -333,7 +325,7 @@ def _squarefree_decomposition(f: list[int]) -> list[tuple[list[int], int]]:
     if len(a0) == 1:
         return [(f, 1)]
     b = _divexact(f, a0)
-    d = _raw_sub(_divexact(fp, a0), _derivative(b))
+    d = (IntPoly(_divexact(fp, a0)) - IntPoly(_derivative(b))).coeffs
     out: list[tuple[list[int], int]] = []
     i = 1
     while len(b) > 1:
@@ -341,7 +333,7 @@ def _squarefree_decomposition(f: list[int]) -> list[tuple[list[int], int]]:
         if len(a) > 1:
             out.append((a, i))
         b = _divexact(b, a)
-        d = _raw_sub(_divexact(d, a), _derivative(b))
+        d = (IntPoly(_divexact(d, a)) - IntPoly(_derivative(b))).coeffs
         i += 1
     return out
 

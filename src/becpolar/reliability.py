@@ -20,7 +20,6 @@ from .monomials import Monomial
 from .polynomials import PathCounts
 
 ORACLE_EDGE_CAP = 16
-GRAPH_M_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,6 @@ def build_graph(u: Monomial) -> CompositionGraph:
     in parallel for a 1-bit), mirroring the nesting of the channel recursion;
     the final graph has exactly 2^m edges.
     """
-    if u.m > GRAPH_M_CAP:
-        raise ValueError(f"m={u.m} exceeds graph cap {GRAPH_M_CAP}")
     nodes = 2
     edges: list[tuple[int, int]] = [(0, 1)]
     for i in range(u.m):

@@ -78,6 +78,17 @@ class TestRank:
         assert [int(r.split(",")[0]) for r in out.splitlines()[1:]] == [
             0, 1, 2, 4, 3, 5, 6, 7]
 
+    def test_beta_near_one_orders_exactly(self, capsys):
+        # beta(12) - beta(17) = b^2 + b^3 - 1 - b^4 = (b - 1)(1 + b - b^3), about
+        # 1e-51 here, so 50 significant digits cannot order the pair
+        beta = "1." + "0" * 50 + "1"
+        code, out, _ = run_cli(capsys, "rank", "--m", "5", "--by", f"beta={beta}")
+        assert code == 0
+        rows = {int(r.split(",")[0]): r.split(",") for r in out.splitlines()[1:]}
+        labels = list(rows)
+        assert labels.index(17) < labels.index(12)
+        assert rows[2][3] == beta  # the score column is exact
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "rank", "--m", "3", "--by", "avr",
                                "--format", "json")
@@ -105,7 +116,8 @@ class TestRank:
         code, _, _ = run_cli(capsys, "rank", "--m", "3", "--by", "p=1")
         assert code == 2
 
-    @pytest.mark.parametrize("by", ["p=1/0", "beta=abc", "beta=NaN", "beta=Infinity"])
+    @pytest.mark.parametrize("by", ["p=1/0", "beta=abc", "beta=NaN", "beta=Infinity",
+                                    "beta=1e999999999"])
     def test_bad_number_is_usage_error(self, capsys, by):
         code, _, err = run_cli(capsys, "rank", "--m", "3", "--by", by)
         assert code == 2
@@ -182,6 +194,7 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--m", "1")
         assert code == 0
         assert "identities/threshold-symmetry" not in out
+        assert "orders/multiplication-compat" not in out
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         # sabotage one golden value to confirm FAIL reporting and exit 1

@@ -12,7 +12,7 @@ from becpolar.construction import (
     avr_of_pairs,
     beta_avr_conflicts,
     beta_incompatible_count,
-    beta_value,
+    beta_scores,
     construct,
     incomparable_pairs,
     rank,
@@ -139,12 +139,25 @@ class TestDistribution:
 
 class TestBeta:
     def test_beta_value_example(self):
-        got = beta_value(Monomial.from_int(0b101, 3), Decimal("1.22"))
-        assert got == Decimal("2.4884")
+        assert beta_scores(3, Decimal("1.22"))[0b101] == Fraction("2.4884")
 
     def test_beta_value_rejects_small_beta(self):
         with pytest.raises(ValueError):
-            beta_value(Monomial.from_int(1, 2), Decimal("1"))
+            Criterion.beta_expansion(Decimal("1"))
+
+    def test_beta_size_cap_is_100_digits(self):
+        with pytest.raises(ValueError, match="digits"):
+            Criterion.beta_expansion(Decimal("1." + "0" * 100 + "1"))
+        Criterion.beta_expansion(Decimal("1." + "0" * 98 + "1"))  # 100 digits
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_beta_order_sorts_independent_fractions(self, m):
+        for hundredths in range(101, 201):
+            beta = Fraction(hundredths, 100)
+            scores = [sum((beta**i for i in range(m) if u >> i & 1), Fraction(0))
+                      for u in range(1 << m)]
+            criterion = Criterion.beta_expansion(Decimal(hundredths) / 100)
+            assert rank(criterion, m).order == tuple(sorted(range(1 << m), key=scores.__getitem__))
 
     def test_conflicts_empty_when_rankings_match(self, cache):
         assert beta_avr_conflicts(5, Decimal("1.22"), cache.table(5)) == []
@@ -156,6 +169,13 @@ class TestBeta:
     def test_incompatible_count_m6(self, cache):
         assert beta_incompatible_count(6, Decimal("1.22"), cache.table(6)) == 2
 
+    @pytest.mark.parametrize("m, statistic, discordant", [(6, 2, 4), (7, 10, 30), (8, 36, 134)])
+    def test_statistic_is_not_the_discordant_pair_count(self, cache, m, statistic, discordant):
+        # displaced positions / 4 (the paper's figure) vs exact Kendall discordances
+        beta = Decimal("1.22")
+        assert beta_incompatible_count(m, beta, cache.table(m)) == statistic
+        assert len(beta_avr_conflicts(m, beta, cache.table(m))) == discordant
+
     def test_incompatible_count_zero_points(self, cache):
         for m, points in golden.BETA_ZERO_POINTS.items():
             for b in points:
@@ -164,9 +184,8 @@ class TestBeta:
     @pytest.mark.parametrize("m", range(2, 7))
     @pytest.mark.parametrize("b", ["1.1", "1.22", "1.5", "2"])
     def test_beta_respects_standard_order(self, m, b):
-        beta = Decimal(b)
         monos = [Monomial(m, u) for u in range(1 << m)]
-        vals = [beta_value(f, beta) for f in monos]
+        vals = beta_scores(m, Decimal(b))
         for f in monos:
             for g in monos:
                 if leq_std(f, g):

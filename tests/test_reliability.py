@@ -46,6 +46,7 @@ class TestBuildGraph:
         for m in range(1, 7):
             for u in (0, 1, (1 << m) - 1, (1 << m) // 3):
                 assert len(build_graph(Monomial.from_int(u, m)).edges) == 1 << m
+        assert len(build_graph(Monomial.from_int(0b1010, 16)).edges) == 1 << 16
 
 
 class TestOracle:
