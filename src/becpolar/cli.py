@@ -26,7 +26,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import checks, construction, orders, polynomials, synthesis
-from .monomials import Monomial
+from .monomials import MAX_M, Monomial
 from .orders import Relation
 
 CLI_M_CAP = 10
@@ -35,8 +35,8 @@ _RELATIONS = {"w": Relation.WEAK, "std": Relation.STANDARD, "dom": Relation.DOMI
 
 
 def _check_cap(m: int, force: bool) -> None:
-    if m < 1:
-        raise ValueError("m must be positive")
+    if not 1 <= m <= MAX_M:  # even with force: labels have at most MAX_M bits
+        raise ValueError(f"m must be in 1..{MAX_M}, got {m}")
     if m > CLI_M_CAP and not force:
         raise ValueError(
             f"m={m} exceeds the default cap {CLI_M_CAP} "
@@ -156,6 +156,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_poset(args: argparse.Namespace) -> int:
+    _check_cap(args.m, force=True)  # hasse_edges has its own, lower cap
     m = args.m
     relation = _RELATIONS[args.relation]
     edges = orders.hasse_edges(m, relation)

@@ -70,15 +70,22 @@ class RankedChannels:
     scores: tuple[Fraction, ...]  # exact score per channel label
 
 
-def beta_scores(m: int, beta: Decimal) -> list[Fraction]:
-    """Exact beta-expansion score sum_{i in support(u)} beta^i of every label
-    u < 2^m, for a beta accepted by `Criterion.beta_expansion`."""
-    b = Fraction(beta)
-    scores = [Fraction(0)]
+def _beta_numerators(m: int, beta: Decimal) -> tuple[list[int], int]:
+    """Beta-expansion scores sum_{i in support(u)} beta^i of every label
+    u < 2^m, for a beta accepted by `Criterion.beta_expansion`, as integer
+    numerators over their common denominator q^(m-1), beta = p/q."""
+    p, q = Fraction(beta).as_integer_ratio()
+    nums = [0]
     for i in range(m):  # labels with top bit i are those below 2^i plus beta^i
-        power = b ** i
-        scores += [s + power for s in scores]
-    return scores
+        power = p ** i * q ** (m - 1 - i)
+        nums += [s + power for s in nums]
+    return nums, q ** max(m - 1, 0)
+
+
+def beta_scores(m: int, beta: Decimal) -> list[Fraction]:
+    """Exact beta-expansion score of every label u < 2^m."""
+    nums, den = _beta_numerators(m, beta)
+    return [Fraction(x, den) for x in nums]
 
 
 def rank(criterion: Criterion, m: int, table: ChannelTable | None = None) -> RankedChannels:
@@ -92,15 +99,16 @@ def rank(criterion: Criterion, m: int, table: ChannelTable | None = None) -> Ran
     n = 1 << m
     if criterion.kind != "beta" and table is None:
         table = synth_all(m)
-    if criterion.kind == "beta":
-        scores = beta_scores(m, criterion.beta)
+    if criterion.kind == "beta":  # sort integers: a Fraction compare multiplies
+        keys, den = _beta_numerators(m, criterion.beta)
+        scores = [Fraction(x, den) for x in keys]
     elif criterion.kind == "pointwise":
-        scores = [eval_rational(table[u], criterion.p) for u in range(n)]
+        keys = scores = [eval_rational(table[u], criterion.p) for u in range(n)]
     elif criterion.kind == "average":
-        scores = [integrate01(table[u]) for u in range(n)]
+        keys = scores = [integrate01(table[u]) for u in range(n)]
     else:
         raise ValueError(f"unknown criterion kind {criterion.kind!r}")
-    ordered = sorted(range(n), key=lambda u: (scores[u], u))
+    ordered = sorted(range(n), key=lambda u: (keys[u], u))
     return RankedChannels(m, criterion, tuple(ordered), tuple(scores))
 
 
@@ -179,7 +187,7 @@ def beta_avr_conflicts(m: int, beta: Decimal,
     strictly by average reliability as u before v and strictly the other way
     by beta score.  Each discordant unordered pair appears once."""
     avr = rank(Criterion.average(), m, table).scores
-    beta_score = beta_scores(m, Criterion.beta_expansion(beta).beta)
+    beta_score, _ = _beta_numerators(m, Criterion.beta_expansion(beta).beta)
     n = 1 << m
     return [(u, v) for u in range(n) for v in range(n)
             if avr[u] < avr[v] and beta_score[u] > beta_score[v]]

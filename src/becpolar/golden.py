@@ -1,11 +1,12 @@
 """Golden values for the desk-scale verification suites.
 
 Known-correct outputs at small sizes: two-decimal average reliabilities for
-m = 2..4, the m = 4 degree-2 path-count vectors, the m = 5 incomparable label
-pairs and their decimal averages, ranking prefixes for m = 5 and m = 6, the
-decile histogram rows for m = 5..11, and the ranking-disagreement counts for
-the beta criterion.  The named checks of `becpolar.checks`, which both
-`becpolar verify` and the acceptance suite run, compare against these.
+m = 2..4, the m = 4 degree-2 path-count vectors, the incomparable label pairs
+at m = 5 and 6 and the decimal averages of those at m = 5, ranking prefixes
+for m = 5 and m = 6, the decile histogram rows for m = 5..11, and the
+ranking-disagreement counts for the beta criterion.  The named checks of
+`becpolar.checks`, which both `becpolar verify` and the acceptance suite run,
+compare against these.
 """
 
 from __future__ import annotations
@@ -38,10 +39,20 @@ PATH_COUNTS_M4_U6 = (0, 0, 0, 0, 16, 192, 1008, 3040, 5828, 7456, 6552,
 PATH_COUNTS_M4_U9 = (0, 0, 0, 0, 32, 320, 1456, 3984, 7042, 8400, 7000,
                      4176, 1804, 560, 120, 16, 1)
 
-# All pointwise-incomparable label pairs at m = 5 (canonical u < v); none
-# exist for m <= 4.
+# All pointwise-incomparable label pairs at m = 5 and m = 6 (canonical
+# u < v); none exist for m <= 4.
 INCOMPARABLE_PAIRS_M5 = [(3, 16), (7, 20), (7, 24), (11, 24), (12, 17),
                          (14, 19), (15, 28)]
+INCOMPARABLE_PAIRS_M6 = [
+    (3, 16), (3, 32), (5, 32), (6, 32), (7, 20), (7, 24), (7, 33),
+    (7, 34), (7, 36), (7, 40), (7, 48), (11, 24), (11, 36), (11, 40),
+    (11, 48), (12, 17), (13, 40), (13, 48), (14, 19), (14, 40), (14, 48),
+    (15, 28), (15, 41), (15, 42), (15, 44), (15, 49), (15, 50), (15, 52),
+    (15, 56), (19, 40), (19, 48), (20, 33), (21, 48), (22, 48), (23, 44),
+    (23, 49), (23, 50), (23, 52), (23, 56), (24, 33), (24, 34), (25, 35),
+    (26, 37), (27, 52), (27, 56), (28, 38), (29, 39), (29, 56), (30, 39),
+    (30, 43), (30, 56), (31, 57), (31, 58), (31, 60), (35, 48), (39, 52),
+    (39, 56), (43, 56), (44, 49), (46, 51), (47, 60)]
 
 # Cited decimal average reliabilities for the first four incomparable pairs
 # in discovery order.  The second value of (3, 16) is cited one ulp below the

@@ -192,16 +192,14 @@ class SignVerdict(enum.Enum):
 def nonneg_on_01(d: IntPoly, path_counts: Sequence[int] | None = None) -> SignVerdict:
     """Exact decision whether d(p) >= 0 for every p in [0, 1].
 
-    Fast path: if all coefficients of d in the p^i (1-p)^(n-i) basis share a
-    sign, that sign is the sign of d on (0, 1).  Otherwise: take the product
-    of the odd-multiplicity square-free factors of d (only these change sign),
-    drop its roots at the endpoints (allowed), and count its roots in (0, 1)
-    with a Sturm sequence.  Any such root means d changes sign.  With none, d
-    keeps one sign between even-order touch points, so d is sampled at a
-    rational point in each root-free subinterval found by bisection isolation.
+    Certificate: if the coefficients of d in the p^i (1-p)^(n-i) basis share
+    a sign, so does d on (0, 1).  Otherwise d, stripped of its roots at 0 and
+    1, changes sign in (0, 1) iff the product of its odd-multiplicity factors
+    (Yun's square-free decomposition) has a root there, which a Sturm count
+    finds.  With none, d has one sign on (0, 1): that of one rational sample.
 
-    `path_counts` optionally supplies precomputed basis coefficients of d at
-    n = deg d (callers comparing many channel pairs difference them cheaply).
+    `path_counts` optionally supplies the basis coefficients of d at any
+    n >= deg d; degree elevation keeps a one-signed certificate valid.
     """
     if d.is_zero():
         return SignVerdict.IDENTICALLY_ZERO
@@ -211,21 +209,17 @@ def nonneg_on_01(d: IntPoly, path_counts: Sequence[int] | None = None) -> SignVe
         return SignVerdict.NONNEGATIVE
     if all(c <= 0 for c in counts):
         return SignVerdict.CROSSES_ZERO
-    f = _primitive(list(d.coeffs))
+    f = _strip_endpoint_roots(_primitive(list(d.coeffs)))
     odd = ONE
     for factor, mult in _squarefree_decomposition(f):
         if mult % 2 == 1:
             odd = odd * IntPoly(factor)
-    odd = _strip_endpoint_roots(list(odd.coeffs))
-    if len(odd) >= 2 and _count_roots_open01(odd) > 0:
+    if odd.degree >= 1 and _count_roots_open01(list(odd.coeffs)) > 0:
         return SignVerdict.CROSSES_ZERO
-    sf = _strip_endpoint_roots(_squarefree_part(f))
-    for point in _root_free_samples(sf):
-        value = eval_rational(d, point)
-        if value < 0:
-            return SignVerdict.CROSSES_ZERO
-        assert value > 0, "sample point unexpectedly hit a root"
-    return SignVerdict.NONNEGATIVE
+    # Sample d itself: stripping a root at 1 of odd multiplicity flips the sign.
+    value = eval_rational(d, _nonroot_point(f))
+    assert value != 0, "sample point unexpectedly hit a root"
+    return SignVerdict.NONNEGATIVE if value > 0 else SignVerdict.CROSSES_ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -288,32 +282,27 @@ def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 def _divexact(a: list[int], b: list[int]) -> list[int]:
-    """Exact quotient a / b; raises if the division leaves a remainder."""
-    if not a:
-        return []
+    """Exact quotient a / b; raises if the division leaves a remainder.
+
+    Integer long division: by Gauss's lemma the quotient by a primitive
+    divisor is integral, so every step divides exactly.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    r = [Fraction(c) for c in a]
+    q = [0] * (len(a) - len(b) + 1)
+    r = list(a)
     lb = b[-1]
     for k in range(len(a) - len(b), -1, -1):
-        c = r[k + len(b) - 1] / lb
+        c, rem = divmod(r[k + len(b) - 1], lb)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
         q[k] = c
         if c:
             for j, bj in enumerate(b):
                 r[k + j] -= c * bj
-    if any(x != 0 for x in r):
+    if any(r):
         raise ArithmeticError("inexact polynomial division")
-    if any(x.denominator != 1 for x in q):
-        raise ArithmeticError("non-integer quotient")
-    return [int(x) for x in q]
-
-
-def _squarefree_part(f: list[int]) -> list[int]:
-    g = _poly_gcd(f, _derivative(f))
-    if len(g) == 1:
-        return _primitive(f)
-    return _primitive(_divexact(_primitive(f), g))
+    return q
 
 
 def _squarefree_decomposition(f: list[int]) -> list[tuple[list[int], int]]:
@@ -322,8 +311,6 @@ def _squarefree_decomposition(f: list[int]) -> list[tuple[list[int], int]]:
     f = _primitive(f)
     fp = _derivative(f)
     a0 = _poly_gcd(f, fp)
-    if len(a0) == 1:
-        return [(f, 1)]
     b = _divexact(f, a0)
     d = (IntPoly(_divexact(fp, a0)) - IntPoly(_derivative(b))).coeffs
     out: list[tuple[list[int], int]] = []
@@ -369,68 +356,18 @@ def _variations(values: Iterable) -> int:
     return sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
 
 
-def _count_roots_between(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
-    """Distinct roots in (lo, hi]; endpoints must not be roots of chain[0]."""
-    vlo = _variations(_horner(c, lo) for c in chain)
-    vhi = _variations(_horner(c, hi) for c in chain)
-    return vlo - vhi
-
-
 def _count_roots_open01(f: list[int]) -> int:
     """Distinct roots of square-free f in (0, 1); needs f(0) != 0, f(1) != 0."""
     chain = _sturm_chain(f)
-    v0 = _variations(c[0] for c in chain)
-    v1 = _variations(sum(c) for c in chain)
-    return v0 - v1
+    return _variations(c[0] for c in chain) - _variations(sum(c) for c in chain)
 
 
-def _nonroot_point(f: list[int], lo: Fraction, hi: Fraction) -> Fraction:
-    """A rational point in (lo, hi) that is not a root of f."""
+def _nonroot_point(f: list[int]) -> Fraction:
+    """A rational point in (0, 1) that is not a root of the nonzero f."""
     denom = 2
     while True:
         for k in range(1, denom):
-            p = lo + (hi - lo) * Fraction(k, denom)
+            p = Fraction(k, denom)
             if _horner(f, p) != 0:
                 return p
         denom += 1
-
-
-def _isolate_roots_open01(f: list[int]) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint isolating intervals for the roots of square-free f in (0, 1).
-
-    Interval endpoints are never roots of f; bisection midpoints landing on a
-    root are nudged to a nearby non-root rational.
-    """
-    if len(f) < 2:
-        return []
-    chain = _sturm_chain(f)
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(Fraction(0), Fraction(1), _count_roots_between(chain, Fraction(0), Fraction(1)))]
-    while stack:
-        lo, hi, k = stack.pop()
-        if k == 0:
-            continue
-        if k == 1:
-            out.append((lo, hi))
-            continue
-        mid = _nonroot_point(f, lo, hi)
-        kl = _count_roots_between(chain, lo, mid)
-        stack.append((lo, mid, kl))
-        stack.append((mid, hi, k - kl))
-    out.sort()
-    return out
-
-
-def _root_free_samples(sf: list[int]) -> list[Fraction]:
-    """One interior sample point per root-free gap of (0, 1) w.r.t. roots of sf."""
-    if len(sf) < 2:
-        return [Fraction(1, 2)]
-    boundaries = [Fraction(0)]
-    for lo, hi in _isolate_roots_open01(sf):
-        boundaries.extend((lo, hi))
-    boundaries.append(Fraction(1))
-    samples = []
-    for a, b in zip(boundaries[::2], boundaries[1::2]):
-        if a < b:
-            samples.append(_nonroot_point(sf, a, b))
-    return samples or [_nonroot_point(sf, Fraction(0), Fraction(1))]

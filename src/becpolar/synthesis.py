@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .monomials import Monomial
+from .monomials import MAX_M, Monomial
 from .polynomials import IntPoly, P, eval_rational, integrate01
 
 SYNTH_CAP = 12
@@ -57,10 +57,10 @@ def synth_all(m: int, force: bool = False) -> ChannelTable:
     Level k holds the 2^k polynomials reachable after k steps, keyed by the
     top k bits of u (last-consumed bit lowest); 2^(m+1) - 2 transform results
     total, one squaring per tree node.  m above SYNTH_CAP needs force=True
-    (cost grows as 8^m).
+    (cost grows as 8^m); no m above MAX_M, the largest label width, is built.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
+    if not 1 <= m <= MAX_M:  # even with force=True
+        raise ValueError(f"m must be in 1..{MAX_M}, got {m}")
     if m > SYNTH_CAP and not force:
         raise ValueError(f"m={m} exceeds cap {SYNTH_CAP}; pass force=True to override")
     level = [P]

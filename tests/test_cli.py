@@ -139,6 +139,23 @@ def test_bad_u_and_k_exit_before_synthesis(capsys, monkeypatch, argv):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("distribution", "--m", "17", "--force"),
+    ("synth", "--m", "0"),
+    ("poset", "--m", "-1", "--relation", "dom", "--dot", "-"),
+    ("poset", "--m", "0", "--relation", "w", "--dot", "-"),
+])
+def test_bad_m_exits_before_synthesis(capsys, monkeypatch, argv):
+    from becpolar import synthesis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("synthesis ran before the usage check")
+    monkeypatch.setattr(synthesis, "synth_all", refuse)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: m must be in 1..16") and err.count("\n") == 1
+
+
 class TestPoset:
     def test_m2_chain(self, capsys):
         code, out, _ = run_cli(capsys, "poset", "--m", "2", "--relation", "std",

@@ -84,6 +84,9 @@ class TestIncomparablePairs:
     def test_m5(self, cache):
         assert incomparable_pairs(5, cache.table(5)) == golden.INCOMPARABLE_PAIRS_M5
 
+    def test_m6(self, cache):
+        assert incomparable_pairs(6, cache.table(6)) == golden.INCOMPARABLE_PAIRS_M6
+
     def test_m4_empty(self, cache):
         assert incomparable_pairs(4, cache.table(4)) == []
 

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, basis conversion, and the interval sign decision."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -197,6 +198,37 @@ class TestNonnegOn01:
         # -(p - 1/4)^2 (p - 3/4)^2 is nonpositive, touching zero twice
         q = IntPoly([1, -4]) * IntPoly([3, -4])
         assert nonneg_on_01(-(q * q)) is SignVerdict.CROSSES_ZERO
+
+    def test_factored_polynomials(self):
+        # p (1-p) (2p - 1)^2: dividing out the root at 1 flips the sign
+        d = IntPoly([0, 1, -1]) * IntPoly([1, -4, 4])
+        assert nonneg_on_01(d) is SignVerdict.NONNEGATIVE
+        assert nonneg_on_01(-d) is SignVerdict.CROSSES_ZERO
+        # d = c p^a (1-p)^b prod (q p - r)^k [(p^2 + 1)] with roots r/q in
+        # (0, 1): d changes sign iff some interior root has odd total
+        # multiplicity; otherwise every factor but c is nonnegative on [0, 1].
+        rng = random.Random(2021)
+        for _ in range(400):
+            c = rng.choice([-3, -2, -1, 1, 2, 5])
+            roots: Counter[Fraction] = Counter()
+            for _ in range(rng.randint(0, 4)):
+                q = rng.randint(2, 7)
+                roots[Fraction(rng.randint(1, q - 1), q)] += rng.randint(1, 3)
+            factors = [P] * rng.randint(0, 3) + [IntPoly([1, -1])] * rng.randint(0, 3)
+            for r, k in roots.items():
+                factors += [IntPoly([-r.numerator, r.denominator])] * k
+            if rng.random() < 0.3:
+                factors.append(IntPoly([1, 0, 1]))
+            d = IntPoly([c])
+            for factor in factors:
+                d = d * factor
+            if any(k % 2 for k in roots.values()):
+                assert nonneg_on_01(d) is SignVerdict.CROSSES_ZERO, d
+                assert nonneg_on_01(-d) is SignVerdict.CROSSES_ZERO, d
+            else:
+                up, down = (d, -d) if c > 0 else (-d, d)
+                assert nonneg_on_01(up) is SignVerdict.NONNEGATIVE, d
+                assert nonneg_on_01(down) is SignVerdict.CROSSES_ZERO, d
 
     def test_fast_path_agrees_with_sturm(self):
         # force the slow path by passing mixed-sign basis coefficients check:

@@ -83,6 +83,8 @@ class TestSynthAll:
             synth_all(13)
         with pytest.raises(ValueError):
             synth_all(0)
+        with pytest.raises(ValueError, match="1..16"):
+            synth_all(17, force=True)  # force lifts SYNTH_CAP, not MAX_M
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_path_count_bounds(self, m, cache):
