@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Callable, Iterator
 
@@ -254,10 +255,25 @@ def _incomparable_pairs(m, table):
         yield f"got {pairs}"
 
 
+@lru_cache(maxsize=1)
+def _pointwise_verdicts(table: synthesis.ChannelTable) -> tuple[tuple[int, int, Comparison], ...]:
+    """(u, v, verdict) of `leq_pointwise` for every label pair of the table,
+    u before v in ascending average order; the table checks below share it.
+
+    Pairs are taken in average order, so that `leq_pointwise` settles a pair
+    ordered that way pointwise with its first sign decision."""
+    monos = monomials.all_monomials(table.m)
+    avrs = [table.avr(u) for u in range(len(table))]
+    by_avr = sorted(range(len(table)), key=avrs.__getitem__)
+    return tuple((u, v, orders.leq_pointwise(monos[u], monos[v], table).result)
+                 for i, u in enumerate(by_avr) for v in by_avr[i + 1:])
+
+
 @_check("tables/incomparable-complement-closure",
         applies=lambda m: m <= construction.INCOMPARABLE_M_CAP)
 def _incomparable_complement_closure(m, table):
-    pairs = set(construction.incomparable_pairs(m, table))
+    pairs = {(min(u, v), max(u, v)) for u, v, verdict in _pointwise_verdicts(table)
+             if verdict is Comparison.INCOMPARABLE}
     mask = (1 << m) - 1
     for u, v in pairs:
         if tuple(sorted((mask ^ v, mask ^ u))) not in pairs:
@@ -266,18 +282,11 @@ def _incomparable_complement_closure(m, table):
 
 @_check("tables/pointwise-avr-compat", applies=lambda m: m <= construction.INCOMPARABLE_M_CAP)
 def _pointwise_avr_compat(m, table):
-    """A pointwise-ordered pair is ordered the same way by average.
-
-    Pairs are taken in average order, so that `leq_pointwise` settles a pair
-    ordered that way pointwise with its first sign decision."""
-    monos = monomials.all_monomials(m)
+    """A pointwise-ordered pair is ordered the same way by average."""
     avrs = [table.avr(u) for u in range(1 << m)]
-    by_avr = sorted(range(1 << m), key=avrs.__getitem__)
-    for i, u in enumerate(by_avr):
-        for v in by_avr[i + 1:]:
-            verdict = orders.leq_pointwise(monos[u], monos[v], table).result
-            if avrs[u] < avrs[v] and verdict in (Comparison.GREATER_OR_EQUAL, Comparison.EQUAL):
-                yield f"({u}, {v}) is {verdict.value} pointwise but not by average"
+    for u, v, verdict in _pointwise_verdicts(table):
+        if avrs[u] < avrs[v] and verdict in (Comparison.GREATER_OR_EQUAL, Comparison.EQUAL):
+            yield f"({u}, {v}) is {verdict.value} pointwise but not by average"
 
 
 @_check("tables/distinct-averages")

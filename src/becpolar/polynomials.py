@@ -4,7 +4,9 @@ Channel polynomials produced by the series/parallel recursion always have
 integer coefficients, so the workhorse type `IntPoly` stores a dense tuple of
 Python ints (index i = coefficient of p^i, no trailing zeros, zero polynomial
 = empty tuple).  Rationals enter only at evaluation and integration, as
-`fractions.Fraction`.
+`fractions.Fraction`, and each is built once, at the end: evaluation at
+num/den runs Horner on integers (`horner_numerator`) and integration sums
+integer multiples of one common denominator.
 
 The module also provides the change of basis to path-count (Bernstein-style)
 coefficients and an exact sign decision on [0, 1] built from square-free
@@ -19,7 +21,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -118,26 +122,43 @@ def parallel_step(z: IntPoly) -> IntPoly:
     return z.scale(2) - z.square()
 
 
-def eval_rational(a: IntPoly, p: Fraction) -> Fraction:
-    """Exact Horner evaluation at a rational point."""
-    return _horner(a.coeffs, p)
+def horner_numerator(coeffs: Sequence[int], num: int, den: int) -> int:
+    """den^n * a(num/den) for a(p) = sum coeffs[i] p^i and n = len(coeffs) - 1.
 
-
-def _horner(coeffs: Sequence[int], p: Fraction) -> Fraction:
-    acc = Fraction(0)
+    Homogeneous Horner in plain integers, sum coeffs[i] num^i den^(n-i): no
+    rational and no gcd at any step.  The zero polynomial gives 0.
+    """
+    acc = 0
+    power = 1
     for c in reversed(coeffs):
-        acc = acc * p + c
+        acc = acc * num + c * power
+        power *= den
     return acc
+
+
+def eval_rational(a: IntPoly, p: Fraction) -> Fraction:
+    """Exact value a(p) at a rational point: integer Horner on the numerator
+    and denominator of p, then one `Fraction` (one gcd) for the result."""
+    den = p.denominator
+    return Fraction(horner_numerator(a.coeffs, p.numerator, den), den ** max(a.degree, 0))
+
+
+@lru_cache(maxsize=16)
+def _integration_weights(length: int) -> tuple[int, tuple[int, ...]]:
+    """lcm(1..length) and its quotients by 1..length: integrating
+    coefficients 0..length-1 over [0, 1] is a dot product with the quotients
+    over the lcm.  At length 2^m + 1 the weights are about 2^m times smaller
+    than the channel table whose rows they integrate."""
+    denom = lcm(*range(1, length + 1))
+    return denom, tuple(denom // (i + 1) for i in range(length))
 
 
 def integrate01(a: IntPoly) -> Fraction:
     """Exact integral of a over [0, 1]: sum of coeff[i] / (i + 1)."""
     if a.is_zero():
         return Fraction(0)
-    # Single common denominator avoids one gcd reduction per term.
-    denom = lcm(*range(1, len(a.coeffs) + 1))
-    num = sum(c * (denom // (i + 1)) for i, c in enumerate(a.coeffs))
-    return Fraction(num, denom)
+    denom, weights = _integration_weights(len(a.coeffs))
+    return Fraction(sum(map(mul, a.coeffs, weights)), denom)
 
 
 @dataclass(frozen=True)
@@ -367,7 +388,6 @@ def _nonroot_point(f: list[int]) -> Fraction:
     denom = 2
     while True:
         for k in range(1, denom):
-            p = Fraction(k, denom)
-            if _horner(f, p) != 0:
-                return p
+            if horner_numerator(f, k, denom) != 0:
+                return Fraction(k, denom)
         denom += 1

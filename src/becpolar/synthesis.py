@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .monomials import MAX_M, Monomial
-from .polynomials import IntPoly, P, eval_rational, integrate01
+from .polynomials import IntPoly, P, horner_numerator, integrate01
 
 SYNTH_CAP = 12
 
@@ -95,22 +95,29 @@ def threshold_estimate(a: IntPoly, tol: Fraction = Fraction(1, 2**30)) -> Fracti
     the bracket check rejects inputs that do not straddle 1/2.  The result is
     a finite-m proxy for the sharp-transition point; 1 - Avr approximates the
     same point through the average-reliability limit.
+
+    The bracket is dyadic, [lo, lo + 1] / 2^j, kept as the integer lo: the
+    sign of a(x / 2^j) - 1/2 is that of 2 * 2^(jn) a(x / 2^j) - 2^(jn), an
+    integer from `horner_numerator` (n = deg a).  Bisection stops once the
+    width 1/2^j is at most 2 * tol, which any positive tol reaches.  Apart
+    from that width test, the only rational is the one returned: the
+    midpoint hit exactly, or the midpoint of the last bracket.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    half = Fraction(1, 2)
-    lo, hi = Fraction(0), Fraction(1)
-    flo = eval_rational(a, lo) - half
-    fhi = eval_rational(a, hi) - half
-    if not (flo < 0 < fhi):
+    cs = a.coeffs
+    n = a.degree
+    if not (2 * horner_numerator(cs, 0, 1) - 1 < 0 < 2 * horner_numerator(cs, 1, 1) - 1):
         raise ValueError("input does not bracket 1/2 on [0, 1]; not a channel polynomial?")
-    while hi - lo > 2 * tol:
-        mid = (lo + hi) / 2
-        v = eval_rational(a, mid) - half
+    width = 2 * tol
+    lo, j = 0, 0
+    while Fraction(1, 1 << j) > width:
+        j += 1
+        lo *= 2
+        mid = lo + 1
+        v = 2 * horner_numerator(cs, mid, 1 << j) - (1 << (j * n))
         if v == 0:
-            return mid
+            return Fraction(mid, 1 << j)
         if v < 0:
             lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    return Fraction(2 * lo + 1, 1 << (j + 1))

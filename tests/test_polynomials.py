@@ -12,8 +12,10 @@ from becpolar.polynomials import (
     IntPoly,
     PathCounts,
     SignVerdict,
+    _nonroot_point,
     eval_rational,
     from_path_counts,
+    horner_numerator,
     integrate01,
     nonneg_on_01,
     parallel_step,
@@ -100,8 +102,86 @@ class TestEvalIntegrate:
 
     @given(small_polys)
     def test_integral_matches_term_sum(self, a):
-        expected = sum((Fraction(c, i + 1) for i, c in enumerate(a.coeffs)), Fraction(0))
-        assert integrate01(a) == expected
+        assert integrate01(a) == _fraction_integral(a.coeffs)
+
+    def test_integral_matches_term_sum_every_length(self):
+        rng = random.Random(600)
+        for length in range(1, 601):
+            coeffs = [rng.randint(-10**6, 10**6) for _ in range(length - 1)] + [rng.choice((-1, 1))]
+            assert integrate01(IntPoly(coeffs)) == _fraction_integral(coeffs), length
+
+
+def _fraction_integral(coeffs) -> Fraction:
+    """Slow exact twin of `integrate01`: one Fraction per term."""
+    return sum((Fraction(c, i + 1) for i, c in enumerate(coeffs)), Fraction(0))
+
+
+def _fraction_horner(coeffs, p: Fraction) -> Fraction:
+    """Slow exact twin of the integer Horner: a Fraction at every step."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * p + c
+    return acc
+
+
+EVAL_POINTS = [Fraction(-3, 2), Fraction(-1), Fraction(-1, 7), Fraction(0), Fraction(1, 3),
+               Fraction(1, 2), Fraction(2, 7), Fraction(1), Fraction(5, 4), Fraction(7),
+               Fraction(123456789, 2**61 - 1), Fraction(-(10**30) - 7, 3**50)]
+
+
+class TestEvalTwins:
+    """`eval_rational` and `horner_numerator` against the Fraction Horner."""
+
+    def _assert_matches(self, coeffs, p):
+        want = _fraction_horner(coeffs, p)
+        assert eval_rational(IntPoly(coeffs), p) == want
+        scale = p.denominator ** max(len(coeffs) - 1, 0)
+        assert horner_numerator(coeffs, p.numerator, p.denominator) == want * scale
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_every_channel(self, m, cache):
+        for poly in cache.table(m).polys:
+            for p in EVAL_POINTS:
+                self._assert_matches(poly.coeffs, p)
+
+    def test_zero_and_constant_polynomials(self):
+        for coeffs in ((), (0,), (1,), (-5,), (10**40,)):
+            for p in EVAL_POINTS:
+                self._assert_matches(IntPoly(coeffs).coeffs, p)
+        assert horner_numerator((), 3, 5) == 0
+        assert eval_rational(IntPoly(), Fraction(2, 3)) == 0
+
+    def test_random_polynomials(self):
+        rng = random.Random(97)
+        for _ in range(300):
+            coeffs = IntPoly([rng.randint(-10**9, 10**9) for _ in range(rng.randint(0, 40))]).coeffs
+            den = rng.choice((1, 2, 3, 1024, rng.randint(1, 10**25)))
+            p = Fraction(rng.randint(-3 * den, 3 * den), den)
+            self._assert_matches(coeffs, p)
+            for fixed in EVAL_POINTS:
+                self._assert_matches(coeffs, fixed)
+
+    def test_nonroot_point_matches_fraction_search(self):
+        def twin(f):
+            denom = 2
+            while True:
+                for k in range(1, denom):
+                    if _fraction_horner(f, Fraction(k, denom)) != 0:
+                        return Fraction(k, denom)
+                denom += 1
+
+        half, third, two_thirds = IntPoly([-1, 2]), IntPoly([-1, 3]), IntPoly([-2, 3])
+        quarter = IntPoly([-1, 4])
+        cases = [IntPoly([1]), IntPoly([0, 1]), half, half * third,
+                 half * third * two_thirds, half * third * two_thirds * quarter,
+                 half.square() * third * two_thirds * quarter * IntPoly([-3, 4])]
+        rng = random.Random(11)
+        cases += [IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 8))]) for _ in range(60)]
+        for f in cases:
+            if not f.is_zero():
+                assert _nonroot_point(list(f.coeffs)) == twin(f.coeffs), f
+        # roots 1/2, 1/3, 2/3, 1/4: the search order 1/2, 1/3, 2/3, 1/4, 2/4 reaches 3/4
+        assert _nonroot_point(list((half * third * two_thirds * quarter).coeffs)) == Fraction(3, 4)
 
 
 LEMMA2_U6 = (0, 0, 0, 0, 16, 192, 1008, 3040, 5828, 7456, 6552, 4048, 1788,

@@ -2,7 +2,8 @@
 
 import pytest
 
-from becpolar import checks, cli
+from becpolar import checks, cli, golden, orders
+from becpolar.orders import Comparison
 
 
 def test_names_are_unique_and_prefixed_by_a_suite():
@@ -34,3 +35,20 @@ def test_check_passes_at_its_smallest_m(cache, check):
     m <= 5 for all but tables/beta-incompatible (first golden row at m = 6)."""
     m = next(m for m in range(1, 10) if check.applies(m))
     assert check.run(m, cache.table(m)) is None
+
+
+def test_pointwise_table_checks_share_one_scan(monkeypatch, cache):
+    """incomparable-complement-closure and pointwise-avr-compat read one
+    `leq_pointwise` verdict per label pair, and its incomparable pairs are
+    the pinned ones."""
+    calls = []
+    leq_pointwise = orders.leq_pointwise
+    monkeypatch.setattr(orders, "leq_pointwise", lambda *args: calls.append(args) or leq_pointwise(*args))
+    checks._pointwise_verdicts.cache_clear()
+    table = cache.table(5)
+    for name in ("tables/incomparable-complement-closure", "tables/pointwise-avr-compat"):
+        assert checks.named(name).run(5, table) is None
+    assert len(calls) == 32 * 31 // 2
+    incomparable = sorted((min(u, v), max(u, v)) for u, v, verdict in checks._pointwise_verdicts(table)
+                          if verdict is Comparison.INCOMPARABLE)
+    assert incomparable == golden.INCOMPARABLE_PAIRS_M5

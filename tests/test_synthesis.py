@@ -122,7 +122,52 @@ def _sqrt_lower_bound(value: Fraction, bits: int) -> Fraction:
     return Fraction(num, 1 << bits)
 
 
+def _fraction_threshold(a: IntPoly, tol: Fraction) -> Fraction:
+    """Slow exact twin of `threshold_estimate`: bisection on Fractions, with
+    a Fraction Horner at every step."""
+    def value(p):
+        acc = Fraction(0)
+        for c in reversed(a.coeffs):
+            acc = acc * p + c
+        return acc - Fraction(1, 2)
+
+    lo, hi = Fraction(0), Fraction(1)
+    assert value(lo) < 0 < value(hi)
+    while hi - lo > 2 * tol:
+        mid = (lo + hi) / 2
+        v = value(mid)
+        if v == 0:
+            return mid
+        if v < 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+TWIN_TOLS = [Fraction(1, 2**30), Fraction(1, 2**20), Fraction(1, 10**6), Fraction(1, 3), Fraction(1)]
+
+
 class TestThreshold:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_fraction_bisection(self, m, cache):
+        for poly in cache.table(m).polys:
+            for a in (poly, dual_poly(poly)):
+                for tol in TWIN_TOLS:
+                    assert threshold_estimate(a, tol) == _fraction_threshold(a, tol), (m, a, tol)
+
+    def test_exact_midpoint_hit(self):
+        a = IntPoly([0, 0, 2])  # 2p^2 = 1/2 at p = 1/2, the first midpoint
+        for tol in TWIN_TOLS:
+            assert threshold_estimate(a, tol) == _fraction_threshold(a, tol) == Fraction(1, 2)
+        b = IntPoly([0, 0, 8])  # 8p^2 = 1/2 at p = 1/4, the second midpoint
+        assert threshold_estimate(b, Fraction(1, 2**30)) == Fraction(1, 4)
+
+    def test_non_dyadic_and_float_tolerances(self):
+        a = IntPoly([0, 2, -1])
+        for tol in (Fraction(1, 3), Fraction(2, 7), Fraction(1, 10**9), 1e-6, 0.3, 5):
+            assert threshold_estimate(a, tol) == _fraction_threshold(a, tol), tol
+
     def test_parallel_pair(self):
         # 2p - p^2 = 1/2 at p = 1 - sqrt(2)/2
         tol = Fraction(1, 2**30)
