@@ -18,7 +18,15 @@ from .polynomials import (
     square_step,
     to_path_counts,
 )
-from .synthesis import ChannelTable, dual_poly, synth_all, synth_poly, threshold_estimate
+from .synthesis import (
+    ChannelTable,
+    channel_threshold,
+    dual_poly,
+    synth_all,
+    synth_labels,
+    synth_poly,
+    threshold_estimate,
+)
 from .orders import (
     Comparison,
     OrderVerdict,

@@ -221,6 +221,11 @@ def _threshold_symmetry(m, table):
         t2 = synthesis.threshold_estimate(synthesis.dual_poly(table[u]), tol)
         if abs(t1 + t2 - 1) > 2 * tol:
             yield f"u={u}: {float(t1)} + {float(t2)} != 1"
+        f = Monomial(m, u)
+        from_label = (synthesis.channel_threshold(f, tol),
+                      synthesis.channel_threshold(f.complement(), tol))
+        if from_label != (t1, t2):
+            yield f"u={u}: label-recursion thresholds differ from the polynomial bisection"
 
 
 @_check("tables/avr-2dp", applies=lambda m: m in golden.AVR_2DP_ROWS)

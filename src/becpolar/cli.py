@@ -114,21 +114,32 @@ def _parse_criterion(text: str) -> construction.Criterion:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
+    """Rank every channel; print the best k with their averages and thresholds.
+
+    Thresholds come from the label recursion (`channel_threshold`), so a
+    polynomial is built only where a score needs one: `avr` and `p=` score
+    from the full table, while `beta=` scores from the labels and builds
+    only the k listed polynomials, for their averages.
+    """
     _check_cap(args.m, args.force)
     m = args.m
     criterion = _parse_criterion(args.by)
     k = args.k if args.k is not None else 1 << m
     if not 0 <= k <= (1 << m):
         raise ValueError(f"--k {k} out of range for m={m}")
-    table = synthesis.synth_all(m, force=args.force)
-    ranking = construction.rank(criterion, m, table)
+    if criterion.kind == "beta":
+        ranking = construction.rank(criterion, m)
+        polys = synthesis.synth_labels(m, ranking.order[:k], force=args.force)
+    else:
+        polys = synthesis.synth_all(m, force=args.force)
+        ranking = construction.rank(criterion, m, polys)
     tol = Fraction(1, 2**30)
     records = []
     for u in ranking.order[:k]:
-        avr = table.avr(u)
-        score = ranking.scores[u]
+        avr = polynomials.integrate01(polys[u])
+        score = ranking.score(u)
         exact = _beta_decimal(score, criterion.beta, m) if criterion.kind == "beta" else _frac(score)
-        threshold = synthesis.threshold_estimate(table[u], tol)
+        threshold = synthesis.channel_threshold(Monomial(m, u), tol)
         records.append({
             "u": u,
             "monomial": str(Monomial(m, u)),

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 
 from . import orders
 from .monomials import Monomial
@@ -62,12 +63,29 @@ class Criterion:
 
 @dataclass(frozen=True)
 class RankedChannels:
-    """All 2^m channels sorted most reliable first (ties broken by label)."""
+    """All 2^m channels sorted most reliable first (ties broken by label).
+
+    `keys` holds the exact sort key of each channel label: for beta, the
+    integer numerator of the score over the common `denominator`; for the
+    other criteria, the score itself (denominator 1).  A score's `Fraction`
+    is built when it is read, so reading k scores of a large m reduces k
+    fractions, not 2^m.
+    """
 
     m: int
     criterion: Criterion
     order: tuple[int, ...]
-    scores: tuple[Fraction, ...]  # exact score per channel label
+    keys: tuple[int | Fraction, ...]
+    denominator: int = 1
+
+    def score(self, u: int) -> Fraction:
+        """Exact score of channel u."""
+        return Fraction(self.keys[u], self.denominator)
+
+    @cached_property
+    def scores(self) -> tuple[Fraction, ...]:
+        """Exact score per channel label."""
+        return tuple(map(self.score, range(len(self.keys))))
 
 
 def _beta_numerators(m: int, beta: Decimal) -> tuple[list[int], int]:
@@ -91,7 +109,10 @@ def beta_scores(m: int, beta: Decimal) -> list[Fraction]:
 def rank(criterion: Criterion, m: int, table: ChannelTable | None = None) -> RankedChannels:
     """Score every channel under the criterion and sort ascending (best first).
 
-    Every score is an exact rational.  Ties break by ascending label; beta
+    Every score is an exact rational.  Beta scores are kept and sorted as
+    integer numerators over q^(m-1), beta = p/q, and become `Fraction`s only
+    when read (`RankedChannels.score`); the other criteria need `table`,
+    built here when not given.  Ties break by ascending label; beta
     scores never tie, since two labels with equal scores would make the
     rational beta > 1 a root of a polynomial with coefficients in {-1, 0, 1},
     whose rational roots are +-1.
@@ -99,17 +120,17 @@ def rank(criterion: Criterion, m: int, table: ChannelTable | None = None) -> Ran
     n = 1 << m
     if criterion.kind != "beta" and table is None:
         table = synth_all(m)
+    den = 1
     if criterion.kind == "beta":  # sort integers: a Fraction compare multiplies
         keys, den = _beta_numerators(m, criterion.beta)
-        scores = [Fraction(x, den) for x in keys]
     elif criterion.kind == "pointwise":
-        keys = scores = [eval_rational(table[u], criterion.p) for u in range(n)]
+        keys = [eval_rational(table[u], criterion.p) for u in range(n)]
     elif criterion.kind == "average":
-        keys = scores = [integrate01(table[u]) for u in range(n)]
+        keys = [integrate01(table[u]) for u in range(n)]
     else:
         raise ValueError(f"unknown criterion kind {criterion.kind!r}")
     ordered = sorted(range(n), key=lambda u: (keys[u], u))
-    return RankedChannels(m, criterion, tuple(ordered), tuple(scores))
+    return RankedChannels(m, criterion, tuple(ordered), tuple(keys), den)
 
 
 def construct(criterion: Criterion, m: int, k: int,

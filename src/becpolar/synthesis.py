@@ -6,16 +6,22 @@ a 0-bit squares (series step), a 1-bit maps z to 2z - z^2 (parallel step).
 This nesting order is frozen by golden tests against fully expanded m = 4
 polynomials.
 
-`synth_all` builds every channel of a given m by sharing suffix polynomials:
-after k steps the intermediate depends only on the top k bits of u, so the
-table is built level by level over a binary suffix tree (one squaring per
-node, both children derived from it).
+`synth_labels` builds the channels of a set of labels by sharing suffix
+polynomials: after k steps the intermediate depends only on the top k bits
+of u, so the polynomials are built level by level over a binary suffix tree
+(one squaring per node, both children derived from it), and `synth_all` is
+its all-labels case.
+
+The same recursion, run on a number in place of a polynomial, is Arikan's
+Bhattacharyya recursion Z_u(x), exact on the BEC: `channel_threshold` decides
+where Z_u crosses 1/2 from the label alone, with no polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from .monomials import MAX_M, Monomial
 from .polynomials import IntPoly, P, horner_numerator, integrate01
@@ -51,27 +57,43 @@ def synth_poly(u: Monomial) -> IntPoly:
     return z
 
 
-def synth_all(m: int, force: bool = False) -> ChannelTable:
-    """Build the full channel table with suffix sharing.
+def synth_labels(m: int, labels: Iterable[int] | None,
+                 force: bool = False) -> dict[int, IntPoly]:
+    """Channel polynomials of the given labels (None: every label of m),
+    keyed by label in ascending order, built with suffix sharing.
 
-    Level k holds the 2^k polynomials reachable after k steps, keyed by the
-    top k bits of u (last-consumed bit lowest); 2^(m+1) - 2 transform results
-    total, one squaring per tree node.  m above SYNTH_CAP needs force=True
-    (cost grows as 8^m); no m above MAX_M, the largest label width, is built.
+    Level k holds the polynomials reachable after k steps, keyed by the top k
+    bits of u (last-consumed bit lowest), and expands only the nodes that
+    are the top k bits of some requested label: one squaring per expanded
+    node, both children derived from it.  For every label of m that is the
+    whole tree, 2^(m+1) - 2 transform results.  Duplicates and order of
+    `labels` do not matter.  m above SYNTH_CAP needs force=True (cost grows
+    as 8^m); no m above MAX_M, the largest label width, is built.
     """
     if not 1 <= m <= MAX_M:  # even with force=True
         raise ValueError(f"m must be in 1..{MAX_M}, got {m}")
     if m > SYNTH_CAP and not force:
         raise ValueError(f"m={m} exceeds cap {SYNTH_CAP}; pass force=True to override")
-    level = [P]
-    for _ in range(m):
-        nxt: list[IntPoly] = []
-        for parent in level:
+    wanted = set(range(1 << m) if labels is None else labels)
+    if any(not 0 <= u < (1 << m) for u in wanted):
+        raise ValueError(f"labels must be in 0..{(1 << m) - 1} for m={m}")
+    level = {0: P} if wanted else {}
+    for k in range(1, m + 1):
+        keep = {u >> (m - k) for u in wanted}
+        nxt: dict[int, IntPoly] = {}
+        for node, parent in level.items():  # ascending, so nxt is ascending too
             sq = parent.square()
-            nxt.append(sq)                      # 0-bit child: series
-            nxt.append(parent.scale(2) - sq)    # 1-bit child: parallel
+            if 2 * node in keep:  # 0-bit child: series
+                nxt[2 * node] = sq
+            if 2 * node + 1 in keep:  # 1-bit child: parallel
+                nxt[2 * node + 1] = parent.scale(2) - sq
         level = nxt
-    return ChannelTable(m, tuple(level))
+    return level
+
+
+def synth_all(m: int, force: bool = False) -> ChannelTable:
+    """Full channel table of m: `synth_labels` of every label, with its caps."""
+    return ChannelTable(m, tuple(synth_labels(m, None, force).values()))
 
 
 def dual_poly(a: IntPoly) -> IntPoly:
@@ -88,6 +110,32 @@ def dual_poly(a: IntPoly) -> IntPoly:
     return IntPoly([1]) - acc
 
 
+def _bisect_half(excess: Callable[[int, int], int], tol) -> Fraction:
+    """Dyadic bisection for the point where an increasing f on [0, 1]
+    crosses 1/2, to within +/- tol.
+
+    `excess(x, j)` is an integer with the sign of f(x / 2^j) - 1/2.  The
+    bracket is [lo, lo + 1] / 2^j, kept as the integer lo, and bisection
+    stops once its width 1/2^j is at most 2 * tol, which any positive tol
+    reaches.  Apart from that width test, the only rational is the one
+    returned: the midpoint hit exactly, or the midpoint of the last bracket.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    width = 2 * tol
+    lo, j = 0, 0
+    while Fraction(1, 1 << j) > width:
+        j += 1
+        lo *= 2
+        mid = lo + 1
+        v = excess(mid, j)
+        if v == 0:
+            return Fraction(mid, 1 << j)
+        if v < 0:
+            lo = mid
+    return Fraction(2 * lo + 1, 1 << (j + 1))
+
+
 def threshold_estimate(a: IntPoly, tol: Fraction = Fraction(1, 2**30)) -> Fraction:
     """Bisection solution of a(p) = 1/2 to within +/- tol, exact arithmetic.
 
@@ -96,28 +144,37 @@ def threshold_estimate(a: IntPoly, tol: Fraction = Fraction(1, 2**30)) -> Fracti
     a finite-m proxy for the sharp-transition point; 1 - Avr approximates the
     same point through the average-reliability limit.
 
-    The bracket is dyadic, [lo, lo + 1] / 2^j, kept as the integer lo: the
-    sign of a(x / 2^j) - 1/2 is that of 2 * 2^(jn) a(x / 2^j) - 2^(jn), an
-    integer from `horner_numerator` (n = deg a).  Bisection stops once the
-    width 1/2^j is at most 2 * tol, which any positive tol reaches.  Apart
-    from that width test, the only rational is the one returned: the
-    midpoint hit exactly, or the midpoint of the last bracket.
+    Each step of the dyadic bisection (`_bisect_half`) takes the sign of
+    a(x / 2^j) - 1/2 from 2 * 2^(jn) a(x / 2^j) - 2^(jn), an integer from
+    `horner_numerator` (n = deg a).  For a channel label,
+    `channel_threshold` returns the same value without the polynomial.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     cs = a.coeffs
     n = a.degree
     if not (2 * horner_numerator(cs, 0, 1) - 1 < 0 < 2 * horner_numerator(cs, 1, 1) - 1):
         raise ValueError("input does not bracket 1/2 on [0, 1]; not a channel polynomial?")
-    width = 2 * tol
-    lo, j = 0, 0
-    while Fraction(1, 1 << j) > width:
-        j += 1
-        lo *= 2
-        mid = lo + 1
-        v = 2 * horner_numerator(cs, mid, 1 << j) - (1 << (j * n))
-        if v == 0:
-            return Fraction(mid, 1 << j)
-        if v < 0:
-            lo = mid
-    return Fraction(2 * lo + 1, 1 << (j + 1))
+    return _bisect_half(lambda x, j: 2 * horner_numerator(cs, x, 1 << j) - (1 << (j * n)), tol)
+
+
+def channel_threshold(u: Monomial, tol: Fraction = Fraction(1, 2**30)) -> Fraction:
+    """The threshold of channel u, Z_u(t) = 1/2, to within +/- tol, decided
+    from the label alone: equal to `threshold_estimate(synth_poly(u), tol)`.
+
+    Same dyadic bisection as `threshold_estimate`, but each step runs the
+    label's recursion on the point instead of evaluating the degree-2^m
+    polynomial.  With z = N / 2^E, starting from N = x and E = j, a 0-bit
+    maps N to N^2 and a 1-bit (2z - z^2) maps N to 2^(E+1) N - N^2, and E
+    doubles at every step; the sign of Z_u - 1/2 is that of 2N - 2^E.  The
+    integers stay exact, at most j * 2^m bits.
+    """
+    bits = [(u.bits >> i) & 1 for i in range(u.m - 1, -1, -1)]
+
+    def excess(x: int, j: int) -> int:
+        n, e = x, j
+        for bit in bits:
+            sq = n * n
+            n = (n << (e + 1)) - sq if bit else sq
+            e *= 2
+        return 2 * n - (1 << e)
+
+    return _bisect_half(excess, tol)

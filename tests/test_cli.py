@@ -5,6 +5,7 @@ import json
 import pytest
 
 from becpolar import cli
+from becpolar.monomials import Monomial
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +109,46 @@ class TestRank:
             exact = Fraction(int(num), int(den))
             assert abs(exact - Fraction(rec["avr_decimal"])) <= Fraction(1, 10**6)
 
+    def test_beta_builds_no_table(self, capsys, monkeypatch):
+        from becpolar import synthesis
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("beta ranking built the full table")
+        monkeypatch.setattr(synthesis, "synth_all", refuse)
+        code, out, _ = run_cli(capsys, "rank", "--m", "6", "--by", "beta=1.22", "--k", "3")
+        assert code == 0
+        assert [int(r.split(",")[0]) for r in out.splitlines()[1:]] == [0, 1, 2]
+
+    @pytest.mark.parametrize("by", ["avr", "p=1/3", "beta=1.22"])
+    def test_json_matches_table_and_polynomial_bisection(self, capsys, by):
+        # the records as built from the full table, its integrals and the
+        # polynomial bisection, the slow twins of the label paths
+        from fractions import Fraction
+
+        from becpolar import construction, synthesis
+        m = 7
+        table = synthesis.synth_all(m)
+        criterion = cli._parse_criterion(by)
+        ranking = construction.rank(criterion, m, table)
+        records = []
+        for u in ranking.order:
+            score = ranking.scores[u]
+            threshold = synthesis.threshold_estimate(table[u], Fraction(1, 2**30))
+            records.append({
+                "u": u,
+                "monomial": str(Monomial(m, u)),
+                "degree": u.bit_count(),
+                "score": (cli._beta_decimal(score, criterion.beta, m)
+                          if criterion.kind == "beta" else cli._frac(score)),
+                "score_decimal": cli._dec(score),
+                "avr": cli._frac(table.avr(u)),
+                "avr_decimal": cli._dec(table.avr(u)),
+                "threshold_decimal": cli._dec(threshold),
+            })
+        code, out, _ = run_cli(capsys, "rank", "--m", str(m), "--by", by, "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"m": m, "criterion": criterion.label(), "records": records}
+
     def test_bad_criterion(self, capsys):
         code, _, err = run_cli(capsys, "rank", "--m", "3", "--by", "zeta=2")
         assert code == 2
@@ -127,6 +168,7 @@ class TestRank:
 @pytest.mark.parametrize("argv", [
     ("synth", "--m", "10", "--u", "5000"),
     ("rank", "--m", "10", "--by", "avr", "--k", "5000"),
+    ("rank", "--m", "10", "--by", "beta=1.22", "--k", "5000"),
 ])
 def test_bad_u_and_k_exit_before_synthesis(capsys, monkeypatch, argv):
     from becpolar import synthesis
@@ -134,6 +176,7 @@ def test_bad_u_and_k_exit_before_synthesis(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("synthesis ran before the usage check")
     monkeypatch.setattr(synthesis, "synth_all", refuse)
+    monkeypatch.setattr(synthesis, "synth_labels", refuse)
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "out of range" in err
@@ -241,8 +284,9 @@ class TestVerify:
             (reliability, "build_graph"), (reliability, "oracle_path_counts"),
             (reliability, "ni_inclusion_exclusion"), (reliability, "gen_binomial"),
             (reliability, "avr_closed_form"),
-            (synthesis, "synth_poly"), (synthesis, "synth_all"),
+            (synthesis, "synth_poly"), (synthesis, "synth_all"), (synthesis, "synth_labels"),
             (synthesis, "dual_poly"), (synthesis, "threshold_estimate"),
+            (synthesis, "channel_threshold"),
         ]
         for module, name in tracked:
             monkeypatch.setattr(module, name, counted(module, name))

@@ -162,6 +162,23 @@ class TestBeta:
             criterion = Criterion.beta_expansion(Decimal(hundredths) / 100)
             assert rank(criterion, m).order == tuple(sorted(range(1 << m), key=scores.__getitem__))
 
+    @pytest.mark.parametrize("m", [1, 2, 6])
+    def test_scores_built_when_read_equal_beta_scores(self, m):
+        ranking = rank(Criterion.beta_expansion(Decimal("1.22")), m)
+        assert ranking.denominator == 50 ** (m - 1)
+        assert all(isinstance(x, int) for x in ranking.keys)
+        want = beta_scores(m, Decimal("1.22"))
+        got = [ranking.score(u) for u in range(1 << m)]
+        assert got == want == list(ranking.scores)
+        assert all(type(x) is Fraction for x in got)
+
+    def test_average_and_pointwise_scores(self, cache):
+        ranking = rank(Criterion.average(), 5, cache.table(5))
+        assert ranking.denominator == 1
+        assert [ranking.score(u) for u in range(32)] == list(ranking.scores) == cache.avrs(5)
+        ranking = rank(Criterion.pointwise_at(Fraction(1, 3)), 5, cache.table(5))
+        assert list(ranking.scores) == [cache.table(5)[u](Fraction(1, 3)) for u in range(32)]
+
     def test_conflicts_empty_when_rankings_match(self, cache):
         assert beta_avr_conflicts(5, Decimal("1.22"), cache.table(5)) == []
 

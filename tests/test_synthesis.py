@@ -1,13 +1,22 @@
-"""Channel synthesis: nesting order, suffix-shared table, duality, thresholds."""
+"""Channel synthesis: nesting order, suffix-shared tables, duality, thresholds."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from becpolar.monomials import Monomial
+from becpolar.monomials import MAX_M, Monomial
 from becpolar.polynomials import IntPoly
-from becpolar.synthesis import dual_poly, synth_all, synth_poly, threshold_estimate
+from becpolar.synthesis import (
+    SYNTH_CAP,
+    _bisect_half,
+    channel_threshold,
+    dual_poly,
+    synth_all,
+    synth_labels,
+    synth_poly,
+    threshold_estimate,
+)
 
 P = IntPoly([0, 1])
 ONE = IntPoly([1])
@@ -89,6 +98,41 @@ class TestSynthAll:
     @pytest.mark.parametrize("m", range(1, 7))
     def test_path_count_bounds(self, m, cache):
         assert cache.check("identities/path-count-bounds", m) is None
+
+
+class TestSynthLabels:
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_random_subsets_match_table_rows(self, m, cache):
+        rng = random.Random(m)
+        table = cache.table(m)
+        for size in (1, 2, 5, (1 << m) // 2, 1 << m):
+            labels = rng.sample(range(1 << m), min(size, 1 << m))
+            got = synth_labels(m, labels)
+            assert list(got) == sorted(labels)
+            assert all(got[u] == table[u] for u in labels)
+
+    def test_empty_unsorted_and_duplicated_labels(self, cache):
+        table = cache.table(5)
+        assert synth_labels(5, []) == {}
+        assert synth_labels(5, [17, 3, 30, 3, 17, 0]) == {u: table[u] for u in (0, 3, 17, 30)}
+        assert synth_labels(5, iter([9, 9])) == {9: table[9]}
+        assert synth_labels(5, None) == dict(enumerate(table.polys))
+
+    def test_caps_match_synth_all(self):
+        for m in (0, -1, MAX_M + 1):
+            for build in (lambda: synth_labels(m, [0], force=True),
+                          lambda: synth_all(m, force=True)):
+                with pytest.raises(ValueError, match=f"1..{MAX_M}"):
+                    build()
+        for build in (lambda: synth_labels(SYNTH_CAP + 1, [0]),
+                      lambda: synth_all(SYNTH_CAP + 1)):
+            with pytest.raises(ValueError, match="force=True"):
+                build()
+
+    @pytest.mark.parametrize("labels", [[4], [-1], [0, 9]])
+    def test_rejects_labels_out_of_range(self, labels):
+        with pytest.raises(ValueError, match="labels"):
+            synth_labels(2, labels)
 
 
 class TestDuality:
@@ -192,3 +236,42 @@ class TestThreshold:
             threshold_estimate(IntPoly([1]))  # constant 1 never crosses 1/2
         with pytest.raises(ValueError):
             threshold_estimate(IntPoly([0, 2, -1]), Fraction(0))
+
+
+class TestChannelThreshold:
+    """`channel_threshold` against its slow twin, `threshold_estimate` of the
+    channel polynomial: identical `Fraction`s."""
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_matches_polynomial_bisection(self, m, cache):
+        complement = (1 << m) - 1
+        for u, poly in enumerate(cache.table(m).polys):
+            pairs = ((u, poly), (u ^ complement, dual_poly(poly)))
+            for label, a in pairs:
+                for tol in TWIN_TOLS + [1e-6]:
+                    got = channel_threshold(Monomial(m, label), tol)
+                    assert got == threshold_estimate(a, tol), (m, label, tol)
+
+    def test_every_channel_m8(self, cache):
+        tol = Fraction(1, 2**30)
+        for u, poly in enumerate(cache.table(8).polys):
+            assert channel_threshold(Monomial(8, u), tol) == threshold_estimate(poly, tol), u
+
+    def test_m1(self):
+        for tol in TWIN_TOLS:
+            assert channel_threshold(Monomial(1, 0), tol) == _fraction_threshold(P * P, tol)
+            assert channel_threshold(Monomial(1, 1), tol) == _fraction_threshold(
+                IntPoly([0, 2, -1]), tol)
+        assert channel_threshold(Monomial(1, 0)) + channel_threshold(Monomial(1, 1)) == 1
+
+    def test_exact_midpoint_hit(self):
+        # No channel reaches 1/2 at a dyadic point (its last step would need a
+        # rational square root of 1/2), so the hit is shown on the shared
+        # bisection: both callers return the midpoint as soon as it is exact.
+        assert _bisect_half(lambda x, j: 8 * x - 3 * (1 << j), Fraction(1, 2**30)) == Fraction(3, 8)
+        assert threshold_estimate(IntPoly([0, 0, 8])) == Fraction(1, 4)
+
+    def test_rejects_non_positive_tol(self):
+        for tol in (Fraction(0), -1, 0.0):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                channel_threshold(Monomial(3, 5), tol)
