@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from typing import Callable, Iterator
 
@@ -92,12 +91,10 @@ def _poset_axioms(m, table):
 @_check("orders/implication-chain")
 def _implication_chain(m, table):
     """weak => standard => dominance => pointwise over every ordered pair."""
-    n = 1 << m
     monos = monomials.all_monomials(m)
-    counts = [polynomials.to_path_counts(table[u], n).counts for u in range(n)]
-    for u, f in enumerate(monos):
-        for v, g in enumerate(monos):
-            if u == v:
+    for f in monos:
+        for g in monos:
+            if f == g:
                 continue
             weak, std = orders.leq_weak(f, g), orders.leq_std(f, g)
             dom = orders.leq_dominance(f, g)
@@ -105,11 +102,8 @@ def _implication_chain(m, table):
                 yield f"weak !=> standard at {f},{g}"
             if std and not dom:
                 yield f"standard !=> dominance at {f},{g}"
-            if dom:
-                diff = [b - a for a, b in zip(counts[u], counts[v])]
-                verdict = polynomials.nonneg_on_01(table[v] - table[u], diff)
-                if verdict is not polynomials.SignVerdict.NONNEGATIVE:
-                    yield f"dominance !=> pointwise at {f},{g}"
+            if dom and orders.leq_pointwise(f, g, table).result is not Comparison.LESS_OR_EQUAL:
+                yield f"dominance !=> pointwise at {f},{g}"
 
 
 @_check("orders/multiplication-compat", applies=lambda m: m >= 2)
@@ -157,8 +151,8 @@ def _oracle_equivalence(m, table):
 @_check("reliability/inclusion-exclusion")
 def _inclusion_exclusion(m, table):
     for i_ones in range(m + 1):
-        want = polynomials.to_path_counts(table[(1 << i_ones) - 1], 1 << m)
-        if reliability.ni_inclusion_exclusion(m, i_ones) != want:
+        want = table.path_counts((1 << i_ones) - 1)
+        if reliability.ni_inclusion_exclusion(m, i_ones).counts != want:
             yield f"i_ones={i_ones}"
 
 
@@ -203,7 +197,7 @@ def _path_count_bounds(m, table):
     """N_n = 1, 0 <= N_i <= C(n, i), and N_i = 0 below the minimal path length."""
     n = 1 << m
     for u in range(n):
-        counts = polynomials.to_path_counts(table[u], n).counts
+        counts = table.path_counts(u)
         if counts[n] != 1:
             yield f"u={u}: N_n != 1"
         if any(not 0 <= c <= comb(n, i) for i, c in enumerate(counts)):
@@ -248,7 +242,7 @@ def _avr_2dp(m, table):
 @_check("tables/degree2-path-counts", applies=lambda m: m == 4)
 def _degree2_path_counts(m, table):
     for u, want in ((6, golden.PATH_COUNTS_M4_U6), (9, golden.PATH_COUNTS_M4_U9)):
-        got = polynomials.to_path_counts(table[u], 1 << m).counts
+        got = table.path_counts(u)
         if got != want:
             yield f"u={u}: {got}"
 
@@ -260,25 +254,10 @@ def _incomparable_pairs(m, table):
         yield f"got {pairs}"
 
 
-@lru_cache(maxsize=1)
-def _pointwise_verdicts(table: synthesis.ChannelTable) -> tuple[tuple[int, int, Comparison], ...]:
-    """(u, v, verdict) of `leq_pointwise` for every label pair of the table,
-    u before v in ascending average order; the table checks below share it.
-
-    Pairs are taken in average order, so that `leq_pointwise` settles a pair
-    ordered that way pointwise with its first sign decision."""
-    monos = monomials.all_monomials(table.m)
-    avrs = [table.avr(u) for u in range(len(table))]
-    by_avr = sorted(range(len(table)), key=avrs.__getitem__)
-    return tuple((u, v, orders.leq_pointwise(monos[u], monos[v], table).result)
-                 for i, u in enumerate(by_avr) for v in by_avr[i + 1:])
-
-
 @_check("tables/incomparable-complement-closure",
         applies=lambda m: m <= construction.INCOMPARABLE_M_CAP)
 def _incomparable_complement_closure(m, table):
-    pairs = {(min(u, v), max(u, v)) for u, v, verdict in _pointwise_verdicts(table)
-             if verdict is Comparison.INCOMPARABLE}
+    pairs = set(construction.incomparable_pairs(m, table))
     mask = (1 << m) - 1
     for u, v in pairs:
         if tuple(sorted((mask ^ v, mask ^ u))) not in pairs:
@@ -289,7 +268,7 @@ def _incomparable_complement_closure(m, table):
 def _pointwise_avr_compat(m, table):
     """A pointwise-ordered pair is ordered the same way by average."""
     avrs = [table.avr(u) for u in range(1 << m)]
-    for u, v, verdict in _pointwise_verdicts(table):
+    for u, v, verdict in construction.pointwise_verdicts(table):
         if avrs[u] < avrs[v] and verdict in (Comparison.GREATER_OR_EQUAL, Comparison.EQUAL):
             yield f"({u}, {v}) is {verdict.value} pointwise but not by average"
 

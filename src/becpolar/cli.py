@@ -64,8 +64,7 @@ def _beta_decimal(score: Fraction, beta: Decimal, m: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _channel_entry(m: int, u: int, table: synthesis.ChannelTable) -> dict:
-    poly = table[u]
+def _channel_entry(m: int, u: int, poly: polynomials.IntPoly) -> dict:
     pc = polynomials.to_path_counts(poly, 1 << m)
     return {
         "u": u,
@@ -81,9 +80,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     m = args.m
     if args.u is not None and not 0 <= args.u < (1 << m):
         raise ValueError(f"u={args.u} out of range for m={m}")
-    labels = [args.u] if args.u is not None else range(1 << m)
-    table = synthesis.synth_all(m, force=args.force)
-    entries = [_channel_entry(m, u, table) for u in labels]
+    labels = [args.u] if args.u is not None else None
+    polys = synthesis.synth_labels(m, labels, force=args.force)
+    entries = [_channel_entry(m, u, poly) for u, poly in polys.items()]
     if args.format == "json":
         print(json.dumps({"m": m, "channels": entries}, indent=2))
     else:

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import orders
-from .monomials import Monomial
+from .monomials import Monomial, all_monomials
 from .polynomials import eval_rational, integrate01
 from .synthesis import ChannelTable, synth_all
 
@@ -142,22 +142,31 @@ def construct(criterion: Criterion, m: int, k: int,
     return {Monomial(m, u) for u in ranking.order[:k]}
 
 
+@lru_cache(maxsize=1)
+def pointwise_verdicts(table: ChannelTable) -> tuple[tuple[int, int, orders.Comparison], ...]:
+    """(u, v, verdict) of `leq_pointwise` for every label pair of the table,
+    u before v in ascending average order: the one pairwise pointwise scan,
+    kept for the last table scanned.
+
+    Pairs are taken in average order, so that `leq_pointwise` settles a pair
+    ordered that way pointwise with its first sign decision."""
+    monos = all_monomials(table.m)
+    by_avr = sorted(range(len(table)), key=table.avr)
+    return tuple((u, v, orders.leq_pointwise(monos[u], monos[v], table).result)
+                 for i, u in enumerate(by_avr) for v in by_avr[i + 1:])
+
+
 def incomparable_pairs(m: int, table: ChannelTable | None = None) -> list[tuple[int, int]]:
     """All label pairs (u, v), u < v, whose channels the pointwise order
-    cannot rank.  Exhaustive over all pairs; capped at m <= 6."""
+    cannot rank, sorted.  Exhaustive over all pairs; capped at m <= 6."""
     if m > INCOMPARABLE_M_CAP:
         raise ValueError(f"m={m} exceeds pairwise-scan cap {INCOMPARABLE_M_CAP}")
     if table is None:
         table = synth_all(m)
-    n = 1 << m
-    out = []
-    for u in range(n):
-        fu = Monomial(m, u)
-        for v in range(u + 1, n):
-            verdict = orders.leq_pointwise(fu, Monomial(m, v), table)
-            if verdict.result is orders.Comparison.INCOMPARABLE:
-                out.append((u, v))
-    return out
+    if table.m != m:
+        raise ValueError(f"table is for m={table.m}, not m={m}")
+    return sorted((min(u, v), max(u, v)) for u, v, verdict in pointwise_verdicts(table)
+                  if verdict is orders.Comparison.INCOMPARABLE)
 
 
 def render_avr(value: Fraction, digits: int) -> Decimal:

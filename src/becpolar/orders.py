@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import le
 
 from .monomials import Monomial, _check_same_m, all_monomials
 from .polynomials import SignVerdict, nonneg_on_01
@@ -52,9 +54,18 @@ def leq_weak(f: Monomial, g: Monomial) -> bool:
     return f.divides(g)
 
 
-def _top_divisor_support(sg: list[int], size: int) -> list[int]:
-    """Support of the divisor of g spanned by its `size` largest variables."""
-    return sg[len(sg) - size:]
+def _supports_leq(f: Monomial, g: Monomial, aligned_leq) -> bool:
+    """Shared frame of the standard and dominance orders: f precedes an equal
+    g and never one of lower degree; otherwise `aligned_leq` decides on the
+    support of f and that of the divisor of g spanned by its deg(f) largest
+    variables (all of g at equal degree)."""
+    _check_same_m(f, g)
+    if f.bits == g.bits:
+        return True
+    sf, sg = f.support(), g.support()
+    if len(sf) > len(sg):
+        return False
+    return aligned_leq(sf, sg[len(sg) - len(sf):])
 
 
 def leq_std(f: Monomial, g: Monomial) -> bool:
@@ -65,15 +76,7 @@ def leq_std(f: Monomial, g: Monomial) -> bool:
     the componentwise-largest divisor and therefore decides the existential
     form of the definition.
     """
-    _check_same_m(f, g)
-    if f.bits == g.bits:
-        return True
-    sf, sg = f.support(), g.support()
-    if len(sf) > len(sg):
-        return False
-    if len(sf) < len(sg):
-        sg = _top_divisor_support(sg, len(sf))
-    return all(i <= j for i, j in zip(sf, sg))
+    return _supports_leq(f, g, lambda sf, sg: all(map(le, sf, sg)))
 
 
 def leq_dominance(f: Monomial, g: Monomial) -> bool:
@@ -83,35 +86,28 @@ def leq_dominance(f: Monomial, g: Monomial) -> bool:
     at most the corresponding sum for g.  Lower degree reduces to the
     top-deg(f) divisor of g exactly as in the standard order.
     """
-    _check_same_m(f, g)
-    if f.bits == g.bits:
-        return True
-    sf, sg = f.support(), g.support()
-    if len(sf) > len(sg):
-        return False
-    if len(sf) < len(sg):
-        sg = _top_divisor_support(sg, len(sf))
-    tf = tg = 0
-    for l in range(1, len(sf) + 1):
-        tf += sf[-l]
-        tg += sg[-l]
-        if tf > tg:
-            return False
-    return True
+    return _supports_leq(
+        f, g, lambda sf, sg: all(map(le, accumulate(sf[::-1]), accumulate(sg[::-1]))))
 
 
 def leq_pointwise(f: Monomial, g: Monomial, table: ChannelTable) -> OrderVerdict:
-    """Compare two channels under the universal (all p in [0,1]) order."""
+    """Compare two channels under the universal (all p in [0,1]) order.
+
+    Both directions are decided from the difference of the two channels'
+    path counts in the table (`ChannelTable.path_counts`, at n = 2^m, which
+    is at least deg(Z_g - Z_f)), so no pair converts its difference.
+    """
     _check_same_m(f, g)
     if table.m != f.m:
         raise ValueError(f"table is for m={table.m}, monomials have m={f.m}")
     d = table[g] - table[f]
-    forward = nonneg_on_01(d)
+    diff = [b - a for a, b in zip(table.path_counts(f), table.path_counts(g))]
+    forward = nonneg_on_01(d, diff)
     if forward is SignVerdict.IDENTICALLY_ZERO:
         return OrderVerdict(Relation.POINTWISE, Comparison.EQUAL)
     if forward is SignVerdict.NONNEGATIVE:
         return OrderVerdict(Relation.POINTWISE, Comparison.LESS_OR_EQUAL)
-    backward = nonneg_on_01(-d)
+    backward = nonneg_on_01(-d, [-c for c in diff])
     if backward is SignVerdict.NONNEGATIVE:
         return OrderVerdict(Relation.POINTWISE, Comparison.GREATER_OR_EQUAL)
     return OrderVerdict(Relation.POINTWISE, Comparison.INCOMPARABLE)
@@ -120,14 +116,19 @@ def leq_pointwise(f: Monomial, g: Monomial, table: ChannelTable) -> OrderVerdict
 _LEQ = {Relation.WEAK: leq_weak, Relation.STANDARD: leq_std, Relation.DOMINANCE: leq_dominance}
 
 
+def _leq(relation: Relation):
+    """The bit-arithmetic test of a relation; the pointwise order has none."""
+    if relation is Relation.POINTWISE:
+        raise ValueError("the pointwise order needs a ChannelTable (compare/leq_pointwise)")
+    return _LEQ[relation]
+
+
 def compare(f: Monomial, g: Monomial, relation: Relation,
             table: ChannelTable | None = None) -> OrderVerdict:
     """Full verdict for any relation; pointwise needs the channel table."""
-    if relation is Relation.POINTWISE:
-        if table is None:
-            raise ValueError("pointwise comparison requires a ChannelTable")
+    if relation is Relation.POINTWISE and table is not None:
         return leq_pointwise(f, g, table)
-    leq = _LEQ[relation]
+    leq = _leq(relation)
     if f.bits == g.bits:
         result = Comparison.EQUAL
     elif leq(f, g):
@@ -159,7 +160,7 @@ def mult_compatible(f: Monomial, g: Monomial, h: Monomial) -> bool:
 
 def is_decreasing(monos: set[Monomial], relation: Relation) -> bool:
     """True iff the set is downward closed under the chosen relation."""
-    leq = _LEQ[relation]
+    leq = _leq(relation)
     if not monos:
         return True
     m = next(iter(monos)).m
@@ -173,14 +174,14 @@ def is_decreasing(monos: set[Monomial], relation: Relation) -> bool:
 
 def closure(f: Monomial, relation: Relation) -> set[Monomial]:
     """Downward closure of f: every monomial below it, f included."""
-    leq = _LEQ[relation]
+    leq = _leq(relation)
     return {h for h in all_monomials(f.m) if leq(h, f)}
 
 
 def interval(f: Monomial, g: Monomial, relation: Relation) -> set[Monomial]:
     """Closed interval [f, g] under the relation; requires f below g."""
     _check_same_m(f, g)
-    leq = _LEQ[relation]
+    leq = _leq(relation)
     if not leq(f, g):
         raise ValueError(f"{f} does not precede {g} under {relation.value}")
     return {h for h in all_monomials(f.m) if leq(f, h) and leq(h, g)}
@@ -198,7 +199,7 @@ def hasse_edges(m: int, relation: Relation) -> list[tuple[int, int]]:
     """
     if m > HASSE_CAP:
         raise ValueError(f"m={m} exceeds exhaustive-scan cap {HASSE_CAP}")
-    leq = _LEQ[relation]
+    leq = _leq(relation)
     monos = all_monomials(m)
     n = 1 << m
     below = [0] * n  # bit u of below[v] set iff u strictly below v

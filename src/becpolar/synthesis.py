@@ -19,22 +19,25 @@ where Z_u crosses 1/2 from the label alone, with no polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
 from .monomials import MAX_M, Monomial
-from .polynomials import IntPoly, P, horner_numerator, integrate01
+from .polynomials import IntPoly, P, horner_numerator, integrate01, to_path_counts
 
 SYNTH_CAP = 12
 
 
 @dataclass(frozen=True)
 class ChannelTable:
-    """All 2^m channel polynomials of one stage count m, indexed by label."""
+    """All 2^m channel polynomials of one stage count m, indexed by label,
+    and their path counts, each converted once, when first read."""
 
     m: int
     polys: tuple[IntPoly, ...]
+    _counts: dict[int, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __getitem__(self, key: int | Monomial) -> IntPoly:
         u = key.bits if isinstance(key, Monomial) else key
@@ -46,6 +49,14 @@ class ChannelTable:
     def avr(self, key: int | Monomial) -> Fraction:
         """Exact average reliability: integral of the channel polynomial."""
         return integrate01(self[key])
+
+    def path_counts(self, key: int | Monomial) -> tuple[int, ...]:
+        """Path counts N_0..N_n of the channel at n = 2^m (`to_path_counts`),
+        converted on the first read of that channel and kept for the rest."""
+        u = key.bits if isinstance(key, Monomial) else key
+        if u not in self._counts:
+            self._counts[u] = to_path_counts(self.polys[u], 1 << self.m).counts
+        return self._counts[u]
 
 
 def synth_poly(u: Monomial) -> IntPoly:

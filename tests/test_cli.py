@@ -33,6 +33,25 @@ class TestSynth:
             0, 0, 0, 0, 16, 192, 1008, 3040, 5828, 7456, 6552, 4048, 1788,
             560, 120, 16, 1]
 
+    def test_one_channel_builds_no_table(self, capsys, monkeypatch):
+        from becpolar import synthesis
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("synth --u built the full table")
+        monkeypatch.setattr(synthesis, "synth_all", refuse)
+        code, out, _ = run_cli(capsys, "synth", "--m", "6", "--u", "5")
+        assert code == 0
+        [entry] = json.loads(out)["channels"]
+        assert entry["u"] == 5
+        assert entry["coeffs"] == list(synthesis.synth_poly(Monomial(6, 5)).coeffs)
+
+    def test_all_channels_match_the_table(self, capsys, cache):
+        code, out, _ = run_cli(capsys, "synth", "--m", "4")
+        assert code == 0
+        table = cache.table(4)
+        assert [(c["u"], c["coeffs"], c["path_counts"]) for c in json.loads(out)["channels"]] == [
+            (u, list(table[u].coeffs), list(table.path_counts(u))) for u in range(16)]
+
     def test_all_channels_csv(self, capsys):
         code, out, _ = run_cli(capsys, "synth", "--m", "1", "--format", "csv")
         assert code == 0

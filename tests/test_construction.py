@@ -100,6 +100,10 @@ class TestIncomparablePairs:
         with pytest.raises(ValueError):
             incomparable_pairs(7)
 
+    def test_rejects_a_table_of_another_m(self, cache):
+        with pytest.raises(ValueError, match="table is for m=5"):
+            incomparable_pairs(4, cache.table(5))
+
 
 class TestAvrOfPairs:
     def test_three_decimal_pairs(self, cache):

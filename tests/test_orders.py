@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from becpolar import polynomials, synthesis
 from becpolar.monomials import Monomial, all_monomials
 from becpolar.orders import (
     Comparison,
@@ -19,6 +20,7 @@ from becpolar.orders import (
     leq_weak,
     mult_compatible,
 )
+from becpolar.polynomials import SignVerdict, nonneg_on_01
 
 
 def M(u, m):
@@ -173,6 +175,54 @@ class TestPointwise:
             Comparison.INCOMPARABLE
         with pytest.raises(ValueError):
             compare(M(1, 4), M(2, 4), Relation.POINTWISE)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_self_converting_twin(self, m, cache):
+        """Every ordered pair gets the verdict of `nonneg_on_01` converting
+        the difference and its negation itself, the slow exact twin."""
+        table = cache.table(m)
+        monos = all_monomials(m)
+        for i, f in enumerate(monos):
+            for g in monos[i:]:
+                d = table[g] - table[f]
+                up, down = nonneg_on_01(d), nonneg_on_01(-d)
+                for (a, b), first, second in (((f, g), up, down), ((g, f), down, up)):
+                    if first is SignVerdict.IDENTICALLY_ZERO:
+                        want = Comparison.EQUAL
+                    elif first is SignVerdict.NONNEGATIVE:
+                        want = Comparison.LESS_OR_EQUAL
+                    elif second is SignVerdict.NONNEGATIVE:
+                        want = Comparison.GREATER_OR_EQUAL
+                    else:
+                        want = Comparison.INCOMPARABLE
+                    assert leq_pointwise(a, b, table).result is want, (a, b)
+
+    def test_full_scan_converts_each_channel_once(self, monkeypatch):
+        calls = []
+        convert = polynomials.to_path_counts
+
+        def counted(a, n):
+            calls.append(n)
+            return convert(a, n)
+        for module in (polynomials, synthesis):
+            monkeypatch.setattr(module, "to_path_counts", counted)
+        table = synthesis.synth_all(5)
+        monos = all_monomials(5)
+        for f in monos:
+            for g in monos:
+                leq_pointwise(f, g, table)
+        assert calls == [32] * 32
+
+
+@pytest.mark.parametrize("call", [
+    lambda: closure(M(1, 3), Relation.POINTWISE),
+    lambda: interval(M(0, 3), M(1, 3), Relation.POINTWISE),
+    lambda: is_decreasing({M(0, 3)}, Relation.POINTWISE),
+    lambda: hasse_edges(3, Relation.POINTWISE),
+], ids=["closure", "interval", "is_decreasing", "hasse_edges"])
+def test_pointwise_utilities_ask_for_a_table(call):
+    with pytest.raises(ValueError, match="pointwise order needs a ChannelTable"):
+        call()
 
 
 class TestImplicationChain:

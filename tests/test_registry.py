@@ -1,8 +1,10 @@
 """The check registry behind `becpolar verify` and the acceptance suite."""
 
+from collections import Counter
+
 import pytest
 
-from becpolar import checks, cli, golden, orders
+from becpolar import checks, cli, construction, golden, orders, polynomials, synthesis
 from becpolar.orders import Comparison
 
 
@@ -38,17 +40,38 @@ def test_check_passes_at_its_smallest_m(cache, check):
 
 
 def test_pointwise_table_checks_share_one_scan(monkeypatch, cache):
-    """incomparable-complement-closure and pointwise-avr-compat read one
-    `leq_pointwise` verdict per label pair, and its incomparable pairs are
-    the pinned ones."""
+    """incomparable-pairs, incomparable-complement-closure and
+    pointwise-avr-compat read one `leq_pointwise` verdict per label pair, and
+    its incomparable pairs are the pinned ones."""
     calls = []
     leq_pointwise = orders.leq_pointwise
     monkeypatch.setattr(orders, "leq_pointwise", lambda *args: calls.append(args) or leq_pointwise(*args))
-    checks._pointwise_verdicts.cache_clear()
+    construction.pointwise_verdicts.cache_clear()
     table = cache.table(5)
-    for name in ("tables/incomparable-complement-closure", "tables/pointwise-avr-compat"):
+    for name in ("tables/incomparable-pairs", "tables/incomparable-complement-closure",
+                 "tables/pointwise-avr-compat"):
         assert checks.named(name).run(5, table) is None
     assert len(calls) == 32 * 31 // 2
-    incomparable = sorted((min(u, v), max(u, v)) for u, v, verdict in checks._pointwise_verdicts(table)
+    incomparable = sorted((min(u, v), max(u, v)) for u, v, verdict in construction.pointwise_verdicts(table)
                           if verdict is Comparison.INCOMPARABLE)
     assert incomparable == golden.INCOMPARABLE_PAIRS_M5
+
+
+def test_verify_converts_each_channel_at_most_once(capsys, monkeypatch):
+    """`verify --m 5 --suite all` converts the channels of its table through
+    `ChannelTable.path_counts`, once each, and no difference polynomial; the
+    oracle check converts the m = 4 channels once each on its own."""
+    seen = Counter()
+    convert = polynomials.to_path_counts
+
+    def counted(a, n):
+        seen[a.coeffs, n] += 1
+        return convert(a, n)
+    for module in (polynomials, synthesis):
+        monkeypatch.setattr(module, "to_path_counts", counted)
+    construction.pointwise_verdicts.cache_clear()
+    assert cli.main(["verify", "--m", "5", "--suite", "all"]) == 0
+    capsys.readouterr()
+    assert max(seen.values()) == 1
+    channels = {(poly.coeffs, 1 << m) for m in (4, 5) for poly in synthesis.synth_all(m).polys}
+    assert set(seen) <= channels

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from becpolar.monomials import MAX_M, Monomial
-from becpolar.polynomials import IntPoly
+from becpolar.polynomials import IntPoly, to_path_counts
 from becpolar.synthesis import (
     SYNTH_CAP,
+    ChannelTable,
     _bisect_half,
     channel_threshold,
     dual_poly,
@@ -94,6 +95,16 @@ class TestSynthAll:
             synth_all(0)
         with pytest.raises(ValueError, match="1..16"):
             synth_all(17, force=True)  # force lifts SYNTH_CAP, not MAX_M
+
+    def test_path_counts_are_kept_outside_equality(self):
+        table = synth_all(3)
+        before = hash(table)
+        assert [table.path_counts(u) for u in range(8)] == [
+            to_path_counts(table[u], 8).counts for u in range(8)]
+        assert table.path_counts(Monomial(3, 5)) is table.path_counts(5)
+        fresh = ChannelTable(3, table.polys)
+        assert hash(table) == before == hash(fresh)
+        assert table == fresh and repr(table) == repr(fresh)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_path_count_bounds(self, m, cache):
