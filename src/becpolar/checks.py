@@ -158,13 +158,16 @@ def _inclusion_exclusion(m, table):
 
 @_check("reliability/closed-form-avr")
 def _closed_form_avr(m, table):
-    for i_ones in range(m + 1):
-        closed = reliability.avr_closed_form(m, i_ones)
-        integral = table.avr((1 << i_ones) - 1)
-        if closed != integral:
-            yield f"i_ones={i_ones}: {closed} != {integral}"
-        if closed + reliability.avr_closed_form_complement(m, i_ones) != 1:
-            yield f"complement at i={i_ones} does not sum to 1"
+    """Closed forms equal the integrals for i leading 1-bits and i leading 0-bits."""
+    mask = (1 << m) - 1
+    for i in range(m + 1):
+        u = (1 << i) - 1
+        closed = reliability.avr_closed_form(m, i)
+        if closed != table.avr(u):
+            yield f"i_ones={i}: {closed} != {table.avr(u)}"
+        closed = reliability.avr_closed_form_complement(m, i)
+        if closed != table.avr(mask ^ u):
+            yield f"i_zeros={i}: {closed} != {table.avr(mask ^ u)}"
 
 
 @_check("identities/erasure-conservation")

@@ -26,21 +26,10 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import checks, construction, orders, polynomials, synthesis
-from .monomials import MAX_M, Monomial
+from .monomials import Monomial
 from .orders import Relation
 
-CLI_M_CAP = 10
-
 _RELATIONS = {"w": Relation.WEAK, "std": Relation.STANDARD, "dom": Relation.DOMINANCE}
-
-
-def _check_cap(m: int, force: bool) -> None:
-    if not 1 <= m <= MAX_M:  # even with force: labels have at most MAX_M bits
-        raise ValueError(f"m must be in 1..{MAX_M}, got {m}")
-    if m > CLI_M_CAP and not force:
-        raise ValueError(
-            f"m={m} exceeds the default cap {CLI_M_CAP} "
-            "(polynomial degree 2^m makes cost grow as 8^m); pass --force to override")
 
 
 def _dec(value: Fraction, places: int = 6) -> str:
@@ -76,7 +65,7 @@ def _channel_entry(m: int, u: int, poly: polynomials.IntPoly) -> dict:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    _check_cap(args.m, args.force)
+    synthesis.check_m(args.m, args.force)
     m = args.m
     if args.u is not None and not 0 <= args.u < (1 << m):
         raise ValueError(f"u={args.u} out of range for m={m}")
@@ -120,7 +109,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     from the full table, while `beta=` scores from the labels and builds
     only the k listed polynomials, for their averages.
     """
-    _check_cap(args.m, args.force)
+    synthesis.check_m(args.m, args.force)
     m = args.m
     criterion = _parse_criterion(args.by)
     k = args.k if args.k is not None else 1 << m
@@ -166,7 +155,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_poset(args: argparse.Namespace) -> int:
-    _check_cap(args.m, force=True)  # hasse_edges has its own, lower cap
+    synthesis.check_m(args.m, force=True)  # hasse_edges has its own, lower cap
     m = args.m
     relation = _RELATIONS[args.relation]
     edges = orders.hasse_edges(m, relation)
@@ -192,7 +181,7 @@ def cmd_poset(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_cap(args.m, args.force)
+    synthesis.check_m(args.m, args.force)
     table = synthesis.synth_all(args.m, force=args.force)
     count = failures = 0
     for check in checks.REGISTRY:
@@ -216,7 +205,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_distribution(args: argparse.Namespace) -> int:
-    _check_cap(args.m, args.force)
+    synthesis.check_m(args.m, args.force)
     table = synthesis.synth_all(args.m, force=args.force)
     counts = construction.avr_distribution(args.m, table)
     print("bucket_low,bucket_high,count")
@@ -226,7 +215,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 
 def cmd_avrplot(args: argparse.Namespace) -> int:
-    _check_cap(args.m, args.force)
+    synthesis.check_m(args.m, args.force)
     table = synthesis.synth_all(args.m, force=args.force)
     lines = ["u,avr"]
     for u in range(1 << args.m):

@@ -106,20 +106,29 @@ def beta_scores(m: int, beta: Decimal) -> list[Fraction]:
     return [Fraction(x, den) for x in nums]
 
 
+def _table_of(m: int, table: ChannelTable | None) -> ChannelTable:
+    """`table` when it is the channel table of m, built when None."""
+    if table is None:
+        return synth_all(m)
+    if table.m != m:
+        raise ValueError(f"table is for m={table.m}, not m={m}")
+    return table
+
+
 def rank(criterion: Criterion, m: int, table: ChannelTable | None = None) -> RankedChannels:
     """Score every channel under the criterion and sort ascending (best first).
 
     Every score is an exact rational.  Beta scores are kept and sorted as
     integer numerators over q^(m-1), beta = p/q, and become `Fraction`s only
-    when read (`RankedChannels.score`); the other criteria need `table`,
-    built here when not given.  Ties break by ascending label; beta
+    when read (`RankedChannels.score`); the other criteria need `table` of
+    m, built here when not given.  Ties break by ascending label; beta
     scores never tie, since two labels with equal scores would make the
     rational beta > 1 a root of a polynomial with coefficients in {-1, 0, 1},
     whose rational roots are +-1.
     """
     n = 1 << m
-    if criterion.kind != "beta" and table is None:
-        table = synth_all(m)
+    if criterion.kind != "beta":
+        table = _table_of(m, table)
     den = 1
     if criterion.kind == "beta":  # sort integers: a Fraction compare multiplies
         keys, den = _beta_numerators(m, criterion.beta)
@@ -161,10 +170,7 @@ def incomparable_pairs(m: int, table: ChannelTable | None = None) -> list[tuple[
     cannot rank, sorted.  Exhaustive over all pairs; capped at m <= 6."""
     if m > INCOMPARABLE_M_CAP:
         raise ValueError(f"m={m} exceeds pairwise-scan cap {INCOMPARABLE_M_CAP}")
-    if table is None:
-        table = synth_all(m)
-    if table.m != m:
-        raise ValueError(f"table is for m={table.m}, not m={m}")
+    table = _table_of(m, table)
     return sorted((min(u, v), max(u, v)) for u, v, verdict in pointwise_verdicts(table)
                   if verdict is orders.Comparison.INCOMPARABLE)
 
@@ -198,8 +204,7 @@ def avr_distribution(m: int, table: ChannelTable | None = None) -> list[int]:
     channel lands in a bucket because its average reliability is strictly
     positive and at most 1.
     """
-    if table is None:
-        table = synth_all(m)
+    table = _table_of(m, table)
     counts = [0] * 10
     for u in range(1 << m):
         a = table.avr(u)

@@ -76,43 +76,35 @@ def build_graph(u: Monomial) -> CompositionGraph:
 def oracle_path_counts(g: CompositionGraph) -> PathCounts:
     """Count, for each i, the i-edge subsets connecting S to T.
 
-    Enumerates all 2^edges subsets and tests connectivity with a union-find
-    per subset; independent of (and a ground truth for) the basis-conversion
-    route.  Capped at 16 edges.
+    A brute force over all 2^e edge subsets, run on them all at once: bit j
+    of an integer stands for subset j, the edges whose bits are set in j.
+    `has[i]` holds the subsets that contain edge i, `reach[v]` those in which
+    v is reachable from S (relaxed over the edges until a full pass changes
+    nothing), and `by_size[i]` those of i edges.  It shares nothing with the
+    polynomial recursion, so it is a ground truth for the basis-conversion
+    route.  Capped at 16 edges: 2^16 subsets make integers of 8 KB, while the
+    32 edges of m = 5 would need 2^32-bit integers, 512 MB each.
     """
     e = len(g.edges)
     if e > ORACLE_EDGE_CAP:
         raise ValueError(f"{e} edges exceeds oracle cap {ORACLE_EDGE_CAP}")
-    counts = [0] * (e + 1)
-    edges = g.edges
-    s, t = g.source, g.sink
-    nodes = g.node_count
-    for mask in range(1 << e):
-        parent = list(range(nodes))
-        mm = mask
-        idx = 0
-        while mm:
-            if mm & 1:
-                a, b = edges[idx]
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                while parent[b] != b:
-                    parent[b] = parent[parent[b]]
-                    b = parent[b]
-                if a != b:
-                    parent[a] = b
-            mm >>= 1
-            idx += 1
-        a = s
-        while parent[a] != a:
-            a = parent[a]
-        b = t
-        while parent[b] != b:
-            b = parent[b]
-        if a == b:
-            counts[mask.bit_count()] += 1
-    return PathCounts(e, tuple(counts))
+    every = (1 << (1 << e)) - 1
+    # 2^i zeros then 2^i ones, repeated over the 2^e subsets
+    has = [every // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+           for i in range(e)]
+    reach = [0] * g.node_count
+    reach[g.source] = every
+    before = None
+    while reach != before:
+        before = list(reach)
+        for (a, b), h in zip(g.edges, has):
+            joined = (reach[a] | reach[b]) & h
+            reach[a] |= joined
+            reach[b] |= joined
+    by_size = [every]
+    for h in has:
+        by_size = [s & ~h | prev & h for s, prev in zip(by_size + [0], [0] + by_size)]
+    return PathCounts(e, tuple((reach[g.sink] & s).bit_count() for s in by_size))
 
 
 def ni_inclusion_exclusion(m: int, i_ones: int) -> PathCounts:
@@ -153,26 +145,24 @@ def gen_binomial(x: Fraction, k: int) -> Fraction:
 
 
 def avr_closed_form(m: int, i_ones: int) -> Fraction:
-    """Exact average reliability of the channel with i_ones leading 1-bits:
+    """Exact average reliability of the channel with i_ones leading 1-bits,
+    1 - 1 / C(2^i + 2^(i-m), 2^i) with i = i_ones: one minus that of its
+    complement, since the averages of complementary channels sum to 1."""
+    return 1 - avr_closed_form_complement(m, i_ones)
 
-        1 - 1 / C(2^i + 2^(i-m), 2^i)   with i = i_ones,
+
+def avr_closed_form_complement(m: int, i_zeros: int) -> Fraction:
+    """Exact average reliability of the channel with i_zeros leading 0-bits,
+    rest 1:
+
+        1 / C(2^i + 2^(i-m), 2^i)   with i = i_zeros,
 
     the generalized binomial taking the rational upper argument
     2^i + 2^(i-m) = (n+1)/l.  Agrees exactly with integrating the channel
     polynomial.
     """
-    if not 0 <= i_ones <= m:
-        raise ValueError(f"i_ones={i_ones} must be in 0..m={m}")
-    w = 1 << i_ones
-    x = Fraction(w) + Fraction(1, 1 << (m - i_ones))
-    return 1 - 1 / gen_binomial(x, w)
-
-
-def avr_closed_form_complement(m: int, i_zeros: int) -> Fraction:
-    """Average reliability of the complementary channel (i_zeros leading
-    0-bits, rest 1): 1 / C(2^i + 2^(i-m), 2^i) with i = i_zeros."""
     if not 0 <= i_zeros <= m:
-        raise ValueError(f"i_zeros={i_zeros} must be in 0..m={m}")
+        raise ValueError(f"i={i_zeros} must be in 0..m={m}")
     w = 1 << i_zeros
     x = Fraction(w) + Fraction(1, 1 << (m - i_zeros))
     return 1 / gen_binomial(x, w)

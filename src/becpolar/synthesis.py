@@ -26,7 +26,9 @@ from typing import Callable, Iterable
 from .monomials import MAX_M, Monomial
 from .polynomials import IntPoly, P, horner_numerator, integrate01, to_path_counts
 
-SYNTH_CAP = 12
+# synth_all took 22 s at m = 10 and 331 s at m = 11 (2-core host, CPython
+# 3.11); m = 12 takes hours and several GB.
+SYNTH_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,18 @@ class ChannelTable:
         return self._counts[u]
 
 
+def check_m(m: int, force: bool = False) -> None:
+    """Refuse a stage count before any work: m must be in 1..MAX_M, the
+    largest label width, even with force, and m above SYNTH_CAP needs force
+    (polynomial degree 2^m makes synthesis cost grow as 8^m)."""
+    if not 1 <= m <= MAX_M:
+        raise ValueError(f"m must be in 1..{MAX_M}, got {m}")
+    if m > SYNTH_CAP and not force:
+        raise ValueError(
+            f"m={m} exceeds the synthesis cap {SYNTH_CAP} (cost grows as 8^m); "
+            "pass --force (force=True) to override")
+
+
 def synth_poly(u: Monomial) -> IntPoly:
     """Channel polynomial Z_u(p), degree 2^m, computed without memoization."""
     z = P
@@ -78,13 +92,9 @@ def synth_labels(m: int, labels: Iterable[int] | None,
     are the top k bits of some requested label: one squaring per expanded
     node, both children derived from it.  For every label of m that is the
     whole tree, 2^(m+1) - 2 transform results.  Duplicates and order of
-    `labels` do not matter.  m above SYNTH_CAP needs force=True (cost grows
-    as 8^m); no m above MAX_M, the largest label width, is built.
+    `labels` do not matter.  `check_m(m, force)` caps m.
     """
-    if not 1 <= m <= MAX_M:  # even with force=True
-        raise ValueError(f"m must be in 1..{MAX_M}, got {m}")
-    if m > SYNTH_CAP and not force:
-        raise ValueError(f"m={m} exceeds cap {SYNTH_CAP}; pass force=True to override")
+    check_m(m, force)
     wanted = set(range(1 << m) if labels is None else labels)
     if any(not 0 <= u < (1 << m) for u in wanted):
         raise ValueError(f"labels must be in 0..{(1 << m) - 1} for m={m}")

@@ -105,6 +105,19 @@ class TestIncomparablePairs:
             incomparable_pairs(4, cache.table(5))
 
 
+@pytest.mark.parametrize("call", [
+    lambda table: rank(Criterion.pointwise_at(Fraction(1, 3)), 5, table),
+    lambda table: construct(Criterion.average(), 5, 3, table),
+    lambda table: avr_distribution(5, table),
+    lambda table: beta_avr_conflicts(5, Decimal("1.22"), table),
+    lambda table: beta_incompatible_count(5, Decimal("1.22"), table),
+], ids=["rank", "construct", "avr_distribution", "beta_avr_conflicts",
+        "beta_incompatible_count"])
+def test_rejects_a_table_of_another_m(call, cache):
+    with pytest.raises(ValueError, match="table is for m=6, not m=5"):
+        call(cache.table(6))
+
+
 class TestAvrOfPairs:
     def test_three_decimal_pairs(self, cache):
         table = cache.table(5)

@@ -1,5 +1,6 @@
 """Composition graphs, the subset-enumeration oracle, and closed-form averages."""
 
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -8,6 +9,7 @@ import pytest
 from becpolar.monomials import Monomial
 from becpolar.polynomials import integrate01, to_path_counts
 from becpolar.reliability import (
+    CompositionGraph,
     CompositionParams,
     avr_closed_form,
     avr_closed_form_complement,
@@ -49,9 +51,25 @@ class TestBuildGraph:
         assert len(build_graph(Monomial.from_int(0b1010, 16)).edges) == 1 << 16
 
 
+def _bfs_path_counts(g: CompositionGraph) -> tuple[int, ...]:
+    """Subset oracle twin: one breadth-first search per edge subset."""
+    counts = [0] * (len(g.edges) + 1)
+    for mask in range(1 << len(g.edges)):
+        kept = [edge for i, edge in enumerate(g.edges) if mask >> i & 1]
+        seen, frontier = {g.source}, [g.source]
+        while frontier:
+            v = frontier.pop()
+            for a, b in kept:
+                for x, y in ((a, b), (b, a)):
+                    if x == v and y not in seen:
+                        seen.add(y)
+                        frontier.append(y)
+        counts[len(kept)] += g.sink in seen
+    return tuple(counts)
+
+
 class TestOracle:
     def test_single_edge(self):
-        from becpolar.reliability import CompositionGraph
         base = CompositionGraph(2, ((0, 1),))
         assert oracle_path_counts(base).counts == (0, 1)
 
@@ -76,6 +94,28 @@ class TestOracle:
     def test_edge_cap(self):
         with pytest.raises(ValueError):
             oracle_path_counts(build_graph(Monomial.from_int(0, 5)))
+
+    def test_wheatstone_bridge(self):
+        # not series/parallel, and it has a cycle: 2p^2 + 2p^3 - 5p^4 + 2p^5
+        bridge = CompositionGraph(4, ((0, 2), (0, 3), (2, 3), (2, 1), (3, 1)))
+        assert oracle_path_counts(bridge).counts == (0, 0, 2, 8, 5, 1)
+
+    def test_no_edges(self):
+        assert oracle_path_counts(CompositionGraph(2, ())).counts == (0,)
+
+    def test_matches_per_subset_search_on_random_multigraphs(self):
+        rng = random.Random(2021)
+        loops = unreachable = 0
+        for _ in range(150):
+            nodes = rng.randint(2, 6)
+            edges = tuple((rng.randrange(nodes), rng.randrange(nodes))
+                          for _ in range(rng.randint(0, 10)))
+            g = CompositionGraph(nodes, edges)
+            want = _bfs_path_counts(g)
+            assert oracle_path_counts(g).counts == want, g
+            loops += any(a == b for a, b in edges)
+            unreachable += not any(want)
+        assert loops and unreachable  # T unreachable under every subset in some draws
 
 
 class TestInclusionExclusion:
@@ -133,6 +173,13 @@ class TestClosedForm:
             u = (1 << i_ones) - 1
             z = synth_poly(Monomial.from_int(u, m))
             assert avr_closed_form(m, i_ones) == integrate01(z)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_complement_equals_exact_integration(self, m):
+        mask = (1 << m) - 1
+        for i_zeros in range(m + 1):
+            z = synth_poly(Monomial.from_int(mask ^ ((1 << i_zeros) - 1), m))
+            assert avr_closed_form_complement(m, i_zeros) == integrate01(z)
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_complement_sums_to_one(self, m):

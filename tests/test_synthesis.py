@@ -140,6 +140,12 @@ class TestSynthLabels:
             with pytest.raises(ValueError, match="force=True"):
                 build()
 
+    @pytest.mark.parametrize("m", [11, 12])
+    def test_refuses_m_above_the_cap_without_force(self, m):
+        for build in (lambda: synth_labels(m, [0]), lambda: synth_all(m)):
+            with pytest.raises(ValueError, match=f"m={m} exceeds the synthesis cap 10"):
+                build()
+
     @pytest.mark.parametrize("labels", [[4], [-1], [0, 9]])
     def test_rejects_labels_out_of_range(self, labels):
         with pytest.raises(ValueError, match="labels"):
