@@ -20,6 +20,7 @@ from .polynomials import (
 )
 from .synthesis import (
     ChannelTable,
+    channel_averages,
     channel_threshold,
     dual_poly,
     synth_all,

@@ -276,6 +276,15 @@ def _pointwise_avr_compat(m, table):
             yield f"({u}, {v}) is {verdict.value} pointwise but not by average"
 
 
+@_check("tables/moment-averages")
+def _moment_averages(m, table):
+    """The moment recursion's averages equal the integrals of the table."""
+    # force: the table of m exists, so m has passed the synthesis cap already
+    for u, avr in enumerate(synthesis.channel_averages(m, force=True)):
+        if avr != table.avr(u):
+            yield f"u={u}: {avr} != {table.avr(u)}"
+
+
 @_check("tables/distinct-averages")
 def _distinct_averages(m, table):
     avrs = [table.avr(u) for u in range(1 << m)]

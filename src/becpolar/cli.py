@@ -105,9 +105,10 @@ def cmd_rank(args: argparse.Namespace) -> int:
     """Rank every channel; print the best k with their averages and thresholds.
 
     Thresholds come from the label recursion (`channel_threshold`), so a
-    polynomial is built only where a score needs one: `avr` and `p=` score
-    from the full table, while `beta=` scores from the labels and builds
-    only the k listed polynomials, for their averages.
+    polynomial is built only where a score needs one: `avr` scores from the
+    moment recursion (`channel_averages`) and builds none, `p=` scores from
+    the full table, and `beta=` scores from the labels and builds only the k
+    listed polynomials, for their averages.
     """
     synthesis.check_m(args.m, args.force)
     m = args.m
@@ -115,16 +116,20 @@ def cmd_rank(args: argparse.Namespace) -> int:
     k = args.k if args.k is not None else 1 << m
     if not 0 <= k <= (1 << m):
         raise ValueError(f"--k {k} out of range for m={m}")
-    if criterion.kind == "beta":
-        ranking = construction.rank(criterion, m)
-        polys = synthesis.synth_labels(m, ranking.order[:k], force=args.force)
-    else:
+    if criterion.kind == "pointwise":
         polys = synthesis.synth_all(m, force=args.force)
         ranking = construction.rank(criterion, m, polys)
+    else:
+        ranking = construction.rank(criterion, m, force=args.force)
+        if criterion.kind == "beta":
+            polys = synthesis.synth_labels(m, ranking.order[:k], force=args.force)
     tol = Fraction(1, 2**30)
     records = []
     for u in ranking.order[:k]:
-        avr = polynomials.integrate01(polys[u])
+        if criterion.kind == "average":
+            avr = ranking.score(u)
+        else:
+            avr = polynomials.integrate01(polys[u])
         score = ranking.score(u)
         exact = _beta_decimal(score, criterion.beta, m) if criterion.kind == "beta" else _frac(score)
         threshold = synthesis.channel_threshold(Monomial(m, u), tol)
@@ -206,8 +211,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_distribution(args: argparse.Namespace) -> int:
     synthesis.check_m(args.m, args.force)
-    table = synthesis.synth_all(args.m, force=args.force)
-    counts = construction.avr_distribution(args.m, table)
+    counts = construction.avr_distribution(args.m, force=args.force)
     print("bucket_low,bucket_high,count")
     for i, c in enumerate(counts):
         print(f"0.{i},{'1.0' if i == 9 else f'0.{i + 1}'},{c}")
@@ -216,10 +220,9 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 def cmd_avrplot(args: argparse.Namespace) -> int:
     synthesis.check_m(args.m, args.force)
-    table = synthesis.synth_all(args.m, force=args.force)
     lines = ["u,avr"]
-    for u in range(1 << args.m):
-        lines.append(f"{u},{_dec(table.avr(u))}")
+    for u, avr in enumerate(synthesis.channel_averages(args.m, args.force)):
+        lines.append(f"{u},{_dec(avr)}")
     text = "\n".join(lines) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

@@ -17,8 +17,8 @@ from functools import cached_property, lru_cache
 
 from . import orders
 from .monomials import Monomial, all_monomials
-from .polynomials import eval_rational, integrate01
-from .synthesis import ChannelTable, synth_all
+from .polynomials import eval_rational
+from .synthesis import ChannelTable, channel_averages, synth_all
 
 INCOMPARABLE_M_CAP = 6
 # Largest written size of beta (digits plus positive exponent): it bounds the
@@ -106,36 +106,48 @@ def beta_scores(m: int, beta: Decimal) -> list[Fraction]:
     return [Fraction(x, den) for x in nums]
 
 
-def _table_of(m: int, table: ChannelTable | None) -> ChannelTable:
+def _table_of(m: int, table: ChannelTable | None, force: bool = False) -> ChannelTable:
     """`table` when it is the channel table of m, built when None."""
     if table is None:
-        return synth_all(m)
+        return synth_all(m, force)
     if table.m != m:
         raise ValueError(f"table is for m={table.m}, not m={m}")
     return table
 
 
-def rank(criterion: Criterion, m: int, table: ChannelTable | None = None) -> RankedChannels:
+def _averages(m: int, table: ChannelTable | None,
+              force: bool = False) -> tuple[Fraction, ...]:
+    """Exact average of every label of m: the integrals of `table` when it is
+    given (it must be the table of m), else `channel_averages(m, force)`."""
+    if table is None:
+        return channel_averages(m, force)
+    table = _table_of(m, table)
+    return tuple(map(table.avr, range(1 << m)))
+
+
+def rank(criterion: Criterion, m: int, table: ChannelTable | None = None,
+         force: bool = False) -> RankedChannels:
     """Score every channel under the criterion and sort ascending (best first).
 
     Every score is an exact rational.  Beta scores are kept and sorted as
     integer numerators over q^(m-1), beta = p/q, and become `Fraction`s only
-    when read (`RankedChannels.score`); the other criteria need `table` of
-    m, built here when not given.  Ties break by ascending label; beta
-    scores never tie, since two labels with equal scores would make the
-    rational beta > 1 a root of a polynomial with coefficients in {-1, 0, 1},
-    whose rational roots are +-1.
+    when read (`RankedChannels.score`).  Average scores are the integrals of
+    `table` when it is given, else `channel_averages`, which builds no
+    polynomial; pointwise scores need `table` of m, built here when not
+    given.  `force` passes the synthesis cap when this builds averages or a
+    table.  Ties break by ascending label; beta scores never tie, since two
+    labels with equal scores would make the rational beta > 1 a root of a
+    polynomial with coefficients in {-1, 0, 1}, whose rational roots are +-1.
     """
     n = 1 << m
-    if criterion.kind != "beta":
-        table = _table_of(m, table)
     den = 1
     if criterion.kind == "beta":  # sort integers: a Fraction compare multiplies
         keys, den = _beta_numerators(m, criterion.beta)
     elif criterion.kind == "pointwise":
+        table = _table_of(m, table, force)
         keys = [eval_rational(table[u], criterion.p) for u in range(n)]
     elif criterion.kind == "average":
-        keys = [integrate01(table[u]) for u in range(n)]
+        keys = _averages(m, table, force)
     else:
         raise ValueError(f"unknown criterion kind {criterion.kind!r}")
     ordered = sorted(range(n), key=lambda u: (keys[u], u))
@@ -197,17 +209,17 @@ def avr_of_pairs(pairs: list[tuple[int, int]], table: ChannelTable,
             for u, v in pairs]
 
 
-def avr_distribution(m: int, table: ChannelTable | None = None) -> list[int]:
+def avr_distribution(m: int, table: ChannelTable | None = None,
+                     force: bool = False) -> list[int]:
     """Histogram of average reliabilities over the deciles (i/10, (i+1)/10].
 
     Bucket membership is decided on exact rationals (upper-inclusive).  Every
     channel lands in a bucket because its average reliability is strictly
-    positive and at most 1.
+    positive and at most 1.  The averages are those of `table` when given,
+    else `channel_averages(m, force)`.
     """
-    table = _table_of(m, table)
     counts = [0] * 10
-    for u in range(1 << m):
-        a = table.avr(u)
+    for a in _averages(m, table, force):
         if not 0 < a <= 1:
             raise AssertionError(f"average reliability {a} outside (0, 1]")
         # smallest bucket i with a <= (i+1)/10
@@ -220,8 +232,9 @@ def beta_avr_conflicts(m: int, beta: Decimal,
                        table: ChannelTable | None = None) -> list[tuple[int, int]]:
     """Exact discordant pairs of the two rankings: ordered pairs (u, v) ranked
     strictly by average reliability as u before v and strictly the other way
-    by beta score.  Each discordant unordered pair appears once."""
-    avr = rank(Criterion.average(), m, table).scores
+    by beta score.  Each discordant unordered pair appears once.  The
+    averages are those of `table` when given, else `channel_averages`."""
+    avr = _averages(m, table)
     beta_score, _ = _beta_numerators(m, Criterion.beta_expansion(beta).beta)
     n = 1 << m
     return [(u, v) for u in range(n) for v in range(n)
@@ -238,7 +251,8 @@ def beta_incompatible_count(m: int, beta: Decimal,
     discordant pairs (for that, take `len(beta_avr_conflicts(...))`): at
     beta = 1.22 it is 2/10/36 at m = 6/7/8, against 4/30/134 discordant
     pairs.  Displacements mirror under complementation, so the displaced
-    count is a multiple of 4.
+    count is a multiple of 4.  The averages are those of `table` when given,
+    else `channel_averages`.
     """
     avr_ranking = rank(Criterion.average(), m, table)
     beta_ranking = rank(Criterion.beta_expansion(beta), m)

@@ -208,14 +208,42 @@ def test_bad_u_and_k_exit_before_synthesis(capsys, monkeypatch, argv):
     ("poset", "--m", "0", "--relation", "w", "--dot", "-"),
 ])
 def test_bad_m_exits_before_synthesis(capsys, monkeypatch, argv):
-    from becpolar import synthesis
+    from becpolar import construction, synthesis
 
     def refuse(*args, **kwargs):
         raise AssertionError("synthesis ran before the usage check")
     monkeypatch.setattr(synthesis, "synth_all", refuse)
+    monkeypatch.setattr(synthesis, "channel_averages", refuse)
+    monkeypatch.setattr(construction, "channel_averages", refuse)
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: m must be in 1..16") and err.count("\n") == 1
+
+
+AVERAGE_COMMANDS = [("distribution",), ("avrplot", "--out", "-"), ("rank", "--by", "avr")]
+
+
+@pytest.mark.parametrize("argv", AVERAGE_COMMANDS, ids=lambda argv: argv[0])
+def test_averages_build_no_polynomial(capsys, monkeypatch, argv):
+    from becpolar import construction, polynomials, synthesis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an average built a polynomial")
+    for module, name in ((synthesis, "synth_all"), (synthesis, "synth_labels"),
+                         (construction, "synth_all"), (polynomials, "integrate01")):
+        monkeypatch.setattr(module, name, refuse)
+    code, out, _ = run_cli(capsys, *argv, "--m", "6")
+    assert code == 0 and len(out.splitlines()) > 10
+
+
+@pytest.mark.parametrize("argv", AVERAGE_COMMANDS, ids=lambda argv: argv[0])
+def test_averages_keep_force(capsys, monkeypatch, argv):
+    from becpolar import synthesis
+    monkeypatch.setattr(synthesis, "SYNTH_CAP", 3)
+    code, _, err = run_cli(capsys, *argv, "--m", "4")
+    assert code == 2 and "m=4 exceeds the synthesis cap 3" in err
+    code, out, _ = run_cli(capsys, *argv, "--m", "4", "--force")
+    assert code == 0 and len(out.splitlines()) > 10
 
 
 class TestPoset:
@@ -305,7 +333,7 @@ class TestVerify:
             (reliability, "avr_closed_form"),
             (synthesis, "synth_poly"), (synthesis, "synth_all"), (synthesis, "synth_labels"),
             (synthesis, "dual_poly"), (synthesis, "threshold_estimate"),
-            (synthesis, "channel_threshold"),
+            (synthesis, "channel_threshold"), (synthesis, "channel_averages"),
         ]
         for module, name in tracked:
             monkeypatch.setattr(module, name, counted(module, name))

@@ -118,6 +118,17 @@ def test_rejects_a_table_of_another_m(call, cache):
         call(cache.table(6))
 
 
+@pytest.mark.parametrize("call", [
+    lambda m, table: rank(Criterion.average(), m, table),
+    lambda m, table: avr_distribution(m, table),
+    lambda m, table: beta_avr_conflicts(m, Decimal("1.22"), table),
+    lambda m, table: beta_incompatible_count(m, Decimal("1.22"), table),
+], ids=["rank", "avr_distribution", "beta_avr_conflicts", "beta_incompatible_count"])
+@pytest.mark.parametrize("m", [6, 7])
+def test_averages_without_a_table_equal_the_table_path(call, m, cache):
+    assert call(m, None) == call(m, cache.table(m))
+
+
 class TestAvrOfPairs:
     def test_three_decimal_pairs(self, cache):
         table = cache.table(5)
@@ -142,6 +153,9 @@ class TestDistribution:
     def test_m7_first_five(self, cache):
         counts = avr_distribution(7, cache.table(7))
         assert tuple(counts[:5]) == (11, 13, 14, 13, 13)
+
+    def test_m10_first_five_without_a_table(self):
+        assert tuple(avr_distribution(10)[:5]) == golden.DISTRIBUTION_FIRST5[10]
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_buckets_sum_and_mirror(self, m, cache):
@@ -205,6 +219,9 @@ class TestBeta:
 
     def test_incompatible_count_m6(self, cache):
         assert beta_incompatible_count(6, Decimal("1.22"), cache.table(6)) == 2
+
+    def test_incompatible_count_m9_without_a_table(self):
+        assert beta_incompatible_count(9, Decimal("1.22")) == golden.BETA_INCOMPATIBLE_AT_122[9] == 99
 
     @pytest.mark.parametrize("m, statistic, discordant", [(6, 2, 4), (7, 10, 30), (8, 36, 134)])
     def test_statistic_is_not_the_discordant_pair_count(self, cache, m, statistic, discordant):

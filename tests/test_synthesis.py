@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from becpolar.monomials import MAX_M, Monomial
-from becpolar.polynomials import IntPoly, to_path_counts
+from becpolar.polynomials import IntPoly, integrate01, to_path_counts
+from becpolar.reliability import avr_closed_form, avr_closed_form_complement
 from becpolar.synthesis import (
     SYNTH_CAP,
     ChannelTable,
     _bisect_half,
+    channel_averages,
     channel_threshold,
     dual_poly,
     synth_all,
@@ -132,17 +134,20 @@ class TestSynthLabels:
     def test_caps_match_synth_all(self):
         for m in (0, -1, MAX_M + 1):
             for build in (lambda: synth_labels(m, [0], force=True),
-                          lambda: synth_all(m, force=True)):
+                          lambda: synth_all(m, force=True),
+                          lambda: channel_averages(m, force=True)):
                 with pytest.raises(ValueError, match=f"1..{MAX_M}"):
                     build()
         for build in (lambda: synth_labels(SYNTH_CAP + 1, [0]),
-                      lambda: synth_all(SYNTH_CAP + 1)):
+                      lambda: synth_all(SYNTH_CAP + 1),
+                      lambda: channel_averages(SYNTH_CAP + 1)):
             with pytest.raises(ValueError, match="force=True"):
                 build()
 
     @pytest.mark.parametrize("m", [11, 12])
     def test_refuses_m_above_the_cap_without_force(self, m):
-        for build in (lambda: synth_labels(m, [0]), lambda: synth_all(m)):
+        for build in (lambda: synth_labels(m, [0]), lambda: synth_all(m),
+                      lambda: channel_averages(m)):
             with pytest.raises(ValueError, match=f"m={m} exceeds the synthesis cap 10"):
                 build()
 
@@ -150,6 +155,30 @@ class TestSynthLabels:
     def test_rejects_labels_out_of_range(self, labels):
         with pytest.raises(ValueError, match="labels"):
             synth_labels(2, labels)
+
+
+@pytest.fixture(scope="module")
+def averages_m10():
+    return channel_averages(10)
+
+
+class TestChannelAverages:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_equal_the_integrals_of_the_table(self, m, cache):
+        assert channel_averages(m) == tuple(integrate01(p) for p in cache.table(m).polys)
+
+    def test_closed_forms_at_m10(self, averages_m10):
+        """Beyond the tables tier-1 builds: i leading 1-bits and i leading 0-bits."""
+        mask = (1 << 10) - 1
+        for i in range(11):
+            u = (1 << i) - 1
+            assert averages_m10[u] == avr_closed_form(10, i)
+            assert averages_m10[mask ^ u] == avr_closed_form_complement(10, i)
+
+    def test_complements_sum_to_one_and_averages_differ_at_m10(self, averages_m10):
+        mask = (1 << 10) - 1
+        assert all(a + averages_m10[mask ^ u] == 1 for u, a in enumerate(averages_m10))
+        assert len(set(averages_m10)) == 1 << 10
 
 
 class TestDuality:
