@@ -133,9 +133,10 @@ def rank(criterion: Criterion, m: int, table: ChannelTable | None = None,
     integer numerators over q^(m-1), beta = p/q, and become `Fraction`s only
     when read (`RankedChannels.score`).  Average scores are the integrals of
     `table` when it is given, else `channel_averages`, which builds no
-    polynomial; pointwise scores need `table` of m, built here when not
-    given.  `force` passes the synthesis cap when this builds averages or a
-    table.  Ties break by ascending label; beta scores never tie, since two
+    polynomial; pointwise scores at p = a/q need `table` of m, built here
+    when not given, and are sorted on the integers score * q^(2^m).
+    `force` passes the synthesis cap when this builds averages or a table.
+    Ties break by ascending label; beta scores never tie, since two
     labels with equal scores would make the rational beta > 1 a root of a
     polynomial with coefficients in {-1, 0, 1}, whose rational roots are +-1.
     """
@@ -143,14 +144,18 @@ def rank(criterion: Criterion, m: int, table: ChannelTable | None = None,
     den = 1
     if criterion.kind == "beta":  # sort integers: a Fraction compare multiplies
         keys, den = _beta_numerators(m, criterion.beta)
+        sort_keys = keys
     elif criterion.kind == "pointwise":
         table = _table_of(m, table, force)
         keys = [eval_rational(table[u], criterion.p) for u in range(n)]
+        # every score's denominator divides q^n, p = a/q, as each channel has degree n
+        scale = criterion.p.denominator ** n
+        sort_keys = [s.numerator * (scale // s.denominator) for s in keys]
     elif criterion.kind == "average":
-        keys = _averages(m, table, force)
+        keys = sort_keys = _averages(m, table, force)
     else:
         raise ValueError(f"unknown criterion kind {criterion.kind!r}")
-    ordered = sorted(range(n), key=lambda u: (keys[u], u))
+    ordered = sorted(range(n), key=lambda u: (sort_keys[u], u))
     return RankedChannels(m, criterion, tuple(ordered), tuple(keys), den)
 
 

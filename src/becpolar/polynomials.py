@@ -3,10 +3,13 @@
 Channel polynomials produced by the series/parallel recursion always have
 integer coefficients, so the workhorse type `IntPoly` stores a dense tuple of
 Python ints (index i = coefficient of p^i, no trailing zeros, zero polynomial
-= empty tuple).  Rationals enter only at evaluation and integration, as
-`fractions.Fraction`, and each is built once, at the end: evaluation at
-num/den runs Horner on integers (`horner_numerator`) and integration sums
-integer multiples of one common denominator.
+= empty tuple).  Squaring, the one product the recursion needs, is Kronecker
+substitution: the coefficients are packed into the bytes of one integer,
+which CPython squares (Karatsuba), and read back slot by slot.  Rationals
+enter only at evaluation and integration, as `fractions.Fraction`, and each
+is built once, at the end: evaluation at num/den and integration are each a
+dot product of the coefficients with cached integer weights over one common
+denominator, and `horner_numerator` evaluates without a cache.
 
 The module also provides the change of basis to path-count (Bernstein-style)
 coefficients and an exact sign decision on [0, 1] built from square-free
@@ -85,20 +88,34 @@ class IntPoly:
         return IntPoly([k * c for c in self.coeffs])
 
     def square(self) -> "IntPoly":
-        """Schoolbook square using the symmetric half of the product grid."""
+        """Exact square by Kronecker substitution: one integer product.
+
+        Each coefficient takes a slot of nb bytes, wide enough that every
+        coefficient c of the square has |c| < 2^(8 nb - 1), since |c| is at
+        most len * max|a_i|^2.  The positive and the negative coefficients
+        are packed as two integers, whose difference A is a evaluated at
+        X = 2^(8 nb); A^2 then holds each coefficient of a^2 in its own slot.
+        Adding 2^(8 nb - 1) to every slot makes each one nonnegative and below
+        X, so no borrow crosses a slot and each reads back alone.  Packing and
+        unpacking are linear in the byte count; the one product runs in C.
+        """
         a = self.coeffs
         if not a:
             return IntPoly()
-        out = [0] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            out[2 * i] += ai * ai
-            twice = 2 * ai
-            for j in range(i + 1, len(a)):
-                if a[j]:
-                    out[i + j] += twice * a[j]
-        return IntPoly(out)
+        top = max(map(abs, a))
+        nb = (len(a) * top * top).bit_length() // 8 + 1
+        zero = bytes(nb)
+        pos = int.from_bytes(b"".join(c.to_bytes(nb, "little") if c > 0 else zero
+                                      for c in a), "little")
+        neg = int.from_bytes(b"".join((-c).to_bytes(nb, "little") if c < 0 else zero
+                                      for c in a), "little")
+        slots = 2 * len(a) - 1
+        half = 1 << (8 * nb - 1)
+        bias = int.from_bytes((bytes(nb - 1) + b"\x80") * slots, "little")
+        data = ((pos - neg) ** 2 + bias).to_bytes(nb * slots, "little")
+        view = memoryview(data)
+        return IntPoly([int.from_bytes(view[i:i + nb], "little") - half
+                        for i in range(0, nb * slots, nb)])
 
     def __call__(self, p: Fraction) -> Fraction:
         return eval_rational(self, p)
@@ -136,11 +153,26 @@ def horner_numerator(coeffs: Sequence[int], num: int, den: int) -> int:
     return acc
 
 
+@lru_cache(maxsize=16)
+def _power_weights(num: int, den: int, n: int) -> tuple[int, ...]:
+    """num^i den^(n-i) for i = 0..n: den^n a(num/den) is the dot product of
+    a's coefficients with them, for any a of degree n."""
+    nums = [1]
+    dens = [1]
+    for _ in range(n):
+        nums.append(nums[-1] * num)
+        dens.append(dens[-1] * den)
+    return tuple(map(mul, nums, reversed(dens)))
+
+
 def eval_rational(a: IntPoly, p: Fraction) -> Fraction:
-    """Exact value a(p) at a rational point: integer Horner on the numerator
-    and denominator of p, then one `Fraction` (one gcd) for the result."""
-    den = p.denominator
-    return Fraction(horner_numerator(a.coeffs, p.numerator, den), den ** max(a.degree, 0))
+    """Exact value a(p) at a rational point: den^n a(num/den) as a dot product
+    of the coefficients with cached power weights (n = deg a), then one
+    `Fraction` (one gcd) for the result.  `horner_numerator` computes the
+    same integer without the cache."""
+    num, den = p.numerator, p.denominator
+    n = max(a.degree, 0)
+    return Fraction(sum(map(mul, a.coeffs, _power_weights(num, den, n))), den ** n)
 
 
 @lru_cache(maxsize=16)

@@ -30,18 +30,22 @@ from typing import Callable, Iterable
 from .monomials import MAX_M, Monomial
 from .polynomials import IntPoly, P, horner_numerator, integrate01, to_path_counts
 
-# synth_all took 22 s at m = 10 and 331 s at m = 11 (2-core host, CPython
-# 3.11); m = 12 takes hours and several GB.
+# synth_all took 0.04-0.06 s at m = 8, 0.42-0.66 s at m = 9 and 6.8 s at
+# m = 10 (2-core shared host, CPython 3.11): each stage doubles both degree
+# and coefficient size, and took about ten and fifteen times the last.
+# m = 11 took 331 s with the schoolbook square; it is not measured since.
 SYNTH_CAP = 10
 
 
 @dataclass(frozen=True)
 class ChannelTable:
     """All 2^m channel polynomials of one stage count m, indexed by label,
-    and their path counts, each converted once, when first read."""
+    and their averages and path counts, each computed once, when first read."""
 
     m: int
     polys: tuple[IntPoly, ...]
+    _avrs: dict[int, Fraction] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
     _counts: dict[int, tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -54,8 +58,12 @@ class ChannelTable:
 
     def avr(self, key: int | Monomial) -> Fraction:
         """Exact average reliability: integral of the channel polynomial, the
-        integration twin of `channel_averages`."""
-        return integrate01(self[key])
+        integration twin of `channel_averages`, integrated on the first read
+        of that channel and kept for the rest."""
+        u = key.bits if isinstance(key, Monomial) else key
+        if u not in self._avrs:
+            self._avrs[u] = integrate01(self.polys[u])
+        return self._avrs[u]
 
     def path_counts(self, key: int | Monomial) -> tuple[int, ...]:
         """Path counts N_0..N_n of the channel at n = 2^m (`to_path_counts`),
@@ -69,12 +77,13 @@ class ChannelTable:
 def check_m(m: int, force: bool = False) -> None:
     """Refuse a stage count before any work: m must be in 1..MAX_M, the
     largest label width, even with force, and m above SYNTH_CAP needs force
-    (polynomial degree 2^m makes synthesis cost grow as 8^m)."""
+    (degree 2^m and coefficients of about 2^m bits make synthesis cost grow
+    about tenfold per stage)."""
     if not 1 <= m <= MAX_M:
         raise ValueError(f"m must be in 1..{MAX_M}, got {m}")
     if m > SYNTH_CAP and not force:
         raise ValueError(
-            f"m={m} exceeds the synthesis cap {SYNTH_CAP} (cost grows as 8^m); "
+            f"m={m} exceeds the synthesis cap {SYNTH_CAP} (cost grows tenfold per stage); "
             "pass --force (force=True) to override")
 
 
@@ -107,7 +116,8 @@ def synth_labels(m: int, labels: Iterable[int] | None,
     for k in range(1, m + 1):
         keep = {u >> (m - k) for u in wanted}
         nxt: dict[int, IntPoly] = {}
-        for node, parent in level.items():  # ascending, so nxt is ascending too
+        for node in list(level):  # ascending, so nxt is ascending too
+            parent = level.pop(node)  # freed once both children exist
             sq = parent.square()
             if 2 * node in keep:  # 0-bit child: series
                 nxt[2 * node] = sq

@@ -220,6 +220,19 @@ def test_bad_m_exits_before_synthesis(capsys, monkeypatch, argv):
     assert err.startswith("error: m must be in 1..16") and err.count("\n") == 1
 
 
+def test_verify_tables_integrates_each_channel_once(capsys, monkeypatch):
+    from becpolar import synthesis
+    calls = []
+    integrate = synthesis.integrate01
+
+    def counted(a):
+        calls.append(a)
+        return integrate(a)
+    monkeypatch.setattr(synthesis, "integrate01", counted)
+    code, _, _ = run_cli(capsys, "verify", "--m", "6", "--suite", "tables")
+    assert code == 0 and len(calls) == 1 << 6
+
+
 AVERAGE_COMMANDS = [("distribution",), ("avrplot", "--out", "-"), ("rank", "--by", "avr")]
 
 

@@ -60,6 +60,41 @@ class TestRingOps:
         assert a.square() == a * a
 
 
+_huge = st.integers(-2**700, 2**700)
+_sparse_polys = st.dictionaries(st.integers(0, 79), _huge.filter(bool), max_size=5).map(
+    lambda d: IntPoly([d.get(i, 0) for i in range(max(d, default=-1) + 1)]))
+wide_polys = st.one_of(
+    st.lists(st.one_of(st.just(0), st.integers(-2**700, -1), _huge, st.integers(-2, 2)),
+             max_size=80).map(IntPoly),
+    _sparse_polys)
+
+
+class TestKroneckerSquare:
+    """`IntPoly.square` packs the coefficients into one integer; the
+    schoolbook `__mul__` is its slow exact twin."""
+
+    @settings(max_examples=300)
+    @given(wide_polys)
+    def test_matches_schoolbook(self, a):
+        assert a.square() == a * a
+
+    def test_zero_constants_and_negative_leading_coefficient(self):
+        for coeffs in ((), (1,), (-1,), (7,), (-(2**700),), (3, 0, -5), (0, 0, 0, -1)):
+            a = IntPoly(coeffs)
+            assert a.square() == a * a
+        assert IntPoly([-3]).square() == IntPoly([9])
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_coefficients_next_to_a_slot_boundary(self, k):
+        # every coefficient equal in size makes the middle one of the square
+        # reach the bound len * max^2 that sizes the slots
+        for top in ((1 << (8 * k - 1)) - 1, 1 << (8 * k - 1), (1 << (8 * k)) - 1):
+            for length in (1, 2, 3, 4, 5, 8, 64, 80):
+                for pattern in ((1,), (-1,), (1, -1), (-1, 1, 1)):
+                    a = IntPoly([top * pattern[i % len(pattern)] for i in range(length)])
+                    assert a.square() == a * a, (top, length, pattern)
+
+
 class TestTransformSteps:
     def test_square_step_on_p(self):
         assert square_step(P) == IntPoly([0, 0, 1])
@@ -150,6 +185,17 @@ class TestEvalTwins:
                 self._assert_matches(IntPoly(coeffs).coeffs, p)
         assert horner_numerator((), 3, 5) == 0
         assert eval_rational(IntPoly(), Fraction(2, 3)) == 0
+
+    def test_degree_256_channels(self, cache):
+        table = cache.table(8)
+        points = [Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(5, 2), Fraction(3),
+                  Fraction(1, 2)]
+        for u in range(0, 256, 15):
+            for p in points:
+                self._assert_matches(table[u].coeffs, p)
+        for coeffs in ((), (4,), (-9,)):
+            for p in points:
+                self._assert_matches(coeffs, p)
 
     def test_random_polynomials(self):
         rng = random.Random(97)

@@ -108,6 +108,28 @@ class TestSynthAll:
         assert hash(table) == before == hash(fresh)
         assert table == fresh and repr(table) == repr(fresh)
 
+    def test_averages_are_kept_outside_equality(self):
+        table = synth_all(3)
+        before = hash(table)
+        assert [table.avr(u) for u in range(8)] == [integrate01(p) for p in table.polys]
+        assert table.avr(Monomial(3, 5)) is table.avr(5)
+        fresh = ChannelTable(3, table.polys)
+        assert hash(table) == before == hash(fresh)
+        assert table == fresh and repr(table) == repr(fresh)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_schoolbook_table(self, m, cache):
+        # slow exact twin of the suffix-shared table: every level by the
+        # schoolbook product z * z, not the packed square
+        level = [P]
+        for _ in range(m):
+            children = []
+            for z in level:  # node w has children 2w (0-bit) and 2w + 1 (1-bit)
+                sq = z * z
+                children += [sq, z.scale(2) - sq]
+            level = children
+        assert tuple(level) == cache.table(m).polys
+
     @pytest.mark.parametrize("m", range(1, 7))
     def test_path_count_bounds(self, m, cache):
         assert cache.check("identities/path-count-bounds", m) is None
