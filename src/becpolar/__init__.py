@@ -20,6 +20,7 @@ from .polynomials import (
 )
 from .synthesis import (
     ChannelTable,
+    average_numerators,
     channel_averages,
     channel_threshold,
     dual_poly,

@@ -4,10 +4,10 @@ acceptance suite.
 Each check states one fact about the channels of an m-stage transform and is
 named `suite/slug`.  `applies(m)` says at which m the fact has instances and
 `examines(m)` which m the check actually examines (a few cap it to stay
-desk-scale).  The body yields a one-line detail for each violation it finds;
-a check passes when its body yields none.  Bodies call library functions
-through their module attributes (`orders.leq_weak`), so instrumentation of a
-module sees every call a check makes.
+desk-scale, and read no table).  The body yields a one-line detail for each
+violation it finds; a check passes when its body yields none.  Bodies call
+library functions through their module attributes (`orders.leq_weak`), so
+instrumentation of a module sees every call a check makes.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ SUITES = ("orders", "reliability", "identities", "tables")
 @dataclass(frozen=True)
 class Check:
     name: str
-    body: Callable[[int, synthesis.ChannelTable], Iterator[str]]
+    body: Callable[[int, synthesis.ChannelTable | None], Iterator[str]]
     applies: Callable[[int], bool]
     examines: Callable[[int], int]
 
@@ -39,14 +39,13 @@ class Check:
     def run(self, m: int, table: synthesis.ChannelTable) -> str | None:
         """First failure detail of the check at stage count m, None if it passes.
 
-        `table` is the channel table of m; a check that examines a smaller m
-        gets that m's table instead."""
+        `table` is the channel table of m.  A check that examines a smaller m
+        gets None in its place: those checks read no table, so none is built
+        for them."""
         if not self.applies(m):
             raise ValueError(f"{self.name} has no instances at m={m}")
         examined = self.examines(m)
-        if examined != table.m:
-            table = synthesis.synth_all(examined)
-        return next(self.body(examined, table), None)
+        return next(self.body(examined, table if examined == table.m else None), None)
 
 
 REGISTRY: list[Check] = []
@@ -222,7 +221,7 @@ def _threshold_symmetry(m, table):
         from_label = (synthesis.channel_threshold(f, tol),
                       synthesis.channel_threshold(f.complement(), tol))
         if from_label != (t1, t2):
-            yield f"u={u}: label-recursion thresholds differ from the polynomial bisection"
+            yield f"u={u}: thresholds from the label differ from the polynomial bisection"
 
 
 @_check("tables/avr-2dp", applies=lambda m: m in golden.AVR_2DP_ROWS)

@@ -104,11 +104,12 @@ def _parse_criterion(text: str) -> construction.Criterion:
 def cmd_rank(args: argparse.Namespace) -> int:
     """Rank every channel; print the best k with their averages and thresholds.
 
-    Thresholds come from the label recursion (`channel_threshold`), so a
-    polynomial is built only where a score needs one: `avr` scores from the
-    moment recursion (`channel_averages`) and builds none, `p=` scores from
-    the full table, and `beta=` scores from the labels and builds only the k
-    listed polynomials, for their averages.
+    Thresholds come from the label by integer square roots
+    (`channel_threshold`), so a polynomial is built only where a score needs
+    one: `avr` scores on the integer numerators of the moment recursion
+    (`average_numerators`) and builds none, `p=` scores from the full table,
+    and `beta=` scores from the labels and builds only the k listed
+    polynomials, for their averages.
     """
     synthesis.check_m(args.m, args.force)
     m = args.m

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 from . import orders
 from .monomials import Monomial, all_monomials
 from .polynomials import eval_rational
-from .synthesis import ChannelTable, channel_averages, synth_all
+from .synthesis import ChannelTable, average_numerators, synth_all
 
 INCOMPARABLE_M_CAP = 6
 # Largest written size of beta (digits plus positive exponent): it bounds the
@@ -65,11 +66,11 @@ class Criterion:
 class RankedChannels:
     """All 2^m channels sorted most reliable first (ties broken by label).
 
-    `keys` holds the exact sort key of each channel label: for beta, the
-    integer numerator of the score over the common `denominator`; for the
-    other criteria, the score itself (denominator 1).  A score's `Fraction`
-    is built when it is read, so reading k scores of a large m reduces k
-    fractions, not 2^m.
+    `keys` holds the exact sort key of each channel label: for beta and
+    average, the integer numerator of the score over the common
+    `denominator`; for pointwise, the score itself (denominator 1).  A
+    score's `Fraction` is built when it is read, so reading k scores of a
+    large m reduces k fractions, not 2^m.
     """
 
     m: int
@@ -115,14 +116,17 @@ def _table_of(m: int, table: ChannelTable | None, force: bool = False) -> Channe
     return table
 
 
-def _averages(m: int, table: ChannelTable | None,
-              force: bool = False) -> tuple[Fraction, ...]:
-    """Exact average of every label of m: the integrals of `table` when it is
-    given (it must be the table of m), else `channel_averages(m, force)`."""
+def _average_numerators(m: int, table: ChannelTable | None,
+                        force: bool = False) -> tuple[tuple[int, ...], int]:
+    """Exact average of every label of m as integer numerators over
+    D = lcm(1..2^m + 1): from the integrals of `table` when it is given (it
+    must be the table of m), else `average_numerators(m, force)`."""
     if table is None:
-        return channel_averages(m, force)
+        return average_numerators(m, force)
     table = _table_of(m, table)
-    return tuple(map(table.avr, range(1 << m)))
+    d = lcm(*range(1, (1 << m) + 2))
+    # an integral of a degree-2^m integer polynomial has a denominator dividing D
+    return tuple(a.numerator * (d // a.denominator) for a in map(table.avr, range(1 << m))), d
 
 
 def rank(criterion: Criterion, m: int, table: ChannelTable | None = None,
@@ -130,9 +134,10 @@ def rank(criterion: Criterion, m: int, table: ChannelTable | None = None,
     """Score every channel under the criterion and sort ascending (best first).
 
     Every score is an exact rational.  Beta scores are kept and sorted as
-    integer numerators over q^(m-1), beta = p/q, and become `Fraction`s only
+    integer numerators over q^(m-1), beta = p/q, and average scores as
+    integer numerators over D = lcm(1..2^m + 1); both become `Fraction`s only
     when read (`RankedChannels.score`).  Average scores are the integrals of
-    `table` when it is given, else `channel_averages`, which builds no
+    `table` when it is given, else `average_numerators`, which builds no
     polynomial; pointwise scores at p = a/q need `table` of m, built here
     when not given, and are sorted on the integers score * q^(2^m).
     `force` passes the synthesis cap when this builds averages or a table.
@@ -152,7 +157,8 @@ def rank(criterion: Criterion, m: int, table: ChannelTable | None = None,
         scale = criterion.p.denominator ** n
         sort_keys = [s.numerator * (scale // s.denominator) for s in keys]
     elif criterion.kind == "average":
-        keys = sort_keys = _averages(m, table, force)
+        keys, den = _average_numerators(m, table, force)
+        sort_keys = keys
     else:
         raise ValueError(f"unknown criterion kind {criterion.kind!r}")
     ordered = sorted(range(n), key=lambda u: (sort_keys[u], u))
@@ -218,18 +224,18 @@ def avr_distribution(m: int, table: ChannelTable | None = None,
                      force: bool = False) -> list[int]:
     """Histogram of average reliabilities over the deciles (i/10, (i+1)/10].
 
-    Bucket membership is decided on exact rationals (upper-inclusive).  Every
-    channel lands in a bucket because its average reliability is strictly
-    positive and at most 1.  The averages are those of `table` when given,
-    else `channel_averages(m, force)`.
+    Bucket membership is decided exactly on the integer numerators x over D
+    (upper-inclusive).  Every channel lands in a bucket because its average
+    reliability is strictly positive and at most 1.  The averages are those
+    of `table` when given, else `average_numerators(m, force)`.
     """
     counts = [0] * 10
-    for a in _averages(m, table, force):
-        if not 0 < a <= 1:
-            raise AssertionError(f"average reliability {a} outside (0, 1]")
-        # smallest bucket i with a <= (i+1)/10
-        i = -((-a * 10) // 1)  # ceil(a * 10)
-        counts[int(i) - 1] += 1
+    nums, d = _average_numerators(m, table, force)
+    for x in nums:
+        if not 0 < x <= d:
+            raise AssertionError(f"average reliability {Fraction(x, d)} outside (0, 1]")
+        # smallest bucket i with x / D <= (i+1)/10, i + 1 = ceil(10x / D)
+        counts[-(-10 * x // d) - 1] += 1
     return counts
 
 
@@ -238,8 +244,8 @@ def beta_avr_conflicts(m: int, beta: Decimal,
     """Exact discordant pairs of the two rankings: ordered pairs (u, v) ranked
     strictly by average reliability as u before v and strictly the other way
     by beta score.  Each discordant unordered pair appears once.  The
-    averages are those of `table` when given, else `channel_averages`."""
-    avr = _averages(m, table)
+    averages are those of `table` when given, else `average_numerators`."""
+    avr, _ = _average_numerators(m, table)
     beta_score, _ = _beta_numerators(m, Criterion.beta_expansion(beta).beta)
     n = 1 << m
     return [(u, v) for u in range(n) for v in range(n)
@@ -257,7 +263,7 @@ def beta_incompatible_count(m: int, beta: Decimal,
     beta = 1.22 it is 2/10/36 at m = 6/7/8, against 4/30/134 discordant
     pairs.  Displacements mirror under complementation, so the displaced
     count is a multiple of 4.  The averages are those of `table` when given,
-    else `channel_averages`.
+    else `average_numerators`.
     """
     avr_ranking = rank(Criterion.average(), m, table)
     beta_ranking = rank(Criterion.beta_expansion(beta), m)

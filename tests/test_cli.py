@@ -214,7 +214,8 @@ def test_bad_m_exits_before_synthesis(capsys, monkeypatch, argv):
         raise AssertionError("synthesis ran before the usage check")
     monkeypatch.setattr(synthesis, "synth_all", refuse)
     monkeypatch.setattr(synthesis, "channel_averages", refuse)
-    monkeypatch.setattr(construction, "channel_averages", refuse)
+    monkeypatch.setattr(synthesis, "average_numerators", refuse)
+    monkeypatch.setattr(construction, "average_numerators", refuse)
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: m must be in 1..16") and err.count("\n") == 1
@@ -323,6 +324,22 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--m", "5", "--suite", "tables")
         assert code == 1
         assert "FAIL tables/avr-distribution m=5" in out
+
+    def test_builds_one_table(self, capsys, monkeypatch):
+        # poset-axioms (m = 5) and oracle-equivalence (m = 4) read no table
+        from becpolar import synthesis
+        built = []
+        synth_all = synthesis.synth_all
+
+        def counted(m, *args, **kwargs):
+            built.append(m)
+            return synth_all(m, *args, **kwargs)
+        monkeypatch.setattr(synthesis, "synth_all", counted)
+        code, out, _ = run_cli(capsys, "verify", "--m", "7", "--suite", "all")
+        assert code == 0
+        assert "PASS orders/poset-axioms m=5" in out
+        assert "PASS reliability/oracle-equivalence m=4" in out
+        assert built == [7]
 
     def test_all_suite_exercises_every_operation(self, capsys, monkeypatch):
         from becpolar import orders, reliability, synthesis

@@ -2,6 +2,7 @@
 
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -129,6 +130,18 @@ def test_averages_without_a_table_equal_the_table_path(call, m, cache):
     assert call(m, None) == call(m, cache.table(m))
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_average_keys_without_a_table_equal_the_table_path(m, cache):
+    """The moment recursion's numerators against the table's integrals, each
+    brought over D = lcm(1..2^m + 1): the same ranking, scores and deciles."""
+    moments = rank(Criterion.average(), m)
+    integrals = rank(Criterion.average(), m, cache.table(m))
+    assert moments.order == integrals.order
+    assert moments.scores == integrals.scores == tuple(cache.avrs(m))
+    assert moments.denominator == integrals.denominator == lcm(*range(1, (1 << m) + 2))
+    assert avr_distribution(m) == avr_distribution(m, cache.table(m))
+
+
 class TestAvrOfPairs:
     def test_three_decimal_pairs(self, cache):
         table = cache.table(5)
@@ -205,7 +218,8 @@ class TestBeta:
 
     def test_average_and_pointwise_scores(self, cache):
         ranking = rank(Criterion.average(), 5, cache.table(5))
-        assert ranking.denominator == 1
+        assert ranking.denominator == lcm(*range(1, 34))
+        assert all(type(x) is int for x in ranking.keys)
         assert [ranking.score(u) for u in range(32)] == list(ranking.scores) == cache.avrs(5)
         ranking = rank(Criterion.pointwise_at(Fraction(1, 3)), 5, cache.table(5))
         assert list(ranking.scores) == [cache.table(5)[u](Fraction(1, 3)) for u in range(32)]

@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from becpolar.monomials import MAX_M, Monomial
 from becpolar.polynomials import IntPoly, integrate01, to_path_counts
@@ -12,6 +14,9 @@ from becpolar.synthesis import (
     SYNTH_CAP,
     ChannelTable,
     _bisect_half,
+    _half_enclosure,
+    _threshold_floor,
+    average_numerators,
     channel_averages,
     channel_threshold,
     dual_poly,
@@ -189,6 +194,13 @@ class TestChannelAverages:
     def test_equal_the_integrals_of_the_table(self, m, cache):
         assert channel_averages(m) == tuple(integrate01(p) for p in cache.table(m).polys)
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_numerators_are_the_integrals_times_d(self, m, cache):
+        nums, d = average_numerators(m)
+        assert d == lcm(*range(1, (1 << m) + 2))
+        assert all(type(x) is int for x in nums)
+        assert nums == tuple(d * integrate01(p) for p in cache.table(m).polys)
+
     def test_closed_forms_at_m10(self, averages_m10):
         """Beyond the tables tier-1 builds: i leading 1-bits and i leading 0-bits."""
         mask = (1 << 10) - 1
@@ -306,9 +318,33 @@ class TestThreshold:
             threshold_estimate(IntPoly([0, 2, -1]), Fraction(0))
 
 
+def _excess(inner_first: list[int], x: int, j: int) -> int:
+    """An integer with the sign of Z(x / 2^j) - 1/2, Z taking one step per
+    bit, the first bit innermost.  With z = N / 2^E from N = x and E = j, a
+    0-bit maps N to N^2 and a 1-bit (2z - z^2) maps N to 2^(E+1) N - N^2,
+    and E doubles at every step."""
+    n, e = x, j
+    for bit in inner_first:
+        sq = n * n
+        n = (n << (e + 1)) - sq if bit else sq
+        e *= 2
+    return 2 * n - (1 << e)
+
+
+def _label_bisection(u: Monomial, tol) -> Fraction:
+    """Slow exact twin of `channel_threshold`: the dyadic bisection
+    `_bisect_half`, each step running the label's recursion on the point."""
+    inner_first = [(u.bits >> i) & 1 for i in range(u.m - 1, -1, -1)]
+    return _bisect_half(lambda x, j: _excess(inner_first, x, j), tol)
+
+
+LABEL_TOLS = [Fraction(1, 2**30), Fraction(1, 2**60), Fraction(1, 3 * 2**20), 1e-6, 0.75]
+
+
 class TestChannelThreshold:
-    """`channel_threshold` against its slow twin, `threshold_estimate` of the
-    channel polynomial: identical `Fraction`s."""
+    """`channel_threshold` against its slow twins: `threshold_estimate` of the
+    channel polynomial, and the bisection on the label's recursion
+    (`_label_bisection`).  Identical `Fraction`s."""
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_matches_polynomial_bisection(self, m, cache):
@@ -325,6 +361,28 @@ class TestChannelThreshold:
         for u, poly in enumerate(cache.table(8).polys):
             assert channel_threshold(Monomial(8, u), tol) == threshold_estimate(poly, tol), u
 
+    def test_every_label_m9_matches_label_bisection(self):
+        for u in range(1 << 9):
+            for tol in LABEL_TOLS:
+                assert channel_threshold(Monomial(9, u), tol) == _label_bisection(
+                    Monomial(9, u), tol), (u, tol)
+
+    @pytest.mark.parametrize("m, count", [(10, 12), (12, 6)])
+    def test_sampled_labels_match_label_bisection(self, m, count):
+        rng = random.Random(m)
+        mask = (1 << m) - 1
+        for u in [0, mask] + rng.sample(range(1, mask), count - 2):
+            for tol in LABEL_TOLS:
+                assert channel_threshold(Monomial(m, u), tol) == _label_bisection(
+                    Monomial(m, u), tol), (m, u, tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(u=st.integers(0, 63),
+           tol=st.one_of(st.fractions(min_value=Fraction(1, 2**80), max_value=2),
+                         st.floats(min_value=2.0**-70, max_value=4.0)))
+    def test_any_positive_tol_matches_label_bisection(self, u, tol):
+        assert channel_threshold(Monomial(6, u), tol) == _label_bisection(Monomial(6, u), tol)
+
     def test_m1(self):
         for tol in TWIN_TOLS:
             assert channel_threshold(Monomial(1, 0), tol) == _fraction_threshold(P * P, tol)
@@ -334,10 +392,34 @@ class TestChannelThreshold:
 
     def test_exact_midpoint_hit(self):
         # No channel reaches 1/2 at a dyadic point (its last step would need a
-        # rational square root of 1/2), so the hit is shown on the shared
-        # bisection: both callers return the midpoint as soon as it is exact.
+        # rational square root of 1/2), so `channel_threshold` always returns
+        # the midpoint of the last bracket.  The hit is shown on the bisection
+        # of its twins: both return the midpoint as soon as it is exact.
         assert _bisect_half(lambda x, j: 8 * x - 3 * (1 << j), Fraction(1, 2**30)) == Fraction(3, 8)
         assert threshold_estimate(IntPoly([0, 0, 8])) == Fraction(1, 4)
+
+    @pytest.mark.parametrize("m, u", [(1, 0), (1, 1), (5, 22), (9, 0), (9, 511), (9, 300)])
+    def test_enclosure_holds_at_every_width(self, m, u):
+        """lo / 2^w <= t <= hi / 2^w, checked by the forward recursion on the
+        integers: Z(lo / 2^w) <= 1/2 <= Z(hi / 2^w), as Z increases."""
+        bits = [(u >> i) & 1 for i in range(m)]  # outermost first
+        for w in (1, 2, 3, 5, 8, 13, 40, 100):
+            lo, hi = _half_enclosure(bits, w)
+            assert 0 <= lo <= hi <= 1 << w
+            assert _excess(bits[::-1], lo, w) <= 0 <= _excess(bits[::-1], hi, w), w
+
+    def test_precision_doubling(self):
+        """No label of m <= 12 needs a second pass from the starting width,
+        so the doubling is shown from a width too small to decide: it
+        reaches the same floor as the default start."""
+        u = Monomial(9, 300)
+        bits = [(u.bits >> i) & 1 for i in range(9)]
+        j = 30
+        lo, hi = _half_enclosure(bits, j + 1)
+        assert lo >> 1 != hi >> 1  # undecided at w = j + 1
+        floor = _threshold_floor(bits, j, j + 1)
+        assert floor == _threshold_floor(bits, j, j + 2 * 9 + 8)
+        assert Fraction(2 * floor + 1, 1 << (j + 1)) == channel_threshold(u, Fraction(1, 2**31))
 
     def test_rejects_non_positive_tol(self):
         for tol in (Fraction(0), -1, 0.0):
