@@ -170,6 +170,9 @@ class TestDistribution:
     def test_m10_first_five_without_a_table(self):
         assert tuple(avr_distribution(10)[:5]) == golden.DISTRIBUTION_FIRST5[10]
 
+    def test_m11_first_five_without_a_table(self):
+        assert tuple(avr_distribution(11, force=True)[:5]) == golden.DISTRIBUTION_FIRST5[11]
+
     @pytest.mark.parametrize("m", range(1, 8))
     def test_buckets_sum_and_mirror(self, m, cache):
         counts = avr_distribution(m, cache.table(m))

@@ -1,8 +1,10 @@
 """Channel synthesis: nesting order, suffix-shared tables, duality, thresholds."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,9 +186,31 @@ class TestSynthLabels:
             synth_labels(2, labels)
 
 
-@pytest.fixture(scope="module")
-def averages_m10():
-    return channel_averages(10)
+def _average_numerators_by_rows(m: int) -> tuple[tuple[int, ...], int]:
+    """Slow exact twin of `average_numerators`: the moments D * integral Z^k
+    of every suffix node, with a 0-bit child taking M[2k] and a 1-bit child
+    (whose k-th power is Z^k (2 - Z)^k) the sum over i of the coefficients
+    of (2 - x)^k times M[k + i], about n^2 / 4 big-integer products."""
+    n = 1 << m
+    d = lcm(*range(1, n + 2))
+    level = [[d // (k + 1) for k in range(n + 1)]]
+    for depth in range(1, m + 1):
+        ones: list[list[int]] = [[] for _ in level]
+        row = [1]  # coefficients of (2 - x)^k
+        for k in range((n >> depth) + 1):
+            for moments, out in zip(level, ones):
+                out.append(sum(map(mul, row, moments[k:2 * k + 1])))
+            row = [2 * a - b for a, b in zip(row + [0], [0] + row)]
+        level = [child for moments, one in zip(level, ones)
+                 for child in (moments[::2], one)]
+    return tuple(moments[1] for moments in level), d
+
+
+@pytest.fixture(scope="module", params=[10, 11])
+def averages_beyond_tables(request):
+    """Averages at an m whose table tier-1 does not build."""
+    m = request.param
+    return m, channel_averages(m, force=True)
 
 
 class TestChannelAverages:
@@ -201,18 +225,35 @@ class TestChannelAverages:
         assert all(type(x) is int for x in nums)
         assert nums == tuple(d * integrate01(p) for p in cache.table(m).polys)
 
-    def test_closed_forms_at_m10(self, averages_m10):
-        """Beyond the tables tier-1 builds: i leading 1-bits and i leading 0-bits."""
-        mask = (1 << 10) - 1
-        for i in range(11):
-            u = (1 << i) - 1
-            assert averages_m10[u] == avr_closed_form(10, i)
-            assert averages_m10[mask ^ u] == avr_closed_form_complement(10, i)
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_equal_the_row_recursion(self, m):
+        assert average_numerators(m) == _average_numerators_by_rows(m)
 
-    def test_complements_sum_to_one_and_averages_differ_at_m10(self, averages_m10):
-        mask = (1 << 10) - 1
-        assert all(a + averages_m10[mask ^ u] == 1 for u, a in enumerate(averages_m10))
-        assert len(set(averages_m10)) == 1 << 10
+    def test_keeps_one_difference_row_alive(self):
+        """About 0.7-0.8 MB at m = 10; every row of the difference tables kept
+        would be about n^2 / 2 integers, some 100 MB."""
+        tracemalloc.start()
+        try:
+            average_numerators(10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+    def test_closed_forms_without_a_table(self, averages_beyond_tables):
+        """i leading 1-bits and i leading 0-bits."""
+        m, averages = averages_beyond_tables
+        mask = (1 << m) - 1
+        for i in range(m + 1):
+            u = (1 << i) - 1
+            assert averages[u] == avr_closed_form(m, i)
+            assert averages[mask ^ u] == avr_closed_form_complement(m, i)
+
+    def test_complements_sum_to_one_and_averages_differ(self, averages_beyond_tables):
+        m, averages = averages_beyond_tables
+        mask = (1 << m) - 1
+        assert all(a + averages[mask ^ u] == 1 for u, a in enumerate(averages))
+        assert len(set(averages)) == 1 << m
 
 
 class TestDuality:
