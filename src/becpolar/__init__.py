@@ -5,17 +5,14 @@ integer-coefficient polynomials computed exactly, compared exactly under four
 order relations, and ranked by exact average reliability or beta expansion.
 """
 
-from .monomials import MAX_M, Monomial, all_monomials, evaluate, gcd_quot, rm_set
+from .monomials import MAX_M, Monomial, all_monomials
 from .polynomials import (
     IntPoly,
     PathCounts,
     SignVerdict,
     eval_rational,
-    from_path_counts,
     integrate01,
     nonneg_on_01,
-    parallel_step,
-    square_step,
     to_path_counts,
 )
 from .synthesis import (
@@ -23,7 +20,6 @@ from .synthesis import (
     average_numerators,
     channel_averages,
     channel_threshold,
-    dual_poly,
     synth_all,
     synth_labels,
     synth_poly,
@@ -46,7 +42,6 @@ from .orders import (
 )
 from .reliability import (
     CompositionGraph,
-    CompositionParams,
     avr_closed_form,
     avr_closed_form_complement,
     build_graph,
@@ -61,8 +56,6 @@ from .construction import (
     avr_of_pairs,
     beta_avr_conflicts,
     beta_incompatible_count,
-    beta_scores,
-    construct,
     incomparable_pairs,
     rank,
 )

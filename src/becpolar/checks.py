@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import comb
+from operator import sub
 from typing import Callable, Iterator
 
 from . import construction, golden, monomials, orders, polynomials, reliability, synthesis
@@ -57,14 +58,6 @@ def _check(name: str, applies: Callable[[int], bool] = lambda m: True,
         REGISTRY.append(Check(name, body, applies, examines))
         return body
     return register
-
-
-def named(name: str) -> Check:
-    """The registered check called `name`."""
-    for check in REGISTRY:
-        if check.name == name:
-            return check
-    raise KeyError(name)
 
 
 def _leqs():
@@ -180,9 +173,14 @@ def _erasure_conservation(m, table):
 
 @_check("identities/duality")
 def _duality(m, table):
-    mask = (1 << m) - 1
-    for u in range(1 << m):
-        if u < u ^ mask and synthesis.dual_poly(table[u]) != table[u ^ mask]:
+    """Z_ubar(p) = 1 - Z_u(1 - p), read in the path-count basis, where it is
+    a reversal: N(ubar)_i = C(n, i) - N(u)_(n-i)."""
+    n = 1 << m
+    binomials = [comb(n, i) for i in range(n + 1)]
+    for u in range(n):
+        ubar = u ^ (n - 1)
+        if u < ubar and table.path_counts(ubar) != tuple(
+                map(sub, binomials, reversed(table.path_counts(u)))):
             yield f"u={u}"
 
 
@@ -213,11 +211,11 @@ def _threshold_symmetry(m, table):
     tol = Fraction(1, 2**20)
     for i_ones in range(1, m):
         u = (1 << i_ones) - 1
-        t1 = synthesis.threshold_estimate(table[u], tol)
-        t2 = synthesis.threshold_estimate(synthesis.dual_poly(table[u]), tol)
+        f = Monomial(m, u)
+        t1 = synthesis.threshold_estimate(table[f], tol)
+        t2 = synthesis.threshold_estimate(table[f.complement()], tol)
         if abs(t1 + t2 - 1) > 2 * tol:
             yield f"u={u}: {float(t1)} + {float(t2)} != 1"
-        f = Monomial(m, u)
         from_label = (synthesis.channel_threshold(f, tol),
                       synthesis.channel_threshold(f.complement(), tol))
         if from_label != (t1, t2):
@@ -299,6 +297,15 @@ def _avr_ordering_prefix(m, table):
         yield f"got {got}"
 
 
+@_check("tables/first-order-rm", applies=lambda m: m == 5)
+def _first_order_rm(m, table):
+    """The best m + 1 channels by average are the labels of degree <= 1, the
+    monomials of the first-order Reed-Muller code RM(1, m)."""
+    best = construction.rank(construction.Criterion.average(), m, table).order[:m + 1]
+    if set(best) != {u for u in range(1 << m) if u.bit_count() <= 1}:
+        yield f"best {m + 1} by average: {sorted(best)}"
+
+
 @_check("tables/pair-avr-decimals", applies=lambda m: m == 5)
 def _pair_avr_decimals(m, table):
     """Cited pair decimals agree with the exact averages to one unit in the
@@ -334,6 +341,13 @@ def _beta_incompatible(m, table):
     got = construction.beta_incompatible_count(m, Decimal("1.22"), table)
     if got != golden.BETA_INCOMPATIBLE_AT_122[m]:
         yield f"got {got}, want {golden.BETA_INCOMPATIBLE_AT_122[m]}"
+
+
+@_check("tables/beta-discordant-pairs", applies=lambda m: m in golden.BETA_DISCORDANT_AT_122)
+def _beta_discordant_pairs(m, table):
+    got = len(construction.beta_avr_conflicts(m, Decimal("1.22"), table))
+    if got != golden.BETA_DISCORDANT_AT_122[m]:
+        yield f"got {got}, want {golden.BETA_DISCORDANT_AT_122[m]}"
 
 
 @_check("tables/beta-zero-range", applies=lambda m: m in golden.BETA_ZERO_POINTS)

@@ -221,9 +221,8 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 def cmd_avrplot(args: argparse.Namespace) -> int:
     synthesis.check_m(args.m, args.force)
-    lines = ["u,avr"]
-    for u, avr in enumerate(synthesis.channel_averages(args.m, args.force)):
-        lines.append(f"{u},{_dec(avr)}")
+    nums, d = synthesis.average_numerators(args.m, args.force)
+    lines = ["u,avr"] + [f"{u},{construction.render_avr(x, 6, d)}" for u, x in enumerate(nums)]
     text = "\n".join(lines) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

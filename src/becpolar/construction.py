@@ -1,4 +1,4 @@
-"""Channel ranking and information-set construction.
+"""Channel ranking and the statistics derived from it.
 
 Three ranking criteria: exact pointwise erasure probability at a fixed
 rational p, exact average reliability over p in [0, 1], and the beta-expansion
@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm
 
 from . import orders
-from .monomials import Monomial, all_monomials
+from .monomials import all_monomials
 from .polynomials import eval_rational
 from .synthesis import ChannelTable, average_numerators, synth_all
 
@@ -83,11 +83,6 @@ class RankedChannels:
         """Exact score of channel u."""
         return Fraction(self.keys[u], self.denominator)
 
-    @cached_property
-    def scores(self) -> tuple[Fraction, ...]:
-        """Exact score per channel label."""
-        return tuple(map(self.score, range(len(self.keys))))
-
 
 def _beta_numerators(m: int, beta: Decimal) -> tuple[list[int], int]:
     """Beta-expansion scores sum_{i in support(u)} beta^i of every label
@@ -99,12 +94,6 @@ def _beta_numerators(m: int, beta: Decimal) -> tuple[list[int], int]:
         power = p ** i * q ** (m - 1 - i)
         nums += [s + power for s in nums]
     return nums, q ** max(m - 1, 0)
-
-
-def beta_scores(m: int, beta: Decimal) -> list[Fraction]:
-    """Exact beta-expansion score of every label u < 2^m."""
-    nums, den = _beta_numerators(m, beta)
-    return [Fraction(x, den) for x in nums]
 
 
 def _table_of(m: int, table: ChannelTable | None, force: bool = False) -> ChannelTable:
@@ -165,15 +154,6 @@ def rank(criterion: Criterion, m: int, table: ChannelTable | None = None,
     return RankedChannels(m, criterion, tuple(ordered), tuple(keys), den)
 
 
-def construct(criterion: Criterion, m: int, k: int,
-              table: ChannelTable | None = None) -> set[Monomial]:
-    """Information set: the k most reliable channels under the criterion."""
-    if not 0 <= k <= (1 << m):
-        raise ValueError(f"k={k} must be in 0..{1 << m}")
-    ranking = rank(criterion, m, table)
-    return {Monomial(m, u) for u in ranking.order[:k]}
-
-
 @lru_cache(maxsize=1)
 def pointwise_verdicts(table: ChannelTable) -> tuple[tuple[int, int, orders.Comparison], ...]:
     """(u, v, verdict) of `leq_pointwise` for every label pair of the table,
@@ -198,16 +178,19 @@ def incomparable_pairs(m: int, table: ChannelTable | None = None) -> list[tuple[
                   if verdict is orders.Comparison.INCOMPARABLE)
 
 
-def render_avr(value: Fraction, digits: int) -> Decimal:
-    """Exact rational rounded half-up to the given number of decimal places.
+def render_avr(value: Fraction | int, digits: int, denominator: int = 1) -> Decimal:
+    """Exact rational value / denominator rounded half-up to the given number
+    of decimal places.
 
-    Integer arithmetic throughout, and the `Decimal` is built from a string
-    rather than under a `decimal` context, so no value is rounded a second
-    time, however many digits it has.
+    One `divmod` of the numerator times 10^digits by the denominator, and the
+    `Decimal` is built from a string rather than under a `decimal` context,
+    so no value is rounded a second time, however many digits it has.  An
+    integer value with its denominator renders an average numerator over D
+    without a `Fraction`.
     """
-    scaled = value * 10**digits
-    q, r = divmod(scaled.numerator, scaled.denominator)
-    if 2 * r >= scaled.denominator:
+    den = value.denominator * denominator
+    q, r = divmod(value.numerator * 10**digits, den)
+    if 2 * r >= den:
         q += 1
     return Decimal(f"{q}E{-digits}")
 

@@ -94,6 +94,11 @@ DISTRIBUTION_FIRST5: dict[int, tuple[int, ...]] = {
 # discordant pairs, which `construction.beta_avr_conflicts` lists exactly.
 BETA_INCOMPATIBLE_AT_122: dict[int, int] = {6: 2, 7: 10, 8: 36, 9: 99}
 
+# Discordant pairs of the two rankings at beta = 1.22: label pairs that the
+# average and the beta score order strictly opposite ways
+# (`len(construction.beta_avr_conflicts(...))`).
+BETA_DISCORDANT_AT_122: dict[int, int] = {6: 4, 7: 30, 8: 134}
+
 # beta values at which the beta ranking coincides with the average ranking
 # (count 0): spot-check points inside the published ranges.
 BETA_ZERO_POINTS: dict[int, tuple[str, ...]] = {

@@ -1,4 +1,4 @@
-"""Bitmask monomials over x_0..x_{m-1} and the monomial-code evaluation map.
+"""Bitmask monomials over x_0..x_{m-1}.
 
 A monomial x^u in m variables is stored as the integer u whose bit i is the
 exponent of x_i (the ring is idempotent, so exponents are 0/1).  Bit 0 is the
@@ -10,8 +10,6 @@ label throughout the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 
 MAX_M = 16
 
@@ -28,14 +26,6 @@ class Monomial:
             raise ValueError(f"m must be in 1..{MAX_M}, got {self.m}")
         if not 0 <= self.bits < (1 << self.m):
             raise ValueError(f"bits {self.bits} out of range for m={self.m}")
-
-    @classmethod
-    def from_int(cls, u: int, m: int) -> "Monomial":
-        """Monomial whose exponent vector is the binary expansion of u."""
-        return cls(m, u)
-
-    def to_int(self) -> int:
-        return self.bits
 
     @property
     def degree(self) -> int:
@@ -67,39 +57,6 @@ class Monomial:
 def _check_same_m(f: Monomial, g: Monomial) -> None:
     if f.m != g.m:
         raise ValueError(f"variable counts differ: {f.m} != {g.m}")
-
-
-def gcd_quot(f: Monomial, g: Monomial) -> tuple[Monomial, Monomial, Monomial]:
-    """Greatest common divisor of two monomials and both cofactors."""
-    _check_same_m(f, g)
-    d = f.bits & g.bits
-    return Monomial(f.m, d), Monomial(f.m, f.bits & ~d), Monomial(g.m, g.bits & ~d)
-
-
-def rm_set(r: int, m: int) -> set[Monomial]:
-    """All monomials of degree <= r: the generating set of the order-r Reed-Muller code."""
-    if r < 0 or r > m:
-        raise ValueError(f"order r={r} must be in 0..m={m}")
-    out: set[Monomial] = set()
-    for d in range(r + 1):
-        for sup in combinations(range(m), d):
-            bits = 0
-            for i in sup:
-                bits |= 1 << i
-            out.add(Monomial(m, bits))
-    assert len(out) == sum(comb(m, i) for i in range(r + 1))
-    return out
-
-
-def evaluate(g: Monomial) -> tuple[int, ...]:
-    """Evaluate g at every point of F_2^m, points ordered by decreasing integer value.
-
-    Entry j is g(u) for u = 2^m - 1 - j, i.e. the product of the coordinates
-    of u over the support of g.  The resulting 0/1 vector is one row of the
-    monomial-code generator matrix; its weight is 2^(m - deg g).
-    """
-    n = 1 << g.m
-    return tuple(1 if (u & g.bits) == g.bits else 0 for u in range(n - 1, -1, -1))
 
 
 def all_monomials(m: int) -> list[Monomial]:

@@ -124,19 +124,8 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)})"
 
 
-ZERO = IntPoly()
 ONE = IntPoly([1])
 P = IntPoly([0, 1])
-
-
-def square_step(z: IntPoly) -> IntPoly:
-    """Erasure polynomial of two copies in series: z -> z^2."""
-    return z.square()
-
-
-def parallel_step(z: IntPoly) -> IntPoly:
-    """Erasure polynomial of two copies in parallel: z -> 1 - (1-z)^2 = 2z - z^2."""
-    return z.scale(2) - z.square()
 
 
 def horner_numerator(coeffs: Sequence[int], num: int, den: int) -> int:
@@ -222,18 +211,6 @@ def to_path_counts(a: IntPoly, n: int) -> PathCounts:
         for i in range(n + 1)
     )
     return PathCounts(n, counts)
-
-
-def from_path_counts(pc: PathCounts) -> IntPoly:
-    """Expand sum_i N_i p^i (1-p)^(n-i) back to the power basis."""
-    n = pc.n
-    out = [0] * (n + 1)
-    for i, ni in enumerate(pc.counts):
-        if ni:
-            # p^i (1-p)^(n-i) = sum_j C(n-i, j) (-1)^j p^(i+j)
-            for j in range(n - i + 1):
-                out[i + j] += ni * comb(n - i, j) * (-1 if j & 1 else 1)
-    return IntPoly(out)
 
 
 class SignVerdict(enum.Enum):

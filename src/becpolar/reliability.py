@@ -23,22 +23,6 @@ ORACLE_EDGE_CAP = 16
 
 
 @dataclass(frozen=True)
-class CompositionParams:
-    """Size, width, and length of the composition labelled by u."""
-
-    m: int
-    u: Monomial
-    n: int  # number of devices, 2^m
-    w: int  # minimal cut size, 2^|u|
-    l: int  # minimal path length, 2^(m-|u|)
-
-    @classmethod
-    def of(cls, u: Monomial) -> "CompositionParams":
-        d = u.degree
-        return cls(u.m, u, 1 << u.m, 1 << d, 1 << (u.m - d))
-
-
-@dataclass(frozen=True)
 class CompositionGraph:
     """Multigraph of identical devices with terminals S = node 0, T = node 1."""
 

@@ -191,20 +191,6 @@ def average_numerators(m: int, force: bool = False) -> tuple[tuple[int, ...], in
     return tuple(d - v[1] if u & 1 else v[1] for u, v in enumerate(level)), d
 
 
-def dual_poly(a: IntPoly) -> IntPoly:
-    """Complemented-label identity: returns 1 - a(1-p).
-
-    Applying it twice is the identity, and for any channel polynomial
-    dual_poly(Z_u) = Z_{complement(u)}.
-    """
-    # Horner in the polynomial ring with q = 1 - p.
-    q = IntPoly([1, -1])
-    acc = IntPoly()
-    for c in reversed(a.coeffs):
-        acc = acc * q + IntPoly([c])
-    return IntPoly([1]) - acc
-
-
 def _bisect_half(excess: Callable[[int, int], int], tol) -> Fraction:
     """Dyadic bisection for the point where an increasing f on [0, 1]
     crosses 1/2, to within +/- tol.

@@ -10,6 +10,14 @@ import pytest
 from becpolar import checks, synthesis
 
 
+def named(name: str) -> checks.Check:
+    """The registered check called `name`."""
+    for check in checks.REGISTRY:
+        if check.name == name:
+            return check
+    raise KeyError(name)
+
+
 class ChannelCache:
     def __init__(self) -> None:
         self._tables: dict[int, synthesis.ChannelTable] = {}
@@ -22,7 +30,7 @@ class ChannelCache:
 
     def check(self, name: str, m: int) -> str | None:
         """Failure detail of the registered check `name` at m, None if it passes."""
-        return checks.named(name).run(m, self.table(m))
+        return named(name).run(m, self.table(m))
 
     def avrs(self, m: int) -> list[Fraction]:
         if m not in self._avrs:

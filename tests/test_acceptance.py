@@ -55,6 +55,7 @@ def test_criterion_03_incomparable_pairs(cache):
 def test_criterion_04_average_ordering_prefixes(cache):
     with _Timer("criterion-4 average-reliability ordering prefixes m=5, m=6", 10.0):
         _passes(cache, "tables/avr-ordering-prefix", 5, 6)
+        _passes(cache, "tables/first-order-rm", 5)
 
 
 def test_criterion_05_closed_form_equals_integration(cache):
@@ -92,6 +93,7 @@ def test_criterion_10_distribution_rows(cache):
 def test_criterion_11_beta_incompatible_counts(cache):
     with _Timer("criterion-11 beta-vs-average disagreement counts", 300.0):
         _passes(cache, "tables/beta-incompatible", *range(6, 10))
+        _passes(cache, "tables/beta-discordant-pairs", 6, 7, 8)
         _passes(cache, "tables/beta-zero-range", 5)
 
 

@@ -151,7 +151,7 @@ class TestRank:
         ranking = construction.rank(criterion, m, table)
         records = []
         for u in ranking.order:
-            score = ranking.scores[u]
+            score = ranking.score(u)
             threshold = synthesis.threshold_estimate(table[u], Fraction(1, 2**30))
             records.append({
                 "u": u,
@@ -362,8 +362,8 @@ class TestVerify:
             (reliability, "ni_inclusion_exclusion"), (reliability, "gen_binomial"),
             (reliability, "avr_closed_form"),
             (synthesis, "synth_poly"), (synthesis, "synth_all"), (synthesis, "synth_labels"),
-            (synthesis, "dual_poly"), (synthesis, "threshold_estimate"),
-            (synthesis, "channel_threshold"), (synthesis, "channel_averages"),
+            (synthesis, "threshold_estimate"), (synthesis, "channel_threshold"),
+            (synthesis, "channel_averages"), (synthesis, "average_numerators"),
         ]
         for module, name in tracked:
             monkeypatch.setattr(module, name, counted(module, name))

@@ -1,4 +1,4 @@
-"""Ranking criteria, information sets, incomparable pairs, histograms, beta."""
+"""Ranking criteria, incomparable pairs, histograms, beta."""
 
 from decimal import Decimal
 from fractions import Fraction
@@ -13,14 +13,13 @@ from becpolar.construction import (
     avr_of_pairs,
     beta_avr_conflicts,
     beta_incompatible_count,
-    beta_scores,
-    construct,
     incomparable_pairs,
     rank,
     render_avr,
 )
-from becpolar.monomials import Monomial, rm_set
+from becpolar.monomials import Monomial
 from becpolar.orders import leq_std
+from becpolar.polynomials import eval_rational
 
 
 class TestRank:
@@ -38,8 +37,8 @@ class TestRank:
 
     def test_pointwise_scores_exact(self, cache):
         ranking = rank(Criterion.pointwise_at(Fraction(1, 2)), 2, cache.table(2))
-        assert list(ranking.scores) == [Fraction(1, 16), Fraction(7, 16),
-                                        Fraction(9, 16), Fraction(15, 16)]
+        assert [ranking.score(u) for u in range(4)] == [Fraction(1, 16), Fraction(7, 16),
+                                                        Fraction(9, 16), Fraction(15, 16)]
 
     def test_pointwise_requires_interior_p(self):
         with pytest.raises(ValueError):
@@ -55,19 +54,13 @@ class TestRank:
 
 class TestConstruct:
     def test_pointwise_half_m2_k2(self, cache):
-        got = construct(Criterion.pointwise_at(Fraction(1, 2)), 2, 2, cache.table(2))
-        assert {f.to_int() for f in got} == {0, 1}
+        got = rank(Criterion.pointwise_at(Fraction(1, 2)), 2, cache.table(2)).order[:2]
+        assert set(got) == {0, 1}
 
     def test_average_m5_k6_is_first_order_rm(self, cache):
-        got = construct(Criterion.average(), 5, 6, cache.table(5))
-        assert got == rm_set(1, 5)
-
-    def test_k_zero(self, cache):
-        assert construct(Criterion.average(), 3, 0, cache.table(3)) == set()
-
-    def test_k_out_of_range(self, cache):
-        with pytest.raises(ValueError):
-            construct(Criterion.average(), 3, 9, cache.table(3))
+        got = rank(Criterion.average(), 5, cache.table(5)).order[:6]
+        assert set(got) == {0, 1, 2, 4, 8, 16}  # x^u of degree <= 1: RM(1, 5)
+        assert cache.check("tables/first-order-rm", 5) is None
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_average_sets_downward_closed(self, m, cache):
@@ -78,7 +71,7 @@ class TestConstruct:
         for f in monos:
             for g in monos:
                 if leq_std(g, f):
-                    assert pos[g.to_int()] <= pos[f.to_int()]
+                    assert pos[g.bits] <= pos[f.bits]
 
 
 class TestIncomparablePairs:
@@ -108,11 +101,10 @@ class TestIncomparablePairs:
 
 @pytest.mark.parametrize("call", [
     lambda table: rank(Criterion.pointwise_at(Fraction(1, 3)), 5, table),
-    lambda table: construct(Criterion.average(), 5, 3, table),
     lambda table: avr_distribution(5, table),
     lambda table: beta_avr_conflicts(5, Decimal("1.22"), table),
     lambda table: beta_incompatible_count(5, Decimal("1.22"), table),
-], ids=["rank", "construct", "avr_distribution", "beta_avr_conflicts",
+], ids=["rank", "avr_distribution", "beta_avr_conflicts",
         "beta_incompatible_count"])
 def test_rejects_a_table_of_another_m(call, cache):
     with pytest.raises(ValueError, match="table is for m=6, not m=5"):
@@ -137,7 +129,8 @@ def test_average_keys_without_a_table_equal_the_table_path(m, cache):
     moments = rank(Criterion.average(), m)
     integrals = rank(Criterion.average(), m, cache.table(m))
     assert moments.order == integrals.order
-    assert moments.scores == integrals.scores == tuple(cache.avrs(m))
+    scores = [(moments.score(u), integrals.score(u)) for u in range(1 << m)]
+    assert scores == [(a, a) for a in cache.avrs(m)]
     assert moments.denominator == integrals.denominator == lcm(*range(1, (1 << m) + 2))
     assert avr_distribution(m) == avr_distribution(m, cache.table(m))
 
@@ -189,7 +182,7 @@ class TestDistribution:
 
 class TestBeta:
     def test_beta_value_example(self):
-        assert beta_scores(3, Decimal("1.22"))[0b101] == Fraction("2.4884")
+        assert rank(Criterion.beta_expansion(Decimal("1.22")), 3).score(0b101) == Fraction("2.4884")
 
     def test_beta_value_rejects_small_beta(self):
         with pytest.raises(ValueError):
@@ -214,18 +207,20 @@ class TestBeta:
         ranking = rank(Criterion.beta_expansion(Decimal("1.22")), m)
         assert ranking.denominator == 50 ** (m - 1)
         assert all(isinstance(x, int) for x in ranking.keys)
-        want = beta_scores(m, Decimal("1.22"))
+        want = [sum((Fraction("1.22") ** i for i in range(m) if u >> i & 1), Fraction(0))
+                for u in range(1 << m)]
         got = [ranking.score(u) for u in range(1 << m)]
-        assert got == want == list(ranking.scores)
+        assert got == want
         assert all(type(x) is Fraction for x in got)
 
     def test_average_and_pointwise_scores(self, cache):
         ranking = rank(Criterion.average(), 5, cache.table(5))
         assert ranking.denominator == lcm(*range(1, 34))
         assert all(type(x) is int for x in ranking.keys)
-        assert [ranking.score(u) for u in range(32)] == list(ranking.scores) == cache.avrs(5)
+        assert [ranking.score(u) for u in range(32)] == cache.avrs(5)
         ranking = rank(Criterion.pointwise_at(Fraction(1, 3)), 5, cache.table(5))
-        assert list(ranking.scores) == [cache.table(5)[u](Fraction(1, 3)) for u in range(32)]
+        assert [ranking.score(u) for u in range(32)] == [
+            eval_rational(cache.table(5)[u], Fraction(1, 3)) for u in range(32)]
 
     def test_conflicts_empty_when_rankings_match(self, cache):
         assert beta_avr_conflicts(5, Decimal("1.22"), cache.table(5)) == []
@@ -256,11 +251,11 @@ class TestBeta:
     @pytest.mark.parametrize("b", ["1.1", "1.22", "1.5", "2"])
     def test_beta_respects_standard_order(self, m, b):
         monos = [Monomial(m, u) for u in range(1 << m)]
-        vals = beta_scores(m, Decimal(b))
+        vals = rank(Criterion.beta_expansion(Decimal(b)), m).keys
         for f in monos:
             for g in monos:
                 if leq_std(f, g):
-                    assert vals[f.to_int()] <= vals[g.to_int()]
+                    assert vals[f.bits] <= vals[g.bits]
 
 
 class TestAvrInjective:

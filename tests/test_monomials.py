@@ -1,25 +1,25 @@
-"""Monomial bitmask representation and the evaluation map."""
+"""Monomial bitmask representation: support, complement, divisibility, product."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from becpolar.monomials import Monomial, all_monomials, evaluate, gcd_quot, rm_set
+from becpolar.monomials import Monomial, all_monomials
 
 
 class TestFromInt:
     def test_bit_decomposition(self):
-        f = Monomial.from_int(3, 5)
+        f = Monomial(5, 3)
         assert f.support() == [0, 1]
         assert f.degree == 2
         assert str(f) == "x0*x1"
 
     def test_single_high_variable(self):
-        f = Monomial.from_int(16, 5)
+        f = Monomial(5, 16)
         assert f.support() == [4]
         assert f.degree == 1
 
     def test_constant(self):
-        f = Monomial.from_int(0, 4)
+        f = Monomial(4, 0)
         assert f.support() == []
         assert f.degree == 0
         assert str(f) == "1"
@@ -27,70 +27,43 @@ class TestFromInt:
     @pytest.mark.parametrize("u,m", [(32, 5), (1, 0), (0, 17), (-1, 4)])
     def test_rejects_bad_arguments(self, u, m):
         with pytest.raises(ValueError):
-            Monomial.from_int(u, m)
+            Monomial(m, u)
 
     def test_round_trip_exhaustive(self):
         for m in range(1, 9):
             for u in range(1 << m):
-                assert Monomial.from_int(u, m).to_int() == u
+                assert Monomial(m, u).bits == u
 
 
 class TestSupportComplement:
     def test_support_examples(self):
-        assert Monomial.from_int(0b1001, 4).support() == [0, 3]
-        assert Monomial.from_int(0b0110, 4).support() == [1, 2]
+        assert Monomial(4, 0b1001).support() == [0, 3]
+        assert Monomial(4, 0b0110).support() == [1, 2]
 
     def test_complement_examples(self):
-        assert Monomial.from_int(3, 5).complement().to_int() == 28
-        assert Monomial.from_int(0, 4).complement().to_int() == 15
-        assert Monomial.from_int(16, 5).complement().to_int() == 15
+        assert Monomial(5, 3).complement().bits == 28
+        assert Monomial(4, 0).complement().bits == 15
+        assert Monomial(5, 16).complement().bits == 15
 
     @given(st.integers(1, 10), st.data())
     def test_complement_involution(self, m, data):
         u = data.draw(st.integers(0, (1 << m) - 1))
-        f = Monomial.from_int(u, m)
+        f = Monomial(m, u)
         assert f.complement().complement() == f
-        assert u + f.complement().to_int() == (1 << m) - 1
+        assert u + f.complement().bits == (1 << m) - 1
 
 
 class TestDividesGcd:
     def test_divides(self):
         m = 3
-        assert Monomial.from_int(0b001, m).divides(Monomial.from_int(0b101, m))
-        assert not Monomial.from_int(0b010, m).divides(Monomial.from_int(0b101, m))
+        assert Monomial(m, 0b001).divides(Monomial(m, 0b101))
+        assert not Monomial(m, 0b010).divides(Monomial(m, 0b101))
         # x0*x2 does not divide x1*x2
-        assert not Monomial.from_int(0b101, m).divides(Monomial.from_int(0b110, m))
+        assert not Monomial(m, 0b101).divides(Monomial(m, 0b110))
 
     def test_divides_rejects_mixed_m(self):
         with pytest.raises(ValueError):
-            Monomial.from_int(1, 3).divides(Monomial.from_int(1, 4))
-
-    def test_gcd_quot_disjoint(self):
-        f, g = Monomial.from_int(0b1001, 4), Monomial.from_int(0b0110, 4)
-        d, qf, qg = gcd_quot(f, g)
-        assert (d.to_int(), qf, qg) == (0, f, g)
-
-    def test_gcd_quot_overlap(self):
-        f, g = Monomial.from_int(0b011, 3), Monomial.from_int(0b110, 3)
-        d, qf, qg = gcd_quot(f, g)
-        assert d.support() == [1]
-        assert qf.support() == [0]
-        assert qg.support() == [2]
-
-    def test_gcd_quot_identity(self):
-        f = Monomial.from_int(0b1010, 4)
-        d, qf, qg = gcd_quot(f, f)
-        assert d == f
-        assert qf.to_int() == 0 and qg.to_int() == 0
-
-    @given(st.integers(1, 10), st.data())
-    def test_gcd_recombination(self, m, data):
-        f = Monomial.from_int(data.draw(st.integers(0, (1 << m) - 1)), m)
-        g = Monomial.from_int(data.draw(st.integers(0, (1 << m) - 1)), m)
-        d, qf, qg = gcd_quot(f, g)
-        assert d * qf == f
-        assert d * qg == g
-        assert d.bits & qf.bits == 0 and d.bits & qg.bits == 0
+            Monomial(3, 1).divides(Monomial(4, 1))
 
 
 class TestProduct:
@@ -100,63 +73,5 @@ class TestProduct:
                 for g in all_monomials(m):
                     prod = f * g
                     assert prod.degree <= f.degree + g.degree
-                    disjoint = gcd_quot(f, g)[0].to_int() == 0
+                    disjoint = f.bits & g.bits == 0
                     assert (prod.degree == f.degree + g.degree) == disjoint
-
-
-class TestRmSet:
-    def test_first_order_m5(self):
-        assert {f.to_int() for f in rm_set(1, 5)} == {0, 1, 2, 4, 8, 16}
-
-    def test_zeroth_order(self):
-        assert {f.to_int() for f in rm_set(0, 3)} == {0}
-
-    def test_second_order_m5_size(self):
-        assert len(rm_set(2, 5)) == 16  # 1 + 5 + 10
-
-    def test_rejects_r_above_m(self):
-        with pytest.raises(ValueError):
-            rm_set(4, 3)
-
-
-def _gf2_rank(rows: list[int]) -> int:
-    rank = 0
-    basis: list[int] = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
-
-
-class TestEvaluate:
-    def test_constant_all_ones(self):
-        assert evaluate(Monomial.from_int(0, 2)) == (1, 1, 1, 1)
-
-    def test_full_degree_weight_one(self):
-        vec = evaluate(Monomial.from_int(3, 2))
-        assert sum(vec) == 1
-        assert vec[0] == 1  # point (1,1) comes first under decreasing order
-
-    def test_weight(self):
-        for m in range(1, 7):
-            for g in all_monomials(m):
-                assert sum(evaluate(g)) == 1 << (m - g.degree)
-
-    def test_full_evaluation_matrix_invertible(self):
-        for m in range(1, 7):
-            rows = [int("".join(map(str, evaluate(g))), 2) for g in all_monomials(m)]
-            assert _gf2_rank(rows) == 1 << m
-
-    def test_subset_rank_equals_size(self):
-        # dimension of the code spanned by any monomial subset = subset size
-        import itertools
-        m = 4
-        monos = all_monomials(m)
-        vecs = {g.to_int(): int("".join(map(str, evaluate(g))), 2) for g in monos}
-        for size in (3, 7):
-            for sub in itertools.islice(itertools.combinations(range(1 << m), size), 25):
-                assert _gf2_rank([vecs[u] for u in sub]) == size

@@ -24,7 +24,7 @@ from becpolar.polynomials import SignVerdict, nonneg_on_01
 
 
 def M(u, m):
-    return Monomial.from_int(u, m)
+    return Monomial(m, u)
 
 
 class TestWeak:

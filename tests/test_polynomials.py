@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -14,16 +15,18 @@ from becpolar.polynomials import (
     SignVerdict,
     _nonroot_point,
     eval_rational,
-    from_path_counts,
     horner_numerator,
     integrate01,
     nonneg_on_01,
-    parallel_step,
-    square_step,
     to_path_counts,
 )
 
 P = IntPoly([0, 1])
+
+
+def _parallel(z: IntPoly) -> IntPoly:
+    """The parallel step as the recursion writes it: z -> 2z - z^2."""
+    return z.scale(2) - z.square()
 
 small_polys = st.lists(st.integers(-50, 50), max_size=12).map(IntPoly)
 
@@ -97,20 +100,20 @@ class TestKroneckerSquare:
 
 class TestTransformSteps:
     def test_square_step_on_p(self):
-        assert square_step(P) == IntPoly([0, 0, 1])
+        assert P.square() == IntPoly([0, 0, 1])
 
     def test_square_step_composed(self):
-        assert square_step(IntPoly([0, 2, -1])) == IntPoly([0, 0, 4, -4, 1])
+        assert IntPoly([0, 2, -1]).square() == IntPoly([0, 0, 4, -4, 1])
 
     def test_square_step_fixed_point_one(self):
-        assert square_step(IntPoly([1])) == IntPoly([1])
+        assert IntPoly([1]).square() == IntPoly([1])
 
     def test_parallel_step_on_p(self):
-        assert parallel_step(P) == IntPoly([0, 2, -1])
+        assert _parallel(P) == IntPoly([0, 2, -1])
 
     def test_parallel_step_fixed_points(self):
-        assert parallel_step(IntPoly()) == IntPoly()
-        assert parallel_step(IntPoly([1])) == IntPoly([1])
+        assert _parallel(IntPoly()) == IntPoly()
+        assert _parallel(IntPoly([1])) == IntPoly([1])
 
 
 class TestEvalIntegrate:
@@ -122,7 +125,7 @@ class TestEvalIntegrate:
 
     def test_eval_two_step_channel_at_half(self):
         # series innermost, then parallel: 2p^2 - p^4 at 1/2 -> 7/16
-        z = parallel_step(square_step(P))
+        z = _parallel(P.square())
         assert z == IntPoly([0, 0, 2, 0, -1])
         assert eval_rational(z, Fraction(1, 2)) == Fraction(7, 16)
 
@@ -239,8 +242,19 @@ LEMMA2_U9 = (0, 0, 0, 0, 32, 320, 1456, 3984, 7042, 8400, 7000, 4176, 1804,
 def _synth(bits: int, m: int) -> IntPoly:
     z = P
     for i in range(m - 1, -1, -1):
-        z = parallel_step(z) if (bits >> i) & 1 else square_step(z)
+        z = _parallel(z) if (bits >> i) & 1 else z.square()
     return z
+
+
+def _from_path_counts(pc: PathCounts) -> IntPoly:
+    """Round-trip twin of `to_path_counts`: expand sum_i N_i p^i (1-p)^(n-i)
+    back to the power basis, with p^i (1-p)^(n-i) = sum_j C(n-i, j) (-1)^j
+    p^(i+j)."""
+    out = [0] * (pc.n + 1)
+    for i, ni in enumerate(pc.counts):
+        for j in range(pc.n - i + 1):
+            out[i + j] += ni * comb(pc.n - i, j) * (-1) ** j
+    return IntPoly(out)
 
 
 class TestPathCounts:
@@ -263,11 +277,10 @@ class TestPathCounts:
     @given(st.lists(st.integers(-1000, 1000), max_size=65).map(IntPoly), st.data())
     def test_round_trip(self, a, data):
         n = data.draw(st.integers(max(a.degree, 0), max(a.degree, 0) + 8))
-        assert from_path_counts(to_path_counts(a, n)) == a
+        assert _from_path_counts(to_path_counts(a, n)) == a
 
     def test_integral_from_counts_identity(self, cache):
         # integral equals (1/(n+1)) sum N_i / C(n, i) for channel polynomials
-        from math import comb
         for m in range(1, 9):
             n = 1 << m
             table = cache.table(m)

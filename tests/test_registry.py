@@ -6,6 +6,7 @@ import pytest
 
 from becpolar import checks, cli, construction, golden, orders, polynomials, synthesis
 from becpolar.orders import Comparison
+from conftest import named
 
 
 def test_names_are_unique_and_prefixed_by_a_suite():
@@ -17,7 +18,7 @@ def test_names_are_unique_and_prefixed_by_a_suite():
 
 def test_a_check_refuses_an_m_without_instances(cache):
     with pytest.raises(ValueError, match="no instances"):
-        checks.named("tables/degree2-path-counts").run(5, cache.table(5))
+        named("tables/degree2-path-counts").run(5, cache.table(5))
 
 
 @pytest.mark.parametrize("m", range(1, 6))
@@ -50,7 +51,7 @@ def test_pointwise_table_checks_share_one_scan(monkeypatch, cache):
     table = cache.table(5)
     for name in ("tables/incomparable-pairs", "tables/incomparable-complement-closure",
                  "tables/pointwise-avr-compat"):
-        assert checks.named(name).run(5, table) is None
+        assert named(name).run(5, table) is None
     assert len(calls) == 32 * 31 // 2
     incomparable = sorted((min(u, v), max(u, v)) for u, v, verdict in construction.pointwise_verdicts(table)
                           if verdict is Comparison.INCOMPARABLE)
@@ -75,3 +76,14 @@ def test_verify_converts_each_channel_at_most_once(capsys, monkeypatch):
     assert max(seen.values()) == 1
     channels = {(poly.coeffs, 1 << m) for m in (4, 5) for poly in synthesis.synth_all(m).polys}
     assert set(seen) <= channels
+
+
+def test_checks_report_two_swapped_channels(cache):
+    """Labels 3 and 16 are not complements (3 ^ 16 != 31), so a table with
+    their channels swapped breaks duality, the threshold symmetry of labels
+    3 and 28, and the best six channels of m = 5."""
+    polys = list(cache.table(5).polys)
+    polys[3], polys[16] = polys[16], polys[3]
+    swapped = synthesis.ChannelTable(5, tuple(polys))
+    for name in ("identities/duality", "identities/threshold-symmetry", "tables/first-order-rm"):
+        assert named(name).run(5, swapped) is not None, name

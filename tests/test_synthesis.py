@@ -3,7 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from operator import mul
 
 import pytest
@@ -21,7 +21,6 @@ from becpolar.synthesis import (
     average_numerators,
     channel_averages,
     channel_threshold,
-    dual_poly,
     synth_all,
     synth_labels,
     synth_poly,
@@ -44,27 +43,27 @@ class TestSynthPoly:
         inner = ONE - (ONE - P) * (ONE - P)     # 1 - (1-p)^2
         inner4 = _nested_series(inner, 2)       # (...)^4
         expected = ONE - (ONE - inner4) * (ONE - inner4)
-        assert synth_poly(Monomial.from_int(9, 4)) == expected
+        assert synth_poly(Monomial(4, 9)) == expected
 
     def test_m4_label6_matches_nested_expansion(self):
         # label 6 = (0,1,1,0): expansion (1 - (1 - p^2)^4)^2
         inner = ONE - _nested_series(P, 1)      # 1 - p^2
         inner4 = _nested_series(inner, 2)
         outer = ONE - inner4
-        assert synth_poly(Monomial.from_int(6, 4)) == outer * outer
+        assert synth_poly(Monomial(4, 6)) == outer * outer
 
     def test_all_zero_label(self):
-        assert synth_poly(Monomial.from_int(0, 2)) == IntPoly([0, 0, 0, 0, 1])
+        assert synth_poly(Monomial(2, 0)) == IntPoly([0, 0, 0, 0, 1])
 
     def test_degree_is_two_to_m(self):
         for m in range(1, 7):
             for u in (0, 1, (1 << m) - 1):
-                assert synth_poly(Monomial.from_int(u, m)).degree == 1 << m
+                assert synth_poly(Monomial(m, u)).degree == 1 << m
 
     def test_boundary_values(self):
         for m in range(1, 6):
             for u in range(1 << m):
-                z = synth_poly(Monomial.from_int(u, m))
+                z = synth_poly(Monomial(m, u))
                 assert z.coeffs[0] == 0          # z(0) = 0
                 assert sum(z.coeffs) == 1        # z(1) = 1
 
@@ -82,7 +81,7 @@ class TestSynthAll:
 
     def test_lookup_by_monomial(self):
         table = synth_all(3)
-        assert table[Monomial.from_int(5, 3)] == table[5]
+        assert table[Monomial(3, 5)] == table[5]
         assert len(table) == 8
 
     def test_matches_unmemoized_synthesis(self, cache):
@@ -91,7 +90,7 @@ class TestSynthAll:
             table = cache.table(m)
             labels = rng.sample(range(1 << m), min(1 << m, 7))
             for u in labels:
-                assert table[u] == synth_poly(Monomial.from_int(u, m))
+                assert table[u] == synth_poly(Monomial(m, u))
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_erasure_conservation(self, m, cache):
@@ -256,22 +255,39 @@ class TestChannelAverages:
         assert len(set(averages)) == 1 << m
 
 
+def _dual(a: IntPoly) -> IntPoly:
+    """Power-basis twin of the path-count duality: 1 - a(1 - p), by Horner
+    in q = 1 - p with schoolbook products."""
+    acc = IntPoly()
+    for c in reversed(a.coeffs):
+        acc = acc * IntPoly([1, -1]) + IntPoly([c])
+    return ONE - acc
+
+
 class TestDuality:
     def test_series_parallel_dual(self):
-        assert dual_poly(IntPoly([0, 0, 1])) == IntPoly([0, 2, -1])
+        assert _dual(IntPoly([0, 0, 1])) == IntPoly([0, 2, -1])
 
     def test_dual_is_involution(self):
         rng = random.Random(3)
         for _ in range(30):
             a = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 10))])
-            assert dual_poly(dual_poly(a)) == a
+            assert _dual(_dual(a)) == a
 
     def test_complement_identity_m5(self, cache):
         table = cache.table(5)
-        assert dual_poly(table[3]) == table[28]
+        assert _dual(table[3]) == table[28]
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_complement_identity_all(self, m, cache):
+        """At every label, 1 - Z_u(1 - p) is Z_ubar, and the path counts of
+        Z_ubar are the reversal C(n, i) - N(u)_(n-i) that the check reads."""
+        table, n = cache.table(m), 1 << m
+        for u in range(n):
+            ubar = u ^ (n - 1)
+            assert _dual(table[u]) == table[ubar], u
+            reversal = [comb(n, i) - c for i, c in enumerate(reversed(table.path_counts(u)))]
+            assert list(table.path_counts(ubar)) == reversal, u
         assert cache.check("identities/duality", m) is None
 
     @pytest.mark.parametrize("m", range(1, 8))
@@ -316,10 +332,9 @@ TWIN_TOLS = [Fraction(1, 2**30), Fraction(1, 2**20), Fraction(1, 10**6), Fractio
 class TestThreshold:
     @pytest.mark.parametrize("m", range(1, 7))
     def test_matches_fraction_bisection(self, m, cache):
-        for poly in cache.table(m).polys:
-            for a in (poly, dual_poly(poly)):
-                for tol in TWIN_TOLS:
-                    assert threshold_estimate(a, tol) == _fraction_threshold(a, tol), (m, a, tol)
+        for a in cache.table(m).polys:
+            for tol in TWIN_TOLS:
+                assert threshold_estimate(a, tol) == _fraction_threshold(a, tol), (m, a, tol)
 
     def test_exact_midpoint_hit(self):
         a = IntPoly([0, 0, 2])  # 2p^2 = 1/2 at p = 1/2, the first midpoint
@@ -349,7 +364,7 @@ class TestThreshold:
         table = cache.table(4)
         for u in (1, 3, 6, 7):
             t1 = threshold_estimate(table[u], tol)
-            t2 = threshold_estimate(dual_poly(table[u]), tol)
+            t2 = threshold_estimate(table[u ^ 15], tol)
             assert abs(t1 + t2 - 1) <= 2 * tol
 
     def test_rejects_non_bracketing_input(self):
@@ -389,13 +404,10 @@ class TestChannelThreshold:
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_matches_polynomial_bisection(self, m, cache):
-        complement = (1 << m) - 1
         for u, poly in enumerate(cache.table(m).polys):
-            pairs = ((u, poly), (u ^ complement, dual_poly(poly)))
-            for label, a in pairs:
-                for tol in TWIN_TOLS + [1e-6]:
-                    got = channel_threshold(Monomial(m, label), tol)
-                    assert got == threshold_estimate(a, tol), (m, label, tol)
+            for tol in TWIN_TOLS + [1e-6]:
+                got = channel_threshold(Monomial(m, u), tol)
+                assert got == threshold_estimate(poly, tol), (m, u, tol)
 
     def test_every_channel_m8(self, cache):
         tol = Fraction(1, 2**30)
