@@ -24,6 +24,7 @@ import json
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 
 from . import checks, construction, orders, polynomials, synthesis
 from .monomials import Monomial
@@ -65,15 +66,24 @@ def _channel_entry(m: int, u: int, poly: polynomials.IntPoly) -> dict:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    """Print each channel's coefficients and path counts, one channel at a
+    time: the JSON is written entry by entry, each entry's text indented as
+    `json.dumps(..., indent=2)` nests it, so no text of the whole table is
+    ever built."""
     synthesis.check_m(args.m, args.force)
     m = args.m
     if args.u is not None and not 0 <= args.u < (1 << m):
         raise ValueError(f"u={args.u} out of range for m={m}")
     labels = [args.u] if args.u is not None else None
     polys = synthesis.synth_labels(m, labels, force=args.force)
-    entries = [_channel_entry(m, u, poly) for u, poly in polys.items()]
+    entries = (_channel_entry(m, u, poly) for u, poly in polys.items())
     if args.format == "json":
-        print(json.dumps({"m": m, "channels": entries}, indent=2))
+        out = sys.stdout
+        out.write(f'{{\n  "m": {m},\n  "channels": [')
+        for i, entry in enumerate(entries):
+            text = json.dumps(entry, indent=2).replace("\n", "\n    ")
+            out.write(f"{',' if i else ''}\n    {text}")
+        out.write("\n  ]\n}\n")
     else:
         print("u,i,coeff,path_count")
         for entry in entries:
@@ -238,7 +248,11 @@ def cmd_avrplot(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs about
+    a millisecond, a sizeable share of a small command, and parsing leaves
+    it unchanged."""
     parser = argparse.ArgumentParser(
         prog="becpolar",
         description="Exact erasure-channel polynomials, order relations, and "

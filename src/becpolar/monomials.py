@@ -10,6 +10,7 @@ label throughout the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 MAX_M = 16
 
@@ -33,7 +34,7 @@ class Monomial:
 
     def support(self) -> list[int]:
         """Sorted indices of the variables dividing this monomial."""
-        return [i for i in range(self.m) if (self.bits >> i) & 1]
+        return list(_support(self.bits))
 
     def complement(self) -> "Monomial":
         """Flip every exponent; satisfies u + u_bar = 2^m - 1."""
@@ -52,6 +53,14 @@ class Monomial:
         if self.bits == 0:
             return "1"
         return "*".join(f"x{i}" for i in self.support())
+
+
+@cache
+def _support(bits: int) -> tuple[int, ...]:
+    """Sorted indices of the set bits of a mask, kept per mask (at most
+    2^MAX_M of them): the standard and dominance orders read the supports of
+    the same few labels again and again."""
+    return tuple(i for i in range(bits.bit_length()) if (bits >> i) & 1)
 
 
 def _check_same_m(f: Monomial, g: Monomial) -> None:

@@ -22,9 +22,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import le
+from operator import le, neg, sub
 
-from .monomials import Monomial, _check_same_m, all_monomials
+from .monomials import Monomial, _check_same_m, _support, all_monomials
 from .polynomials import SignVerdict, nonneg_on_01
 from .synthesis import ChannelTable
 
@@ -62,7 +62,7 @@ def _supports_leq(f: Monomial, g: Monomial, aligned_leq) -> bool:
     _check_same_m(f, g)
     if f.bits == g.bits:
         return True
-    sf, sg = f.support(), g.support()
+    sf, sg = _support(f.bits), _support(g.bits)
     if len(sf) > len(sg):
         return False
     return aligned_leq(sf, sg[len(sg) - len(sf):])
@@ -95,19 +95,20 @@ def leq_pointwise(f: Monomial, g: Monomial, table: ChannelTable) -> OrderVerdict
 
     Both directions are decided from the difference of the two channels'
     path counts in the table (`ChannelTable.path_counts`, at n = 2^m, which
-    is at least deg(Z_g - Z_f)), so no pair converts its difference.
+    is at least deg(Z_g - Z_f)), so no pair converts its difference, and no
+    pair builds the difference polynomial: `nonneg_on_01` gets the counts
+    alone and rebuilds the polynomial only when Sturm must decide.
     """
     _check_same_m(f, g)
     if table.m != f.m:
         raise ValueError(f"table is for m={table.m}, monomials have m={f.m}")
-    d = table[g] - table[f]
-    diff = [b - a for a, b in zip(table.path_counts(f), table.path_counts(g))]
-    forward = nonneg_on_01(d, diff)
+    diff = list(map(sub, table.path_counts(g), table.path_counts(f)))
+    forward = nonneg_on_01(None, diff)
     if forward is SignVerdict.IDENTICALLY_ZERO:
         return OrderVerdict(Relation.POINTWISE, Comparison.EQUAL)
     if forward is SignVerdict.NONNEGATIVE:
         return OrderVerdict(Relation.POINTWISE, Comparison.LESS_OR_EQUAL)
-    backward = nonneg_on_01(-d, [-c for c in diff])
+    backward = nonneg_on_01(None, list(map(neg, diff)))
     if backward is SignVerdict.NONNEGATIVE:
         return OrderVerdict(Relation.POINTWISE, Comparison.GREATER_OR_EQUAL)
     return OrderVerdict(Relation.POINTWISE, Comparison.INCOMPARABLE)

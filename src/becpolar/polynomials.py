@@ -13,10 +13,13 @@ denominator, and `horner_numerator` evaluates without a cache.
 
 The module also provides the change of basis to path-count (Bernstein-style)
 coefficients and an exact sign decision on [0, 1] built from square-free
-decomposition plus Sturm sequences.  Sturm chains are run on primitive integer
-polynomials: each pseudo-remainder is divided by its content, and signs are
-corrected so every element equals the rational Sturm element up to a positive
-factor.
+decomposition plus Sturm sequences.  The decision can start from path counts
+alone (`nonneg_on_01(None, counts)`): a one-signed certificate settles it
+with no polynomial, and only Sturm rebuilds the polynomial from the counts,
+by the inverse shift-add, which needs additions only.  Sturm chains are run
+on primitive integer polynomials: each pseudo-remainder is divided by its
+content, and signs are corrected so every element equals the rational Sturm
+element up to a positive factor.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 
@@ -213,32 +216,50 @@ def to_path_counts(a: IntPoly, n: int) -> PathCounts:
     return PathCounts(n, counts)
 
 
+def _power_from_counts(counts: Sequence[int]) -> IntPoly:
+    """The power-basis polynomial sum_i N_i p^i (1-p)^(n-i), n = len(counts) - 1,
+    by the inverse shift-add, in additions alone: R_0 = N_0 and
+    R_j = (1 - p) R_(j-1) + N_j p^j, whose coefficients are those of R_(j-1)
+    with N_j appended, minus those of R_(j-1) shifted up by one; d = R_n."""
+    r = [counts[0]]
+    for c in counts[1:]:
+        r = list(map(sub, r + [c], [0] + r))
+    return IntPoly(r)
+
+
 class SignVerdict(enum.Enum):
     NONNEGATIVE = "nonnegative"
     CROSSES_ZERO = "crosses_zero"
     IDENTICALLY_ZERO = "identically_zero"
 
 
-def nonneg_on_01(d: IntPoly, path_counts: Sequence[int] | None = None) -> SignVerdict:
+def nonneg_on_01(d: IntPoly | None, path_counts: Sequence[int] | None = None) -> SignVerdict:
     """Exact decision whether d(p) >= 0 for every p in [0, 1].
 
     Certificate: if the coefficients of d in the p^i (1-p)^(n-i) basis share
-    a sign, so does d on (0, 1).  Otherwise d, stripped of its roots at 0 and
-    1, changes sign in (0, 1) iff the product of its odd-multiplicity factors
-    (Yun's square-free decomposition) has a root there, which a Sturm count
-    finds.  With none, d has one sign on (0, 1): that of one rational sample.
+    a sign, so does d on (0, 1); one `min` and one `max` over them decide it,
+    and all-zero coefficients mean d is identically zero.  Otherwise d,
+    stripped of its roots at 0 and 1, changes sign in (0, 1) iff the product
+    of its odd-multiplicity factors (Yun's square-free decomposition) has a
+    root there, which a Sturm count finds.  With none, d has one sign on
+    (0, 1): that of one rational sample.
 
     `path_counts` optionally supplies the basis coefficients of d at any
-    n >= deg d; degree elevation keeps a one-signed certificate valid.
+    n >= deg d; degree elevation keeps a one-signed certificate valid.  With
+    them, d may be None: it is then rebuilt from the counts, by additions
+    alone (`_power_from_counts`), only when the certificate fails and Sturm
+    needs it.  Without them, d is converted at n = max(deg d, 1).
     """
-    if d.is_zero():
-        return SignVerdict.IDENTICALLY_ZERO
-    n = max(d.degree, 1)
-    counts = tuple(path_counts) if path_counts is not None else to_path_counts(d, n).counts
-    if all(c >= 0 for c in counts):
-        return SignVerdict.NONNEGATIVE
-    if all(c <= 0 for c in counts):
+    if path_counts is None:
+        if d is None:
+            raise ValueError("nonneg_on_01 needs d or its path counts")
+        path_counts = to_path_counts(d, max(d.degree, 1)).counts
+    if min(path_counts) >= 0:
+        return SignVerdict.NONNEGATIVE if max(path_counts) else SignVerdict.IDENTICALLY_ZERO
+    if max(path_counts) <= 0:
         return SignVerdict.CROSSES_ZERO
+    if d is None:
+        d = _power_from_counts(path_counts)
     f = _strip_endpoint_roots(_primitive(list(d.coeffs)))
     odd = ONE
     for factor, mult in _squarefree_decomposition(f):

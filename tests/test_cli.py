@@ -1,6 +1,8 @@
 """Command-line interface: golden outputs, formats, determinism, exit codes."""
 
+import contextlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -58,6 +60,40 @@ class TestSynth:
         lines = out.splitlines()
         assert lines[0] == "u,i,coeff,path_count"
         assert len(lines) == 1 + 2 * 3  # two channels, three rows each
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_streamed_json_is_the_dumps_text(self, capsys, cache, m):
+        """The JSON written one channel at a time is byte for byte the text
+        of `json.dumps(..., indent=2)` of the whole document."""
+        table = cache.table(m)
+        u = (1 << m) // 3
+        for extra, labels in (((), range(1 << m)), (("--u", str(u)), [u])):
+            code, out, _ = run_cli(capsys, "synth", "--m", str(m), *extra)
+            assert code == 0
+            channels = [{"u": v, "monomial": str(Monomial(m, v)), "degree": Monomial(m, v).degree,
+                         "coeffs": list(table[v].coeffs), "path_counts": list(table.path_counts(v))}
+                        for v in labels]
+            assert out == json.dumps({"m": m, "channels": channels}, indent=2) + "\n"
+
+    def test_json_streams_within_a_memory_bound(self):
+        """Peak traced memory of `synth --m 7` stays under 3 MB (building the
+        whole document as one text peaks at 5.4 MB); the output goes to a
+        sink that keeps nothing, so only the command's own memory counts."""
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = cli.main(["synth", "--m", "7", "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.size > 900_000
+        assert peak < 3_000_000
 
     def test_bad_u_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "synth", "--m", "2", "--u", "9")

@@ -176,16 +176,16 @@ class TestPointwise:
         with pytest.raises(ValueError):
             compare(M(1, 4), M(2, 4), Relation.POINTWISE)
 
-    @pytest.mark.parametrize("m", range(1, 7))
-    def test_matches_self_converting_twin(self, m, cache):
-        """Every ordered pair gets the verdict of `nonneg_on_01` converting
-        the difference and its negation itself, the slow exact twin."""
-        table = cache.table(m)
-        monos = all_monomials(m)
+    @staticmethod
+    def _check_twin(table, twin):
+        """Every ordered pair gets the verdict that `twin(d, diff)`, the two
+        verdicts on d = Z_g - Z_f and on -d, imply."""
+        monos = all_monomials(table.m)
         for i, f in enumerate(monos):
             for g in monos[i:]:
                 d = table[g] - table[f]
-                up, down = nonneg_on_01(d), nonneg_on_01(-d)
+                diff = [b - a for a, b in zip(table.path_counts(f), table.path_counts(g))]
+                up, down = twin(d, diff)
                 for (a, b), first, second in (((f, g), up, down), ((g, f), down, up)):
                     if first is SignVerdict.IDENTICALLY_ZERO:
                         want = Comparison.EQUAL
@@ -196,6 +196,42 @@ class TestPointwise:
                     else:
                         want = Comparison.INCOMPARABLE
                     assert leq_pointwise(a, b, table).result is want, (a, b)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_self_converting_twin(self, m, cache):
+        """`nonneg_on_01` converting the difference and its negation itself,
+        the slow exact twin."""
+        self._check_twin(cache.table(m), lambda d, diff: (nonneg_on_01(d), nonneg_on_01(-d)))
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_matches_eager_twin(self, m, cache):
+        """`nonneg_on_01` given both the difference polynomial and its path
+        counts, so that Sturm reads the polynomial built by subtraction."""
+        self._check_twin(cache.table(m), lambda d, diff: (
+            nonneg_on_01(d, diff), nonneg_on_01(-d, [-c for c in diff])))
+
+    def test_certified_pairs_build_no_polynomial(self, monkeypatch, cache):
+        """A pair whose path-count difference shares a sign is settled with
+        no difference polynomial: the rebuild from counts raises if reached.
+        An incomparable pair, (3, 16), does reach it."""
+        table = cache.table(5)
+        rebuilds = []
+
+        def refuse(counts):
+            rebuilds.append(counts)
+            raise AssertionError("a certified pair rebuilt its difference")
+        monkeypatch.setattr(polynomials, "_power_from_counts", refuse)
+        assert leq_pointwise(M(0, 5), M(31, 5), table).result is Comparison.LESS_OR_EQUAL
+        assert leq_pointwise(M(31, 5), M(0, 5), table).result is Comparison.GREATER_OR_EQUAL
+        for f in all_monomials(5):
+            for g in all_monomials(5):
+                diff = [b - a for a, b in zip(table.path_counts(f), table.path_counts(g))]
+                if min(diff) >= 0 or max(diff) <= 0:
+                    leq_pointwise(f, g, table)
+        assert not rebuilds
+        with pytest.raises(AssertionError, match="rebuilt"):
+            leq_pointwise(M(3, 5), M(16, 5), table)
+        assert len(rebuilds) == 1
 
     def test_full_scan_converts_each_channel_once(self, monkeypatch):
         calls = []

@@ -14,6 +14,7 @@ from becpolar.polynomials import (
     PathCounts,
     SignVerdict,
     _nonroot_point,
+    _power_from_counts,
     eval_rational,
     horner_numerator,
     integrate01,
@@ -277,7 +278,21 @@ class TestPathCounts:
     @given(st.lists(st.integers(-1000, 1000), max_size=65).map(IntPoly), st.data())
     def test_round_trip(self, a, data):
         n = data.draw(st.integers(max(a.degree, 0), max(a.degree, 0) + 8))
-        assert _from_path_counts(to_path_counts(a, n)) == a
+        pc = to_path_counts(a, n)
+        assert _from_path_counts(pc) == a
+        assert _power_from_counts(pc.counts) == a
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_rebuild_matches_channel_differences(self, m, cache):
+        """The inverse shift-add of every path-count difference is the
+        difference of the two channel polynomials, and the expansion twin."""
+        table = cache.table(m)
+        n = 1 << m
+        for u in range(n):
+            for v in range(n):
+                diff = [b - a for a, b in zip(table.path_counts(u), table.path_counts(v))]
+                rebuilt = _power_from_counts(diff)
+                assert rebuilt == table[v] - table[u] == _from_path_counts(PathCounts(n, diff))
 
     def test_integral_from_counts_identity(self, cache):
         # integral equals (1/(n+1)) sum N_i / C(n, i) for channel polynomials
@@ -295,6 +310,11 @@ class TestPathCounts:
 class TestNonnegOn01:
     def test_identically_zero(self):
         assert nonneg_on_01(IntPoly()) is SignVerdict.IDENTICALLY_ZERO
+        assert nonneg_on_01(None, [0, 0, 0]) is SignVerdict.IDENTICALLY_ZERO
+
+    def test_needs_d_or_counts(self):
+        with pytest.raises(ValueError, match="d or its path counts"):
+            nonneg_on_01(None, None)
 
     def test_dominance_pair_m4(self):
         d = _synth(9, 4) - _synth(6, 4)
@@ -376,10 +396,8 @@ class TestNonnegOn01:
         for _ in range(120):
             coeffs = [rng.randint(-6, 6) for _ in range(rng.randint(1, 9))]
             d = IntPoly(coeffs)
-            counts = None
-            if not d.is_zero():
-                counts = to_path_counts(d, max(d.degree, 1)).counts
-            assert nonneg_on_01(d) is nonneg_on_01(d, counts)
+            counts = to_path_counts(d, max(d.degree, 1)).counts
+            assert nonneg_on_01(d) is nonneg_on_01(d, counts) is nonneg_on_01(None, counts)
 
     def test_matches_dense_sampling_random(self):
         rng = random.Random(1234)
