@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 
 MAX_M = 16
 
@@ -58,9 +59,23 @@ class Monomial:
 @cache
 def _support(bits: int) -> tuple[int, ...]:
     """Sorted indices of the set bits of a mask, kept per mask (at most
-    2^MAX_M of them): the standard and dominance orders read the supports of
-    the same few labels again and again."""
+    2^MAX_M of them)."""
     return tuple(i for i in range(bits.bit_length()) if (bits >> i) & 1)
+
+
+@cache
+def _support_desc(bits: int) -> tuple[int, ...]:
+    """The support listed largest index first, kept per mask: the key of the
+    standard order, which reads the supports of the same few labels again
+    and again."""
+    return _support(bits)[::-1]
+
+
+@cache
+def _support_sums(bits: int) -> tuple[int, ...]:
+    """Running sums of `_support_desc`, kept per mask: entry l - 1 is the sum
+    of the l largest indices, the key of the dominance order."""
+    return tuple(accumulate(_support_desc(bits)))
 
 
 def _check_same_m(f: Monomial, g: Monomial) -> None:

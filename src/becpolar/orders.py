@@ -13,7 +13,12 @@ Four relations, coarsest to finest on what they can compare:
 * pointwise:  Z_f(p) <= Z_g(p) for all p in [0, 1], decided exactly from the
               sign of Z_g - Z_f on the interval.
 
-The first three are pure bit arithmetic; the implication chain
+The first three run on label ints: the weak order is a mask test, and the
+standard and dominance orders each compare two per-mask tuples cached in
+`monomials` (the support largest index first, and its running sums) in one
+`all(map(le, ...))`.  `compare`, `closure`, `interval`, `is_decreasing` and
+`hasse_edges` run those kernels on labels, and every verdict is one of 16
+shared `OrderVerdict` instances.  The implication chain
 weak => standard => dominance => pointwise is exercised exhaustively in tests.
 """
 
@@ -21,10 +26,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import le, neg, sub
 
-from .monomials import Monomial, _check_same_m, _support, all_monomials
+from .monomials import Monomial, _check_same_m, _support_desc, _support_sums
 from .polynomials import SignVerdict, nonneg_on_01
 from .synthesis import ChannelTable
 
@@ -49,23 +53,46 @@ class OrderVerdict:
     result: Comparison
 
 
+# The 16 verdicts, one shared instance each, listed in `Comparison` order
+# (below, above, equal, apart).  On CPython 3.11 an enum member hashes in
+# Python code and reading one off its class goes through the attribute hook
+# of `EnumType`, each about 0.2 us, so the tables are keyed by member value
+# and the kernels read members from module names.
+_VERDICTS = {r._value_: tuple(OrderVerdict(r, c) for c in Comparison) for r in Relation}
+_POINTWISE = Relation.POINTWISE
+_NONNEGATIVE = SignVerdict.NONNEGATIVE
+_IDENTICALLY_ZERO = SignVerdict.IDENTICALLY_ZERO
+_POINTWISE_BELOW, _POINTWISE_ABOVE, _POINTWISE_EQUAL, _POINTWISE_APART = (
+    _VERDICTS[_POINTWISE._value_])
+
+
+def _weak_leq(u: int, v: int) -> bool:
+    return u & v == u
+
+
+def _std_leq(u: int, v: int) -> bool:
+    """Standard order on labels.  Largest index first, the first deg(u)
+    indices of v span the divisor of v by its deg(u) largest variables (all
+    of v at equal degree), and `map` stops there; a label of higher degree is
+    never below."""
+    a, b = _support_desc(u), _support_desc(v)
+    return len(a) <= len(b) and all(map(le, a, b))
+
+
+def _dom_leq(u: int, v: int) -> bool:
+    """Dominance order on labels: the same frame as `_std_leq` on the running
+    sums of the largest indices."""
+    a, b = _support_sums(u), _support_sums(v)
+    return len(a) <= len(b) and all(map(le, a, b))
+
+
+_LEQ = {Relation.WEAK._value_: _weak_leq, Relation.STANDARD._value_: _std_leq,
+        Relation.DOMINANCE._value_: _dom_leq}
+
+
 def leq_weak(f: Monomial, g: Monomial) -> bool:
     """f precedes g in the weak order iff f divides g."""
     return f.divides(g)
-
-
-def _supports_leq(f: Monomial, g: Monomial, aligned_leq) -> bool:
-    """Shared frame of the standard and dominance orders: f precedes an equal
-    g and never one of lower degree; otherwise `aligned_leq` decides on the
-    support of f and that of the divisor of g spanned by its deg(f) largest
-    variables (all of g at equal degree)."""
-    _check_same_m(f, g)
-    if f.bits == g.bits:
-        return True
-    sf, sg = _support(f.bits), _support(g.bits)
-    if len(sf) > len(sg):
-        return False
-    return aligned_leq(sf, sg[len(sg) - len(sf):])
 
 
 def leq_std(f: Monomial, g: Monomial) -> bool:
@@ -76,7 +103,8 @@ def leq_std(f: Monomial, g: Monomial) -> bool:
     the componentwise-largest divisor and therefore decides the existential
     form of the definition.
     """
-    return _supports_leq(f, g, lambda sf, sg: all(map(le, sf, sg)))
+    _check_same_m(f, g)
+    return _std_leq(f.bits, g.bits)
 
 
 def leq_dominance(f: Monomial, g: Monomial) -> bool:
@@ -86,59 +114,58 @@ def leq_dominance(f: Monomial, g: Monomial) -> bool:
     at most the corresponding sum for g.  Lower degree reduces to the
     top-deg(f) divisor of g exactly as in the standard order.
     """
-    return _supports_leq(
-        f, g, lambda sf, sg: all(map(le, accumulate(sf[::-1]), accumulate(sg[::-1]))))
+    _check_same_m(f, g)
+    return _dom_leq(f.bits, g.bits)
 
 
 def leq_pointwise(f: Monomial, g: Monomial, table: ChannelTable) -> OrderVerdict:
     """Compare two channels under the universal (all p in [0,1]) order.
 
     Both directions are decided from the difference of the two channels'
-    path counts in the table (`ChannelTable.path_counts`, at n = 2^m, which
-    is at least deg(Z_g - Z_f)), so no pair converts its difference, and no
-    pair builds the difference polynomial: `nonneg_on_01` gets the counts
-    alone and rebuilds the polynomial only when Sturm must decide.
+    path counts in the table (`ChannelTable.counts`, at n = 2^m, which is at
+    least deg(Z_g - Z_f)), so no pair converts its difference, and no pair
+    builds the difference polynomial: `nonneg_on_01` gets the counts alone
+    and rebuilds the polynomial only when Sturm must decide.
     """
     _check_same_m(f, g)
     if table.m != f.m:
         raise ValueError(f"table is for m={table.m}, monomials have m={f.m}")
-    diff = list(map(sub, table.path_counts(g), table.path_counts(f)))
+    counts = table.counts
+    diff = list(map(sub, counts[g.bits], counts[f.bits]))
     forward = nonneg_on_01(None, diff)
-    if forward is SignVerdict.IDENTICALLY_ZERO:
-        return OrderVerdict(Relation.POINTWISE, Comparison.EQUAL)
-    if forward is SignVerdict.NONNEGATIVE:
-        return OrderVerdict(Relation.POINTWISE, Comparison.LESS_OR_EQUAL)
-    backward = nonneg_on_01(None, list(map(neg, diff)))
-    if backward is SignVerdict.NONNEGATIVE:
-        return OrderVerdict(Relation.POINTWISE, Comparison.GREATER_OR_EQUAL)
-    return OrderVerdict(Relation.POINTWISE, Comparison.INCOMPARABLE)
-
-
-_LEQ = {Relation.WEAK: leq_weak, Relation.STANDARD: leq_std, Relation.DOMINANCE: leq_dominance}
+    if forward is _NONNEGATIVE:
+        return _POINTWISE_BELOW
+    if forward is _IDENTICALLY_ZERO:
+        return _POINTWISE_EQUAL
+    if nonneg_on_01(None, list(map(neg, diff))) is _NONNEGATIVE:
+        return _POINTWISE_ABOVE
+    return _POINTWISE_APART
 
 
 def _leq(relation: Relation):
-    """The bit-arithmetic test of a relation; the pointwise order has none."""
-    if relation is Relation.POINTWISE:
+    """The label test of a relation; the pointwise order has none."""
+    leq = _LEQ.get(relation._value_)
+    if leq is None:
         raise ValueError("the pointwise order needs a ChannelTable (compare/leq_pointwise)")
-    return _LEQ[relation]
+    return leq
 
 
 def compare(f: Monomial, g: Monomial, relation: Relation,
             table: ChannelTable | None = None) -> OrderVerdict:
     """Full verdict for any relation; pointwise needs the channel table."""
-    if relation is Relation.POINTWISE and table is not None:
+    if relation is _POINTWISE and table is not None:
         return leq_pointwise(f, g, table)
     leq = _leq(relation)
-    if f.bits == g.bits:
-        result = Comparison.EQUAL
-    elif leq(f, g):
-        result = Comparison.LESS_OR_EQUAL
-    elif leq(g, f):
-        result = Comparison.GREATER_OR_EQUAL
-    else:
-        result = Comparison.INCOMPARABLE
-    return OrderVerdict(relation, result)
+    _check_same_m(f, g)
+    below, above, equal, apart = _VERDICTS[relation._value_]
+    u, v = f.bits, g.bits
+    if u == v:
+        return equal
+    if leq(u, v):
+        return below
+    if leq(v, u):
+        return above
+    return apart
 
 
 def mult_compatible(f: Monomial, g: Monomial, h: Monomial) -> bool:
@@ -164,28 +191,29 @@ def is_decreasing(monos: set[Monomial], relation: Relation) -> bool:
     leq = _leq(relation)
     if not monos:
         return True
-    m = next(iter(monos)).m
-    universe = all_monomials(m)
+    first = next(iter(monos))
     for f in monos:
-        for g in universe:
-            if leq(g, f) and g not in monos:
-                return False
-    return True
+        _check_same_m(first, f)
+    labels = {f.bits for f in monos}
+    universe = range(1 << first.m)
+    return all(u in labels for v in labels for u in universe if leq(u, v))
 
 
 def closure(f: Monomial, relation: Relation) -> set[Monomial]:
     """Downward closure of f: every monomial below it, f included."""
     leq = _leq(relation)
-    return {h for h in all_monomials(f.m) if leq(h, f)}
+    v = f.bits
+    return {Monomial(f.m, u) for u in range(1 << f.m) if leq(u, v)}
 
 
 def interval(f: Monomial, g: Monomial, relation: Relation) -> set[Monomial]:
     """Closed interval [f, g] under the relation; requires f below g."""
     _check_same_m(f, g)
     leq = _leq(relation)
-    if not leq(f, g):
+    u, w = f.bits, g.bits
+    if not leq(u, w):
         raise ValueError(f"{f} does not precede {g} under {relation.value}")
-    return {h for h in all_monomials(f.m) if leq(f, h) and leq(h, g)}
+    return {Monomial(f.m, v) for v in range(1 << f.m) if leq(u, v) and leq(v, w)}
 
 
 HASSE_CAP = 7
@@ -201,13 +229,12 @@ def hasse_edges(m: int, relation: Relation) -> list[tuple[int, int]]:
     if m > HASSE_CAP:
         raise ValueError(f"m={m} exceeds exhaustive-scan cap {HASSE_CAP}")
     leq = _leq(relation)
-    monos = all_monomials(m)
     n = 1 << m
     below = [0] * n  # bit u of below[v] set iff u strictly below v
     above = [0] * n  # bit w of above[u] set iff u strictly below w
     for u in range(n):
         for v in range(n):
-            if u != v and leq(monos[u], monos[v]):
+            if u != v and leq(u, v):
                 below[v] |= 1 << u
                 above[u] |= 1 << v
     edges = []

@@ -237,8 +237,9 @@ def nonneg_on_01(d: IntPoly | None, path_counts: Sequence[int] | None = None) ->
     """Exact decision whether d(p) >= 0 for every p in [0, 1].
 
     Certificate: if the coefficients of d in the p^i (1-p)^(n-i) basis share
-    a sign, so does d on (0, 1); one `min` and one `max` over them decide it,
-    and all-zero coefficients mean d is identically zero.  Otherwise d,
+    a sign, so does d on (0, 1).  One `min` finds nonnegative coefficients,
+    among which `any` tells an all-zero set (d is identically zero) from the
+    rest; otherwise one `max` finds nonpositive ones.  If neither holds, d,
     stripped of its roots at 0 and 1, changes sign in (0, 1) iff the product
     of its odd-multiplicity factors (Yun's square-free decomposition) has a
     root there, which a Sturm count finds.  With none, d has one sign on
@@ -255,7 +256,7 @@ def nonneg_on_01(d: IntPoly | None, path_counts: Sequence[int] | None = None) ->
             raise ValueError("nonneg_on_01 needs d or its path counts")
         path_counts = to_path_counts(d, max(d.degree, 1)).counts
     if min(path_counts) >= 0:
-        return SignVerdict.NONNEGATIVE if max(path_counts) else SignVerdict.IDENTICALLY_ZERO
+        return SignVerdict.NONNEGATIVE if any(path_counts) else SignVerdict.IDENTICALLY_ZERO
     if max(path_counts) <= 0:
         return SignVerdict.CROSSES_ZERO
     if d is None:

@@ -39,17 +39,38 @@ from .polynomials import IntPoly, P, horner_numerator, integrate01, to_path_coun
 SYNTH_CAP = 10
 
 
+class _LazyCounts(dict):
+    """Path counts by label at n = 2^m, each channel converted on its first
+    read and kept: a read of a converted channel is one dict lookup."""
+
+    __slots__ = ("_polys", "_n")
+
+    def __init__(self, polys: tuple[IntPoly, ...], n: int) -> None:
+        super().__init__()
+        self._polys = polys
+        self._n = n
+
+    def __missing__(self, u: int) -> tuple[int, ...]:
+        counts = self[u] = to_path_counts(self._polys[u], self._n).counts
+        return counts
+
+
 @dataclass(frozen=True)
 class ChannelTable:
     """All 2^m channel polynomials of one stage count m, indexed by label,
-    and their averages and path counts, each computed once, when first read."""
+    and their averages and path counts, each computed once, when first read.
+
+    `counts[u]` holds the path counts of label u (`path_counts`), for
+    callers that hold label ints."""
 
     m: int
     polys: tuple[IntPoly, ...]
     _avrs: dict[int, Fraction] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _counts: dict[int, tuple[int, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    counts: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "counts", _LazyCounts(self.polys, 1 << self.m))
 
     def __getitem__(self, key: int | Monomial) -> IntPoly:
         u = key.bits if isinstance(key, Monomial) else key
@@ -70,10 +91,7 @@ class ChannelTable:
     def path_counts(self, key: int | Monomial) -> tuple[int, ...]:
         """Path counts N_0..N_n of the channel at n = 2^m (`to_path_counts`),
         converted on the first read of that channel and kept for the rest."""
-        u = key.bits if isinstance(key, Monomial) else key
-        if u not in self._counts:
-            self._counts[u] = to_path_counts(self.polys[u], 1 << self.m).counts
-        return self._counts[u]
+        return self.counts[key.bits if isinstance(key, Monomial) else key]
 
 
 def check_m(m: int, force: bool = False) -> None:

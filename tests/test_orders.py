@@ -1,13 +1,18 @@
 """Order relations: anchors, poset axioms, brute-force cross-checks, posets."""
 
 import itertools
+import random
+from itertools import accumulate
+from math import comb
+from operator import le
 
 import pytest
 
-from becpolar import polynomials, synthesis
+from becpolar import golden, polynomials, synthesis
 from becpolar.monomials import Monomial, all_monomials
 from becpolar.orders import (
     Comparison,
+    OrderVerdict,
     Relation,
     closure,
     compare,
@@ -124,6 +129,167 @@ class TestDivisorShortcut:
         for f in all_monomials(m):
             for g in all_monomials(m):
                 assert leq_dominance(f, g) == _leq_brute_divisor(f, g, _dom_equal)
+
+
+def _std_twin(f, g):
+    """The standard order by its definition on sliced supports: f, in
+    ascending order, against the divisor of g spanned by its deg(f) largest
+    variables."""
+    if f == g:
+        return True
+    sf, sg = f.support(), g.support()
+    if len(sf) > len(sg):
+        return False
+    return all(map(le, sf, sg[len(sg) - len(sf):]))
+
+
+def _dom_twin(f, g):
+    """The dominance order the same way: partial sums of the largest indices
+    of f and of that divisor of g."""
+    if f == g:
+        return True
+    sf, sg = f.support(), g.support()
+    if len(sf) > len(sg):
+        return False
+    top = sg[len(sg) - len(sf):]
+    return all(map(le, accumulate(sf[::-1]), accumulate(top[::-1])))
+
+
+TWINS = {Relation.WEAK: lambda f, g: set(f.support()) <= set(g.support()),
+         Relation.STANDARD: _std_twin, Relation.DOMINANCE: _dom_twin}
+INCOMPARABLE = {5: golden.INCOMPARABLE_PAIRS_M5, 6: golden.INCOMPARABLE_PAIRS_M6}
+
+
+def _verdict(leq, f, g):
+    if f == g:
+        return Comparison.EQUAL
+    if leq(f, g):
+        return Comparison.LESS_OR_EQUAL
+    if leq(g, f):
+        return Comparison.GREATER_OR_EQUAL
+    return Comparison.INCOMPARABLE
+
+
+class TestLabelKernels:
+    """The label kernels behind every order function against twins that
+    build and slice supports, and the poset utilities against brute force."""
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_std_and_dominance_match_sliced_twins(self, m):
+        monos = all_monomials(m)
+        for f in monos:
+            for g in monos:
+                assert leq_std(f, g) == _std_twin(f, g), (f, g)
+                assert leq_dominance(f, g) == _dom_twin(f, g), (f, g)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_compare_matches_twins(self, m, cache):
+        """All four relations; the pointwise twin reads the pinned
+        incomparable pairs, and orders every other pair of distinct channels
+        by its exact averages."""
+        table, avrs = cache.table(m), cache.avrs(m)
+        apart = set(INCOMPARABLE.get(m, ()))
+
+        def pointwise(f, g):
+            pair = (min(f.bits, g.bits), max(f.bits, g.bits))
+            return pair not in apart and avrs[f.bits] < avrs[g.bits]
+        twins = {**TWINS, Relation.POINTWISE: pointwise}
+        monos = all_monomials(m)
+        for f in monos:
+            for g in monos:
+                for relation, twin in twins.items():
+                    got = compare(f, g, relation, table)
+                    assert got.relation is relation
+                    assert got.result is _verdict(twin, f, g), (f, g, relation)
+
+    @pytest.mark.parametrize("relation", list(TWINS))
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_closure_and_interval(self, m, relation):
+        twin = TWINS[relation]
+        monos = all_monomials(m)
+        for g in monos:
+            assert closure(g, relation) == {h for h in monos if twin(h, g)}
+            for f in monos:
+                if twin(f, g):
+                    assert interval(f, g, relation) == {
+                        h for h in monos if twin(f, h) and twin(h, g)}
+                else:
+                    with pytest.raises(ValueError, match="does not precede"):
+                        interval(f, g, relation)
+
+    @pytest.mark.parametrize("relation", list(TWINS))
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_is_decreasing(self, m, relation):
+        """Every subset at m <= 3; at m = 4, 5 the closures, each without its
+        top or its bottom, unions of two closures, and random subsets."""
+        twin = TWINS[relation]
+        monos = all_monomials(m)
+        if m <= 3:
+            sets = [set(c) for k in range(len(monos) + 1)
+                    for c in itertools.combinations(monos, k)]
+        else:
+            closures = [{h for h in monos if twin(h, g)} for g in monos]
+            rng = random.Random(m)
+            sets = (closures + [c - {g} for c, g in zip(closures, monos)]
+                    + [c - {monos[0]} for c in closures]
+                    + [a | b for a, b in itertools.combinations(closures[::3], 2)]
+                    + [set(rng.sample(monos, rng.randrange(len(monos)))) for _ in range(64)])
+        outcomes = set()
+        for members in sets:
+            want = all(h in members for g in members for h in monos if twin(h, g))
+            assert is_decreasing(members, relation) is want, members
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("relation", list(TWINS))
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_hasse_edges(self, m, relation):
+        """Covering pairs: u strictly below v with no w strictly between."""
+        twin = TWINS[relation]
+        monos = all_monomials(m)
+        n = len(monos)
+        below = [[u != v and twin(monos[u], monos[v]) for v in range(n)] for u in range(n)]
+        want = [(u, v) for u in range(n) for v in range(n) if below[u][v]
+                and not any(below[u][w] and below[w][v] for w in range(n))]
+        assert hasse_edges(m, relation) == want
+
+    def test_mixed_m_rejected(self):
+        """Equal masks of different m are refused too, not called equal."""
+        for relation in TWINS:
+            with pytest.raises(ValueError, match="variable counts differ"):
+                compare(M(1, 3), M(1, 4), relation)
+            with pytest.raises(ValueError, match="variable counts differ"):
+                interval(M(0, 3), M(1, 4), relation)
+            with pytest.raises(ValueError, match="variable counts differ"):
+                is_decreasing({M(0, 3), M(0, 4)}, relation)
+
+
+class TestOrderChainCounts:
+    """The paper's claim, measured: each order of the chain weak, standard,
+    dominance, pointwise compares more pairs of distinct labels than the one
+    before.  A pair counts once, whichever way it is ordered."""
+
+    COMPARED = {  # m: (weak, standard, dominance)
+        1: (1, 1, 1), 2: (5, 6, 6), 3: (19, 27, 27), 4: (65, 110, 111),
+        5: (211, 430, 439), 6: (665, 1652, 1710), 7: (2059, 6307, 6622)}
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_pairs_compared_by_the_bit_orders(self, m):
+        monos = all_monomials(m)
+        got = tuple(sum(compare(f, g, relation).result is not Comparison.INCOMPARABLE
+                        for i, f in enumerate(monos) for g in monos[i + 1:])
+                    for relation in TWINS)
+        assert got == self.COMPARED[m]
+        assert got[0] == 3 ** m - 2 ** m  # strict divisor pairs of m-bit masks
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_pointwise_compares_the_most(self, m):
+        """Pointwise: every pair but the pinned incomparable ones, with no
+        new scan (the pinned lists are checked against a scan elsewhere)."""
+        pointwise = comb(1 << m, 2) - len(INCOMPARABLE.get(m, ()))
+        assert pointwise == {1: 1, 2: 6, 3: 28, 4: 120, 5: 489, 6: 1955}[m]
+        weak, std, dom = self.COMPARED[m]
+        assert weak <= std <= dom <= pointwise
 
 
 class TestPosetAxioms:
@@ -248,6 +414,44 @@ class TestPointwise:
             for g in monos:
                 leq_pointwise(f, g, table)
         assert calls == [32] * 32
+
+
+    def test_one_comparison_converts_only_its_two_channels(self, monkeypatch):
+        """On a fresh m = 8 table one comparison converts the two channels it
+        reads, of 256; converting every channel would make it about 100x
+        slower."""
+        converted = []
+        convert = polynomials.to_path_counts
+
+        def counted(a, n):
+            converted.append(a)
+            return convert(a, n)
+        monkeypatch.setattr(synthesis, "to_path_counts", counted)
+        table = synthesis.synth_all(8)
+        assert leq_pointwise(M(6, 8), M(9, 8), table).result is Comparison.LESS_OR_EQUAL
+        assert sorted(map(table.polys.index, converted)) == [6, 9]
+        assert sorted(table.counts) == [6, 9]
+
+    def test_verdicts_are_shared_instances(self, cache):
+        """`compare` and `leq_pointwise` return one instance per relation and
+        result, 16 in all, and a newly built verdict equals it and hashes
+        alike."""
+        table = cache.table(5)
+        monos = all_monomials(5)
+        shared = {}
+        for f in monos:
+            for g in monos:
+                for relation in Relation:
+                    verdict = compare(f, g, relation, table)
+                    assert shared.setdefault((relation, verdict.result), verdict) is verdict
+                pointwise = leq_pointwise(f, g, table)
+                assert shared[Relation.POINTWISE, pointwise.result] is pointwise
+        assert len(shared) == 16
+        for (relation, result), verdict in shared.items():
+            fresh = OrderVerdict(relation, result)
+            assert fresh is not verdict
+            assert fresh == verdict and hash(fresh) == hash(verdict)
+            assert {fresh: 1}[verdict] == 1
 
 
 @pytest.mark.parametrize("call", [
