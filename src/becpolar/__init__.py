@@ -18,7 +18,6 @@ from .polynomials import (
 from .synthesis import (
     ChannelTable,
     average_numerators,
-    channel_averages,
     channel_threshold,
     synth_all,
     synth_labels,

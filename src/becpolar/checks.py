@@ -60,6 +60,13 @@ def _check(name: str, applies: Callable[[int], bool] = lambda m: True,
     return register
 
 
+def _averages(m: int, labels: list[int] | None = None) -> tuple[tuple[int, ...], int]:
+    """`average_numerators` of the labels of m (None: all) and their
+    denominator D.  Forced: a check reads it only when the table of m
+    exists, so m has passed the synthesis cap already."""
+    return synthesis.average_numerators(m, labels, force=True)
+
+
 def _leqs():
     return ((Relation.WEAK, orders.leq_weak), (Relation.STANDARD, orders.leq_std),
             (Relation.DOMINANCE, orders.leq_dominance))
@@ -143,23 +150,25 @@ def _oracle_equivalence(m, table):
 @_check("reliability/inclusion-exclusion")
 def _inclusion_exclusion(m, table):
     for i_ones in range(m + 1):
-        want = table.path_counts((1 << i_ones) - 1)
+        want = table.counts[(1 << i_ones) - 1]
         if reliability.ni_inclusion_exclusion(m, i_ones).counts != want:
             yield f"i_ones={i_ones}"
 
 
 @_check("reliability/closed-form-avr")
 def _closed_form_avr(m, table):
-    """Closed forms equal the integrals for i leading 1-bits and i leading 0-bits."""
+    """Closed forms equal the averages for i leading 1-bits and i leading 0-bits."""
     mask = (1 << m) - 1
+    nums, d = _averages(m)
+    avr = [Fraction(x, d) for x in nums]
     for i in range(m + 1):
         u = (1 << i) - 1
         closed = reliability.avr_closed_form(m, i)
-        if closed != table.avr(u):
-            yield f"i_ones={i}: {closed} != {table.avr(u)}"
+        if closed != avr[u]:
+            yield f"i_ones={i}: {closed} != {avr[u]}"
         closed = reliability.avr_closed_form_complement(m, i)
-        if closed != table.avr(mask ^ u):
-            yield f"i_zeros={i}: {closed} != {table.avr(mask ^ u)}"
+        if closed != avr[mask ^ u]:
+            yield f"i_zeros={i}: {closed} != {avr[mask ^ u]}"
 
 
 @_check("identities/erasure-conservation")
@@ -179,16 +188,17 @@ def _duality(m, table):
     binomials = [comb(n, i) for i in range(n + 1)]
     for u in range(n):
         ubar = u ^ (n - 1)
-        if u < ubar and table.path_counts(ubar) != tuple(
-                map(sub, binomials, reversed(table.path_counts(u)))):
+        if u < ubar and table.counts[ubar] != tuple(
+                map(sub, binomials, reversed(table.counts[u]))):
             yield f"u={u}"
 
 
 @_check("identities/avr-complement")
 def _avr_complement(m, table):
     mask = (1 << m) - 1
+    nums, d = _averages(m)
     for u in range(1 << m):
-        if table.avr(u) + table.avr(u ^ mask) != 1:
+        if nums[u] + nums[u ^ mask] != d:
             yield f"u={u}"
 
 
@@ -197,7 +207,7 @@ def _path_count_bounds(m, table):
     """N_n = 1, 0 <= N_i <= C(n, i), and N_i = 0 below the minimal path length."""
     n = 1 << m
     for u in range(n):
-        counts = table.path_counts(u)
+        counts = table.counts[u]
         if counts[n] != 1:
             yield f"u={u}: N_n != 1"
         if any(not 0 <= c <= comb(n, i) for i, c in enumerate(counts)):
@@ -225,7 +235,8 @@ def _threshold_symmetry(m, table):
 @_check("tables/avr-2dp", applies=lambda m: m in golden.AVR_2DP_ROWS)
 def _avr_2dp(m, table):
     """Cited two-place averages, listed in ranked order."""
-    exact = [table.avr(u) for u, _ in golden.AVR_2DP_ROWS[m]]
+    nums, d = _averages(m, [u for u, _ in golden.AVR_2DP_ROWS[m]])
+    exact = [Fraction(x, d) for x in nums]
     for (u, cited), value in zip(golden.AVR_2DP_ROWS[m], exact):
         rendered = str(construction.render_avr(value, 2))
         pinned = golden.AVR_2DP_LOOSE.get((m, u))
@@ -242,7 +253,7 @@ def _avr_2dp(m, table):
 @_check("tables/degree2-path-counts", applies=lambda m: m == 4)
 def _degree2_path_counts(m, table):
     for u, want in ((6, golden.PATH_COUNTS_M4_U6), (9, golden.PATH_COUNTS_M4_U9)):
-        got = table.path_counts(u)
+        got = table.counts[u]
         if got != want:
             yield f"u={u}: {got}"
 
@@ -267,7 +278,7 @@ def _incomparable_complement_closure(m, table):
 @_check("tables/pointwise-avr-compat", applies=lambda m: m <= construction.INCOMPARABLE_M_CAP)
 def _pointwise_avr_compat(m, table):
     """A pointwise-ordered pair is ordered the same way by average."""
-    avrs = [table.avr(u) for u in range(1 << m)]
+    avrs, _ = _averages(m)
     for u, v, verdict in construction.pointwise_verdicts(table):
         if avrs[u] < avrs[v] and verdict in (Comparison.GREATER_OR_EQUAL, Comparison.EQUAL):
             yield f"({u}, {v}) is {verdict.value} pointwise but not by average"
@@ -275,16 +286,17 @@ def _pointwise_avr_compat(m, table):
 
 @_check("tables/moment-averages")
 def _moment_averages(m, table):
-    """The moment recursion's averages equal the integrals of the table."""
-    # force: the table of m exists, so m has passed the synthesis cap already
-    for u, avr in enumerate(synthesis.channel_averages(m, force=True)):
-        if avr != table.avr(u):
-            yield f"u={u}: {avr} != {table.avr(u)}"
+    """The moment recursion's averages equal the integrals of the table, the
+    one check that reads an average from its integration twin."""
+    nums, d = _averages(m)
+    for u, x in enumerate(nums):
+        if Fraction(x, d) != table.avr(u):
+            yield f"u={u}: {Fraction(x, d)} != {table.avr(u)}"
 
 
 @_check("tables/distinct-averages")
 def _distinct_averages(m, table):
-    avrs = [table.avr(u) for u in range(1 << m)]
+    avrs, _ = _averages(m)
     if len(set(avrs)) != len(avrs):
         yield "two channels share an average reliability"
 
@@ -292,7 +304,7 @@ def _distinct_averages(m, table):
 @_check("tables/avr-ordering-prefix", applies=lambda m: m in (5, 6))
 def _avr_ordering_prefix(m, table):
     want = {5: golden.ORDER_PREFIX_M5, 6: golden.ORDER_PREFIX_M6[:33]}[m]
-    got = construction.rank(construction.Criterion.average(), m, table).order[:len(want)]
+    got = construction.rank(construction.Criterion.average(), m).order[:len(want)]
     if got != want:
         yield f"got {got}"
 
@@ -301,7 +313,7 @@ def _avr_ordering_prefix(m, table):
 def _first_order_rm(m, table):
     """The best m + 1 channels by average are the labels of degree <= 1, the
     monomials of the first-order Reed-Muller code RM(1, m)."""
-    best = construction.rank(construction.Criterion.average(), m, table).order[:m + 1]
+    best = construction.rank(construction.Criterion.average(), m).order[:m + 1]
     if set(best) != {u for u in range(1 << m) if u.bit_count() <= 1}:
         yield f"best {m + 1} by average: {sorted(best)}"
 
@@ -312,23 +324,25 @@ def _pair_avr_decimals(m, table):
     last cited place, and the six-place renderings stay frozen."""
     for pair, cited in golden.FIRST4_PAIR_DECIMALS:
         places = max(len(text) - 2 for text in cited)
-        rendered = construction.avr_of_pairs([pair], table, places)[0]
+        rendered = construction.avr_of_pairs(m, [pair], places)[0]
         for u, text, got in zip(pair, cited, rendered):
             if abs(got - Decimal(text)) > Decimal(1).scaleb(-places):
                 yield f"u={u}: {got} vs cited {text}"
-    for u, want in golden.PAIR_AVR_6DP_M5.items():
-        got = str(construction.render_avr(table.avr(u), 6))
+    nums, d = _averages(m, list(golden.PAIR_AVR_6DP_M5))
+    for (u, want), x in zip(golden.PAIR_AVR_6DP_M5.items(), nums):
+        got = str(construction.render_avr(x, 6, d))
         if got != want:
             yield f"u={u}: {got} != {want} at six places"
 
 
 @_check("tables/avr-distribution")
 def _avr_distribution(m, table):
-    counts = construction.avr_distribution(m, table)
+    counts = construction.avr_distribution(m, force=True)
     ok = sum(counts) == 1 << m
     # mirror symmetry of the histogram follows from complementation only when
     # no average sits exactly on a decile edge (at m=2, 1/5 does)
-    if all((table.avr(u) * 10).denominator != 1 for u in range(1 << m)):
+    nums, d = _averages(m)
+    if all(10 * x % d for x in nums):
         ok = ok and counts == counts[::-1]
     if m in golden.DISTRIBUTION_FIRST5:
         ok = ok and tuple(counts[:5]) == golden.DISTRIBUTION_FIRST5[m]
@@ -338,14 +352,14 @@ def _avr_distribution(m, table):
 
 @_check("tables/beta-incompatible", applies=lambda m: m in golden.BETA_INCOMPATIBLE_AT_122)
 def _beta_incompatible(m, table):
-    got = construction.beta_incompatible_count(m, Decimal("1.22"), table)
+    got = construction.beta_incompatible_count(m, Decimal("1.22"))
     if got != golden.BETA_INCOMPATIBLE_AT_122[m]:
         yield f"got {got}, want {golden.BETA_INCOMPATIBLE_AT_122[m]}"
 
 
 @_check("tables/beta-discordant-pairs", applies=lambda m: m in golden.BETA_DISCORDANT_AT_122)
 def _beta_discordant_pairs(m, table):
-    got = len(construction.beta_avr_conflicts(m, Decimal("1.22"), table))
+    got = len(construction.beta_avr_conflicts(m, Decimal("1.22")))
     if got != golden.BETA_DISCORDANT_AT_122[m]:
         yield f"got {got}, want {golden.BETA_DISCORDANT_AT_122[m]}"
 
@@ -353,14 +367,14 @@ def _beta_discordant_pairs(m, table):
 @_check("tables/beta-zero-range", applies=lambda m: m in golden.BETA_ZERO_POINTS)
 def _beta_zero_range(m, table):
     for beta in golden.BETA_ZERO_POINTS[m]:
-        got = construction.beta_incompatible_count(m, Decimal(beta), table)
+        got = construction.beta_incompatible_count(m, Decimal(beta))
         if got != 0:
             yield f"beta={beta}: {got} disagreements"
 
 
 @_check("tables/beta-avr-coincidence", applies=lambda m: m == 5)
 def _beta_avr_coincidence(m, table):
-    avr_rank = construction.rank(construction.Criterion.average(), m, table)
+    avr_rank = construction.rank(construction.Criterion.average(), m)
     beta_rank = construction.rank(construction.Criterion.beta_expansion(Decimal("1.22")), m)
     if avr_rank.order != beta_rank.order:
         yield "beta=1.22 and avr rankings differ"

@@ -115,11 +115,10 @@ def cmd_rank(args: argparse.Namespace) -> int:
     """Rank every channel; print the best k with their averages and thresholds.
 
     Thresholds come from the label by integer square roots
-    (`channel_threshold`), so a polynomial is built only where a score needs
-    one: `avr` scores on the integer numerators of the moment recursion
-    (`average_numerators`) and builds none, `p=` scores from the full table,
-    and `beta=` scores from the labels and builds only the k listed
-    polynomials, for their averages.
+    (`channel_threshold`), and averages from the moment recursion
+    (`average_numerators`), so only `p=` builds a polynomial: it scores from
+    the full table.  `avr` reads each listed average off its own ranking
+    scores; `p=` and `beta=` run the recursion on the k listed labels only.
     """
     synthesis.check_m(args.m, args.force)
     m = args.m
@@ -127,20 +126,16 @@ def cmd_rank(args: argparse.Namespace) -> int:
     k = args.k if args.k is not None else 1 << m
     if not 0 <= k <= (1 << m):
         raise ValueError(f"--k {k} out of range for m={m}")
-    if criterion.kind == "pointwise":
-        polys = synthesis.synth_all(m, force=args.force)
-        ranking = construction.rank(criterion, m, polys)
+    ranking = construction.rank(criterion, m, force=args.force)
+    listed = ranking.order[:k]
+    if criterion.kind == "average":
+        avrs = [ranking.score(u) for u in listed]
     else:
-        ranking = construction.rank(criterion, m, force=args.force)
-        if criterion.kind == "beta":
-            polys = synthesis.synth_labels(m, ranking.order[:k], force=args.force)
+        nums, d = synthesis.average_numerators(m, listed, force=args.force)
+        avrs = [Fraction(x, d) for x in nums]
     tol = Fraction(1, 2**30)
     records = []
-    for u in ranking.order[:k]:
-        if criterion.kind == "average":
-            avr = ranking.score(u)
-        else:
-            avr = polynomials.integrate01(polys[u])
+    for u, avr in zip(listed, avrs):
         score = ranking.score(u)
         exact = _beta_decimal(score, criterion.beta, m) if criterion.kind == "beta" else _frac(score)
         threshold = synthesis.channel_threshold(Monomial(m, u), tol)
@@ -231,7 +226,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 def cmd_avrplot(args: argparse.Namespace) -> int:
     synthesis.check_m(args.m, args.force)
-    nums, d = synthesis.average_numerators(args.m, args.force)
+    nums, d = synthesis.average_numerators(args.m, force=args.force)
     lines = ["u,avr"] + [f"{u},{construction.render_avr(x, 6, d)}" for u, x in enumerate(nums)]
     text = "\n".join(lines) + "\n"
     if args.out == "-":

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from . import orders
 from .monomials import all_monomials
@@ -105,31 +104,18 @@ def _table_of(m: int, table: ChannelTable | None, force: bool = False) -> Channe
     return table
 
 
-def _average_numerators(m: int, table: ChannelTable | None,
-                        force: bool = False) -> tuple[tuple[int, ...], int]:
-    """Exact average of every label of m as integer numerators over
-    D = lcm(1..2^m + 1): from the integrals of `table` when it is given (it
-    must be the table of m), else `average_numerators(m, force)`."""
-    if table is None:
-        return average_numerators(m, force)
-    table = _table_of(m, table)
-    d = lcm(*range(1, (1 << m) + 2))
-    # an integral of a degree-2^m integer polynomial has a denominator dividing D
-    return tuple(a.numerator * (d // a.denominator) for a in map(table.avr, range(1 << m))), d
-
-
 def rank(criterion: Criterion, m: int, table: ChannelTable | None = None,
          force: bool = False) -> RankedChannels:
     """Score every channel under the criterion and sort ascending (best first).
 
     Every score is an exact rational.  Beta scores are kept and sorted as
     integer numerators over q^(m-1), beta = p/q, and average scores as
-    integer numerators over D = lcm(1..2^m + 1); both become `Fraction`s only
-    when read (`RankedChannels.score`).  Average scores are the integrals of
-    `table` when it is given, else `average_numerators`, which builds no
-    polynomial; pointwise scores at p = a/q need `table` of m, built here
-    when not given, and are sorted on the integers score * q^(2^m).
-    `force` passes the synthesis cap when this builds averages or a table.
+    integer numerators over D = lcm(1..2^m + 1) from `average_numerators`,
+    which builds no polynomial; both become `Fraction`s only when read
+    (`RankedChannels.score`).  Only pointwise scores read `table`: at p = a/q
+    they need the table of m, built here when not given, and are sorted on
+    the integers score * q^(2^m).  `force` passes the synthesis cap when this
+    builds averages or a table.
     Ties break by ascending label; beta scores never tie, since two
     labels with equal scores would make the rational beta > 1 a root of a
     polynomial with coefficients in {-1, 0, 1}, whose rational roots are +-1.
@@ -146,7 +132,7 @@ def rank(criterion: Criterion, m: int, table: ChannelTable | None = None,
         scale = criterion.p.denominator ** n
         sort_keys = [s.numerator * (scale // s.denominator) for s in keys]
     elif criterion.kind == "average":
-        keys, den = _average_numerators(m, table, force)
+        keys, den = average_numerators(m, force=force)
         sort_keys = keys
     else:
         raise ValueError(f"unknown criterion kind {criterion.kind!r}")
@@ -160,10 +146,13 @@ def pointwise_verdicts(table: ChannelTable) -> tuple[tuple[int, int, orders.Comp
     u before v in ascending average order: the one pairwise pointwise scan,
     kept for the last table scanned.
 
-    Pairs are taken in average order, so that `leq_pointwise` settles a pair
-    ordered that way pointwise with its first sign decision."""
+    Pairs are taken in average order, sorted on the numerators of
+    `average_numerators`, so that `leq_pointwise` settles a pair ordered that
+    way pointwise with its first sign decision."""
     monos = all_monomials(table.m)
-    by_avr = sorted(range(len(table)), key=table.avr)
+    # force: the table of m exists, so m has passed the synthesis cap already
+    nums, _ = average_numerators(table.m, force=True)
+    by_avr = sorted(range(len(table)), key=nums.__getitem__)
     return tuple((u, v, orders.leq_pointwise(monos[u], monos[v], table).result)
                  for i, u in enumerate(by_avr) for v in by_avr[i + 1:])
 
@@ -195,25 +184,25 @@ def render_avr(value: Fraction | int, digits: int, denominator: int = 1) -> Deci
     return Decimal(f"{q}E{-digits}")
 
 
-def avr_of_pairs(pairs: list[tuple[int, int]], table: ChannelTable,
+def avr_of_pairs(m: int, pairs: list[tuple[int, int]],
                  digits: int = 3) -> list[tuple[Decimal, Decimal]]:
     """Decimal views (rounded half-up) of the exact average reliabilities of
-    the given label pairs."""
-    return [(render_avr(table.avr(u), digits), render_avr(table.avr(v), digits))
-            for u, v in pairs]
+    the given label pairs of m, from `average_numerators` of their labels."""
+    nums, d = average_numerators(m, [u for pair in pairs for u in pair])
+    views = [render_avr(x, digits, d) for x in nums]
+    return list(zip(views[::2], views[1::2]))
 
 
-def avr_distribution(m: int, table: ChannelTable | None = None,
-                     force: bool = False) -> list[int]:
+def avr_distribution(m: int, force: bool = False) -> list[int]:
     """Histogram of average reliabilities over the deciles (i/10, (i+1)/10].
 
     Bucket membership is decided exactly on the integer numerators x over D
     (upper-inclusive).  Every channel lands in a bucket because its average
     reliability is strictly positive and at most 1.  The averages are those
-    of `table` when given, else `average_numerators(m, force)`.
+    of `average_numerators(m, force=force)`.
     """
     counts = [0] * 10
-    nums, d = _average_numerators(m, table, force)
+    nums, d = average_numerators(m, force=force)
     for x in nums:
         if not 0 < x <= d:
             raise AssertionError(f"average reliability {Fraction(x, d)} outside (0, 1]")
@@ -222,21 +211,19 @@ def avr_distribution(m: int, table: ChannelTable | None = None,
     return counts
 
 
-def beta_avr_conflicts(m: int, beta: Decimal,
-                       table: ChannelTable | None = None) -> list[tuple[int, int]]:
+def beta_avr_conflicts(m: int, beta: Decimal) -> list[tuple[int, int]]:
     """Exact discordant pairs of the two rankings: ordered pairs (u, v) ranked
     strictly by average reliability as u before v and strictly the other way
     by beta score.  Each discordant unordered pair appears once.  The
-    averages are those of `table` when given, else `average_numerators`."""
-    avr, _ = _average_numerators(m, table)
+    averages are those of `average_numerators`."""
+    avr, _ = average_numerators(m)
     beta_score, _ = _beta_numerators(m, Criterion.beta_expansion(beta).beta)
     n = 1 << m
     return [(u, v) for u in range(n) for v in range(n)
             if avr[u] < avr[v] and beta_score[u] > beta_score[v]]
 
 
-def beta_incompatible_count(m: int, beta: Decimal,
-                            table: ChannelTable | None = None) -> int:
+def beta_incompatible_count(m: int, beta: Decimal) -> int:
     """The paper's beta-incompatibility statistic: the number of ranking
     positions at which the beta and average-reliability orders hold different
     channels, divided by 4.
@@ -245,10 +232,9 @@ def beta_incompatible_count(m: int, beta: Decimal,
     discordant pairs (for that, take `len(beta_avr_conflicts(...))`): at
     beta = 1.22 it is 2/10/36 at m = 6/7/8, against 4/30/134 discordant
     pairs.  Displacements mirror under complementation, so the displaced
-    count is a multiple of 4.  The averages are those of `table` when given,
-    else `average_numerators`.
+    count is a multiple of 4.  The averages are those of `average_numerators`.
     """
-    avr_ranking = rank(Criterion.average(), m, table)
+    avr_ranking = rank(Criterion.average(), m)
     beta_ranking = rank(Criterion.beta_expansion(beta), m)
     displaced = sum(1 for a, b in zip(avr_ranking.order, beta_ranking.order) if a != b)
     if displaced % 4 != 0:

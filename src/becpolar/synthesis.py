@@ -57,16 +57,14 @@ class _LazyCounts(dict):
 
 @dataclass(frozen=True)
 class ChannelTable:
-    """All 2^m channel polynomials of one stage count m, indexed by label,
-    and their averages and path counts, each computed once, when first read.
+    """All 2^m channel polynomials of one stage count m, indexed by label.
 
-    `counts[u]` holds the path counts of label u (`path_counts`), for
-    callers that hold label ints."""
+    `counts[u]` holds the path counts N_0..N_n of label u at n = 2^m
+    (`to_path_counts`), converted on the first read of that channel and kept
+    for the rest."""
 
     m: int
     polys: tuple[IntPoly, ...]
-    _avrs: dict[int, Fraction] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
     counts: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -80,18 +78,9 @@ class ChannelTable:
         return len(self.polys)
 
     def avr(self, key: int | Monomial) -> Fraction:
-        """Exact average reliability: integral of the channel polynomial, the
-        integration twin of `channel_averages`, integrated on the first read
-        of that channel and kept for the rest."""
-        u = key.bits if isinstance(key, Monomial) else key
-        if u not in self._avrs:
-            self._avrs[u] = integrate01(self.polys[u])
-        return self._avrs[u]
-
-    def path_counts(self, key: int | Monomial) -> tuple[int, ...]:
-        """Path counts N_0..N_n of the channel at n = 2^m (`to_path_counts`),
-        converted on the first read of that channel and kept for the rest."""
-        return self.counts[key.bits if isinstance(key, Monomial) else key]
+        """Exact average reliability: the integral of the channel polynomial,
+        the integration twin of `average_numerators`."""
+        return integrate01(self[key])
 
 
 def check_m(m: int, force: bool = False) -> None:
@@ -116,6 +105,14 @@ def synth_poly(u: Monomial) -> IntPoly:
     return z
 
 
+def _label_set(m: int, labels: Iterable[int]) -> set[int]:
+    """The distinct labels of `labels`, each checked to lie in 0..2^m - 1."""
+    wanted = set(labels)
+    if any(not 0 <= u < (1 << m) for u in wanted):
+        raise ValueError(f"labels must be in 0..{(1 << m) - 1} for m={m}")
+    return wanted
+
+
 def synth_labels(m: int, labels: Iterable[int] | None,
                  force: bool = False) -> dict[int, IntPoly]:
     """Channel polynomials of the given labels (None: every label of m),
@@ -129,9 +126,7 @@ def synth_labels(m: int, labels: Iterable[int] | None,
     `labels` do not matter.  `check_m(m, force)` caps m.
     """
     check_m(m, force)
-    wanted = set(range(1 << m) if labels is None else labels)
-    if any(not 0 <= u < (1 << m) for u in wanted):
-        raise ValueError(f"labels must be in 0..{(1 << m) - 1} for m={m}")
+    wanted = _label_set(m, range(1 << m) if labels is None else labels)
     level = {0: P} if wanted else {}
     for k in range(1, m + 1):
         keep = {u >> (m - k) for u in wanted}
@@ -152,23 +147,19 @@ def synth_all(m: int, force: bool = False) -> ChannelTable:
     return ChannelTable(m, tuple(synth_labels(m, None, force).values()))
 
 
-def channel_averages(m: int, force: bool = False) -> tuple[Fraction, ...]:
-    """Exact average reliability of every label of m, in label order, with no
-    polynomial: `average_numerators` over its denominator, equal to
-    `integrate01` of each channel of `synth_all(m)`.  `check_m(m, force)`
-    caps m."""
-    nums, d = average_numerators(m, force)
-    return tuple(Fraction(x, d) for x in nums)
+def average_numerators(m: int, labels: Iterable[int] | None = None,
+                       force: bool = False) -> tuple[tuple[int, ...], int]:
+    """Integer numerators of the exact averages of the given labels, in the
+    order given (None: every label of m, in label order), and their common
+    denominator D = lcm(1..2^m + 1).  This is the library's one source of
+    exact averages; `ChannelTable.avr` is its integration twin.
 
-
-def average_numerators(m: int, force: bool = False) -> tuple[tuple[int, ...], int]:
-    """Integer numerators of every label's exact average, in label order, and
-    their common denominator D = lcm(1..2^m + 1).
-
-    Walks the suffix tree of `synth_labels`.  A node w at depth d >= 1
-    carries K + 1 = 2^(m-d) + 1 moments chosen by its last bit: for a 0-bit
-    M[k] = D * integral_0^1 Z_w^k dp, for a 1-bit M[k] = D * integral_0^1
-    (1 - Z_w)^k dp.  The root (Z = p) has both vectors equal to D / (k + 1).
+    Walks the suffix tree of `synth_labels` and, like it, expands only the
+    nodes that are the top bits of some requested label.  A node w at depth
+    d >= 1 carries K + 1 = 2^(m-d) + 1 moments chosen by its last bit: for
+    a 0-bit M[k] = D * integral_0^1 Z_w^k dp, for a 1-bit M[k] = D *
+    integral_0^1 (1 - Z_w)^k dp.  The root (Z = p) has both vectors equal to
+    D / (k + 1).
     A child whose bit repeats its parent's last bit is Z^2 (0-bit) or has
     1 - Z' = (1 - Z)^2 (1-bit), so it takes the parent's even-indexed
     entries with no arithmetic; both children of the root are of this kind.
@@ -181,32 +172,39 @@ def average_numerators(m: int, force: bool = False) -> tuple[tuple[int, ...], in
     integer coefficients and degree at most 2^m, so it is an integer in
     [0, D].  A leaf's numerator is M[1] for a 0-bit and D - M[1] for a 1-bit.
 
-    About n^2 / 2 subtractions of integers of up to 1.44 n bits, n = 2^m,
-    and no products: 1.9 ms at m = 8, 7 ms at m = 9, 0.03 s at m = 10,
-    0.19 s at m = 11, 1.6 s at m = 12 and 12.6 s at m = 13, against 2.9 ms,
-    15 ms, 0.12 s, 1.4 s and 20 s for the products by rows of (2 - x)^k that
-    it replaced (one run each, 2-core host, CPython 3.11).  `check_m(m,
-    force)` caps m.
+    For every label, about n^2 / 2 subtractions of integers of up to 1.44 n
+    bits, n = 2^m, and no products: 1.9 ms at m = 8, 7 ms at m = 9, 0.03 s
+    at m = 10, 0.19 s at m = 11, 1.6 s at m = 12 and 12.6 s at m = 13,
+    against 2.9 ms, 15 ms, 0.12 s, 1.4 s and 20 s for the products by rows
+    of (2 - x)^k that it replaced (one run each, 2-core host, CPython 3.11).
+    Fewer labels skip every difference table that no requested suffix
+    needs.  `check_m(m, force)` caps m.
     """
     check_m(m, force)
     n = 1 << m
+    order = range(n) if labels is None else list(labels)
+    wanted = None if labels is None else _label_set(m, order)
     d = lcm(*range(1, n + 2))
     depth1 = [d // (k + 1) for k in range(n + 1)][::2]  # even entries of the root's
-    level = [depth1, depth1]  # node w has children 2w (0-bit) and 2w + 1 (1-bit)
-    for _ in range(2, m + 1):
-        nxt: list[list[int]] = []
-        for w, moments in enumerate(level):
-            # the child whose bit differs from w's: rows 0, 2, 4, ... of the
-            # difference table, read at column 0
-            flip, row = [moments[0]], moments
-            while len(row) > 1:
-                row = list(map(sub, row, islice(row, 1, None)))
-                row = list(map(sub, row, islice(row, 1, None)))
-                flip.append(row[0])
-            kept = moments[::2]
-            nxt += (flip, kept) if w & 1 else (kept, flip)
+    level = {0: depth1, 1: depth1}
+    for k in range(2, m + 1):
+        keep = None if wanted is None else {u >> (m - k) for u in wanted}
+        nxt: dict[int, list[int]] = {}
+        for w, moments in level.items():  # node w has children 2w (0-bit) and 2w + 1 (1-bit)
+            repeat = 2 * w + (w & 1)  # the child whose bit repeats w's
+            if keep is None or repeat ^ 1 in keep:
+                # the other child: rows 0, 2, 4, ... of the difference
+                # table, read at column 0
+                flip, row = [moments[0]], moments
+                while len(row) > 1:
+                    row = list(map(sub, row, islice(row, 1, None)))
+                    row = list(map(sub, row, islice(row, 1, None)))
+                    flip.append(row[0])
+                nxt[repeat ^ 1] = flip
+            if keep is None or repeat in keep:
+                nxt[repeat] = moments[::2]
         level = nxt
-    return tuple(d - v[1] if u & 1 else v[1] for u, v in enumerate(level)), d
+    return tuple(d - level[u][1] if u & 1 else level[u][1] for u in order), d
 
 
 def _bisect_half(excess: Callable[[int, int], int], tol) -> Fraction:

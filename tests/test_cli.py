@@ -52,7 +52,7 @@ class TestSynth:
         assert code == 0
         table = cache.table(4)
         assert [(c["u"], c["coeffs"], c["path_counts"]) for c in json.loads(out)["channels"]] == [
-            (u, list(table[u].coeffs), list(table.path_counts(u))) for u in range(16)]
+            (u, list(table[u].coeffs), list(table.counts[u])) for u in range(16)]
 
     def test_all_channels_csv(self, capsys):
         code, out, _ = run_cli(capsys, "synth", "--m", "1", "--format", "csv")
@@ -71,7 +71,7 @@ class TestSynth:
             code, out, _ = run_cli(capsys, "synth", "--m", str(m), *extra)
             assert code == 0
             channels = [{"u": v, "monomial": str(Monomial(m, v)), "degree": Monomial(m, v).degree,
-                         "coeffs": list(table[v].coeffs), "path_counts": list(table.path_counts(v))}
+                         "coeffs": list(table[v].coeffs), "path_counts": list(table.counts[v])}
                         for v in labels]
             assert out == json.dumps({"m": m, "channels": channels}, indent=2) + "\n"
 
@@ -249,7 +249,6 @@ def test_bad_m_exits_before_synthesis(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("synthesis ran before the usage check")
     monkeypatch.setattr(synthesis, "synth_all", refuse)
-    monkeypatch.setattr(synthesis, "channel_averages", refuse)
     monkeypatch.setattr(synthesis, "average_numerators", refuse)
     monkeypatch.setattr(construction, "average_numerators", refuse)
     code, _, err = run_cli(capsys, *argv)
@@ -270,7 +269,8 @@ def test_verify_tables_integrates_each_channel_once(capsys, monkeypatch):
     assert code == 0 and len(calls) == 1 << 6
 
 
-AVERAGE_COMMANDS = [("distribution",), ("avrplot", "--out", "-"), ("rank", "--by", "avr")]
+AVERAGE_COMMANDS = [("distribution",), ("avrplot", "--out", "-"), ("rank", "--by", "avr"),
+                    pytest.param(("rank", "--by", "beta=1.22"), id="rank-beta")]
 
 
 @pytest.mark.parametrize("argv", AVERAGE_COMMANDS, ids=lambda argv: argv[0])
@@ -294,6 +294,28 @@ def test_averages_keep_force(capsys, monkeypatch, argv):
     assert code == 2 and "m=4 exceeds the synthesis cap 3" in err
     code, out, _ = run_cli(capsys, *argv, "--m", "4", "--force")
     assert code == 0 and len(out.splitlines()) > 10
+
+
+def test_pointwise_rank_builds_one_table_and_integrates_nothing(capsys, monkeypatch):
+    """`rank --by p=` scores from one full table, and its averages come from
+    the moment recursion, not from integrals of that table."""
+    from becpolar import construction, polynomials, synthesis
+    built = []
+    synth_all = synthesis.synth_all
+
+    def counted(m, *args, **kwargs):
+        built.append(m)
+        return synth_all(m, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rank integrated a channel")
+    for module in (synthesis, construction):
+        monkeypatch.setattr(module, "synth_all", counted)
+    for module in (synthesis, polynomials):
+        monkeypatch.setattr(module, "integrate01", refuse)
+    code, out, _ = run_cli(capsys, "rank", "--m", "5", "--by", "p=1/3")
+    assert code == 0 and len(out.splitlines()) == 1 + 32
+    assert built == [5]
 
 
 class TestPoset:
@@ -399,7 +421,7 @@ class TestVerify:
             (reliability, "avr_closed_form"),
             (synthesis, "synth_poly"), (synthesis, "synth_all"), (synthesis, "synth_labels"),
             (synthesis, "threshold_estimate"), (synthesis, "channel_threshold"),
-            (synthesis, "channel_averages"), (synthesis, "average_numerators"),
+            (synthesis, "average_numerators"),
         ]
         for module, name in tracked:
             monkeypatch.setattr(module, name, counted(module, name))

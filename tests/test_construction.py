@@ -23,16 +23,16 @@ from becpolar.polynomials import eval_rational
 
 
 class TestRank:
-    def test_average_m4_order(self, cache):
-        ranking = rank(Criterion.average(), 4, cache.table(4))
+    def test_average_m4_order(self):
+        ranking = rank(Criterion.average(), 4)
         assert list(ranking.order) == [0, 1, 2, 4, 8, 3, 5, 6, 9, 10, 12, 7, 11, 13, 14, 15]
 
-    def test_average_m5_prefix(self, cache):
-        ranking = rank(Criterion.average(), 5, cache.table(5))
+    def test_average_m5_prefix(self):
+        ranking = rank(Criterion.average(), 5)
         assert ranking.order[:17] == golden.ORDER_PREFIX_M5
 
-    def test_average_m6_prefix(self, cache):
-        ranking = rank(Criterion.average(), 6, cache.table(6))
+    def test_average_m6_prefix(self):
+        ranking = rank(Criterion.average(), 6)
         assert ranking.order[:36] == golden.ORDER_PREFIX_M6
 
     def test_pointwise_scores_exact(self, cache):
@@ -46,8 +46,8 @@ class TestRank:
         with pytest.raises(ValueError):
             Criterion.pointwise_at(Fraction(0))
 
-    def test_beta_ranking_m5_matches_average(self, cache):
-        avr_order = rank(Criterion.average(), 5, cache.table(5)).order
+    def test_beta_ranking_m5_matches_average(self):
+        avr_order = rank(Criterion.average(), 5).order
         beta_order = rank(Criterion.beta_expansion(Decimal("1.22")), 5).order
         assert avr_order == beta_order
 
@@ -58,14 +58,14 @@ class TestConstruct:
         assert set(got) == {0, 1}
 
     def test_average_m5_k6_is_first_order_rm(self, cache):
-        got = rank(Criterion.average(), 5, cache.table(5)).order[:6]
+        got = rank(Criterion.average(), 5).order[:6]
         assert set(got) == {0, 1, 2, 4, 8, 16}  # x^u of degree <= 1: RM(1, 5)
         assert cache.check("tables/first-order-rm", 5) is None
 
     @pytest.mark.parametrize("m", range(1, 7))
-    def test_average_sets_downward_closed(self, m, cache):
+    def test_average_sets_downward_closed(self, m):
         # every prefix of the average ranking is a decreasing set
-        ranking = rank(Criterion.average(), m, cache.table(m))
+        ranking = rank(Criterion.average(), m)
         pos = {u: k for k, u in enumerate(ranking.order)}
         monos = [Monomial(m, u) for u in range(1 << m)]
         for f in monos:
@@ -101,49 +101,63 @@ class TestIncomparablePairs:
 
 @pytest.mark.parametrize("call", [
     lambda table: rank(Criterion.pointwise_at(Fraction(1, 3)), 5, table),
-    lambda table: avr_distribution(5, table),
-    lambda table: beta_avr_conflicts(5, Decimal("1.22"), table),
-    lambda table: beta_incompatible_count(5, Decimal("1.22"), table),
-], ids=["rank", "avr_distribution", "beta_avr_conflicts",
-        "beta_incompatible_count"])
+], ids=["rank"])
 def test_rejects_a_table_of_another_m(call, cache):
     with pytest.raises(ValueError, match="table is for m=6, not m=5"):
         call(cache.table(6))
 
 
-@pytest.mark.parametrize("call", [
-    lambda m, table: rank(Criterion.average(), m, table),
-    lambda m, table: avr_distribution(m, table),
-    lambda m, table: beta_avr_conflicts(m, Decimal("1.22"), table),
-    lambda m, table: beta_incompatible_count(m, Decimal("1.22"), table),
+def _order(scores):
+    """Labels sorted by score, ties broken by label."""
+    return tuple(sorted(range(len(scores)), key=lambda u: (scores[u], u)))
+
+
+def _deciles(avrs):
+    return [sum(Fraction(i, 10) < a <= Fraction(i + 1, 10) for a in avrs) for i in range(10)]
+
+
+def _beta_scores(m, beta=Fraction("1.22")):
+    return [sum((beta**i for i in range(m) if u >> i & 1), Fraction(0)) for u in range(1 << m)]
+
+
+def _conflicts(m, avrs):
+    beta, n = _beta_scores(m), 1 << m
+    return [(u, v) for u in range(n) for v in range(n) if avrs[u] < avrs[v] and beta[u] > beta[v]]
+
+
+@pytest.mark.parametrize("call, twin", [
+    (lambda m: rank(Criterion.average(), m).order, lambda m, avrs: _order(avrs)),
+    (lambda m: avr_distribution(m), lambda m, avrs: _deciles(avrs)),
+    (lambda m: beta_avr_conflicts(m, Decimal("1.22")), _conflicts),
+    (lambda m: beta_incompatible_count(m, Decimal("1.22")),
+     lambda m, avrs: sum(a != b for a, b in zip(_order(avrs), _order(_beta_scores(m)))) // 4),
 ], ids=["rank", "avr_distribution", "beta_avr_conflicts", "beta_incompatible_count"])
 @pytest.mark.parametrize("m", [6, 7])
-def test_averages_without_a_table_equal_the_table_path(call, m, cache):
-    assert call(m, None) == call(m, cache.table(m))
+def test_averages_without_a_table_equal_the_table_path(call, twin, m, cache):
+    """Each statistic of the moment recursion against its twin on the
+    table's integrals, in `Fraction`s."""
+    assert call(m) == twin(m, cache.avrs(m))
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_average_keys_without_a_table_equal_the_table_path(m, cache):
-    """The moment recursion's numerators against the table's integrals, each
-    brought over D = lcm(1..2^m + 1): the same ranking, scores and deciles."""
+    """The moment recursion's numerators over D = lcm(1..2^m + 1) against
+    the table's integrals: the same ranking, scores and deciles."""
     moments = rank(Criterion.average(), m)
-    integrals = rank(Criterion.average(), m, cache.table(m))
-    assert moments.order == integrals.order
-    scores = [(moments.score(u), integrals.score(u)) for u in range(1 << m)]
-    assert scores == [(a, a) for a in cache.avrs(m)]
-    assert moments.denominator == integrals.denominator == lcm(*range(1, (1 << m) + 2))
-    assert avr_distribution(m) == avr_distribution(m, cache.table(m))
+    assert moments.order == _order(cache.avrs(m))
+    assert [moments.score(u) for u in range(1 << m)] == cache.avrs(m)
+    assert moments.denominator == lcm(*range(1, (1 << m) + 2))
+    assert avr_distribution(m) == _deciles(cache.avrs(m))
 
 
 class TestAvrOfPairs:
-    def test_three_decimal_pairs(self, cache):
-        table = cache.table(5)
-        got = avr_of_pairs([(3, 16), (12, 17)], table, 3)
+    def test_three_decimal_pairs(self):
+        got = avr_of_pairs(5, [(3, 16), (12, 17)], 3)
         assert got[0] == (Decimal("0.221"), Decimal("0.217"))  # exact 0.216528
         assert got[1] == (Decimal("0.396"), Decimal("0.383"))
 
-    def test_four_decimal_pair(self, cache):
-        got = avr_of_pairs([(7, 20), (7, 24)], cache.table(5), 4)
+    def test_four_decimal_pair(self):
+        got = avr_of_pairs(5, [(7, 20), (7, 24)], 4)
         assert got[0] == (Decimal("0.4712"), Decimal("0.4710"))
         assert got[1] == (Decimal("0.4712"), Decimal("0.5288"))
 
@@ -153,11 +167,11 @@ class TestAvrOfPairs:
 
 
 class TestDistribution:
-    def test_m5_row(self, cache):
-        assert avr_distribution(5, cache.table(5)) == [2, 3, 4, 4, 3, 3, 4, 4, 3, 2]
+    def test_m5_row(self):
+        assert avr_distribution(5) == [2, 3, 4, 4, 3, 3, 4, 4, 3, 2]
 
-    def test_m7_first_five(self, cache):
-        counts = avr_distribution(7, cache.table(7))
+    def test_m7_first_five(self):
+        counts = avr_distribution(7)
         assert tuple(counts[:5]) == (11, 13, 14, 13, 13)
 
     def test_m10_first_five_without_a_table(self):
@@ -167,8 +181,8 @@ class TestDistribution:
         assert tuple(avr_distribution(11, force=True)[:5]) == golden.DISTRIBUTION_FIRST5[11]
 
     @pytest.mark.parametrize("m", range(1, 8))
-    def test_buckets_sum_and_mirror(self, m, cache):
-        counts = avr_distribution(m, cache.table(m))
+    def test_buckets_sum_and_mirror(self, m):
+        counts = avr_distribution(m)
         assert sum(counts) == 1 << m
         if m >= 5:
             assert counts == counts[::-1]
@@ -214,7 +228,7 @@ class TestBeta:
         assert all(type(x) is Fraction for x in got)
 
     def test_average_and_pointwise_scores(self, cache):
-        ranking = rank(Criterion.average(), 5, cache.table(5))
+        ranking = rank(Criterion.average(), 5)
         assert ranking.denominator == lcm(*range(1, 34))
         assert all(type(x) is int for x in ranking.keys)
         assert [ranking.score(u) for u in range(32)] == cache.avrs(5)
@@ -222,30 +236,30 @@ class TestBeta:
         assert [ranking.score(u) for u in range(32)] == [
             eval_rational(cache.table(5)[u], Fraction(1, 3)) for u in range(32)]
 
-    def test_conflicts_empty_when_rankings_match(self, cache):
-        assert beta_avr_conflicts(5, Decimal("1.22"), cache.table(5)) == []
+    def test_conflicts_empty_when_rankings_match(self):
+        assert beta_avr_conflicts(5, Decimal("1.22")) == []
 
-    def test_conflicts_m6(self, cache):
-        got = beta_avr_conflicts(6, Decimal("1.22"), cache.table(6))
+    def test_conflicts_m6(self):
+        got = beta_avr_conflicts(6, Decimal("1.22"))
         assert got == [(14, 40), (22, 35), (23, 49), (28, 41)]
 
-    def test_incompatible_count_m6(self, cache):
-        assert beta_incompatible_count(6, Decimal("1.22"), cache.table(6)) == 2
+    def test_incompatible_count_m6(self):
+        assert beta_incompatible_count(6, Decimal("1.22")) == 2
 
     def test_incompatible_count_m9_without_a_table(self):
         assert beta_incompatible_count(9, Decimal("1.22")) == golden.BETA_INCOMPATIBLE_AT_122[9] == 99
 
     @pytest.mark.parametrize("m, statistic, discordant", [(6, 2, 4), (7, 10, 30), (8, 36, 134)])
-    def test_statistic_is_not_the_discordant_pair_count(self, cache, m, statistic, discordant):
+    def test_statistic_is_not_the_discordant_pair_count(self, m, statistic, discordant):
         # displaced positions / 4 (the paper's figure) vs exact Kendall discordances
         beta = Decimal("1.22")
-        assert beta_incompatible_count(m, beta, cache.table(m)) == statistic
-        assert len(beta_avr_conflicts(m, beta, cache.table(m))) == discordant
+        assert beta_incompatible_count(m, beta) == statistic
+        assert len(beta_avr_conflicts(m, beta)) == discordant
 
-    def test_incompatible_count_zero_points(self, cache):
+    def test_incompatible_count_zero_points(self):
         for m, points in golden.BETA_ZERO_POINTS.items():
             for b in points:
-                assert beta_incompatible_count(m, Decimal(b), cache.table(m)) == 0
+                assert beta_incompatible_count(m, Decimal(b)) == 0
 
     @pytest.mark.parametrize("m", range(2, 7))
     @pytest.mark.parametrize("b", ["1.1", "1.22", "1.5", "2"])

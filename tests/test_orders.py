@@ -186,8 +186,9 @@ class TestLabelKernels:
     def test_compare_matches_twins(self, m, cache):
         """All four relations; the pointwise twin reads the pinned
         incomparable pairs, and orders every other pair of distinct channels
-        by its exact averages."""
-        table, avrs = cache.table(m), cache.avrs(m)
+        by its exact averages.  Pointwise verdicts come from the session's
+        one scan of `compare`."""
+        table, avrs, scan = cache.table(m), cache.avrs(m), cache.pointwise(m)
         apart = set(INCOMPARABLE.get(m, ()))
 
         def pointwise(f, g):
@@ -198,7 +199,10 @@ class TestLabelKernels:
         for f in monos:
             for g in monos:
                 for relation, twin in twins.items():
-                    got = compare(f, g, relation, table)
+                    if relation is Relation.POINTWISE:
+                        got = scan[f.bits, g.bits]
+                    else:
+                        got = compare(f, g, relation, table)
                     assert got.relation is relation
                     assert got.result is _verdict(twin, f, g), (f, g, relation)
 
@@ -343,14 +347,16 @@ class TestPointwise:
             compare(M(1, 4), M(2, 4), Relation.POINTWISE)
 
     @staticmethod
-    def _check_twin(table, twin):
-        """Every ordered pair gets the verdict that `twin(d, diff)`, the two
-        verdicts on d = Z_g - Z_f and on -d, imply."""
-        monos = all_monomials(table.m)
+    def _check_twin(cache, m, twin):
+        """Every ordered pair's verdict in the session's pointwise scan is the
+        one that `twin(d, diff)`, the two verdicts on d = Z_g - Z_f and on -d,
+        imply."""
+        table, scan = cache.table(m), cache.pointwise(m)
+        monos = all_monomials(m)
         for i, f in enumerate(monos):
             for g in monos[i:]:
                 d = table[g] - table[f]
-                diff = [b - a for a, b in zip(table.path_counts(f), table.path_counts(g))]
+                diff = [b - a for a, b in zip(table.counts[f.bits], table.counts[g.bits])]
                 up, down = twin(d, diff)
                 for (a, b), first, second in (((f, g), up, down), ((g, f), down, up)):
                     if first is SignVerdict.IDENTICALLY_ZERO:
@@ -361,19 +367,19 @@ class TestPointwise:
                         want = Comparison.GREATER_OR_EQUAL
                     else:
                         want = Comparison.INCOMPARABLE
-                    assert leq_pointwise(a, b, table).result is want, (a, b)
+                    assert scan[a.bits, b.bits].result is want, (a, b)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_matches_self_converting_twin(self, m, cache):
         """`nonneg_on_01` converting the difference and its negation itself,
         the slow exact twin."""
-        self._check_twin(cache.table(m), lambda d, diff: (nonneg_on_01(d), nonneg_on_01(-d)))
+        self._check_twin(cache, m, lambda d, diff: (nonneg_on_01(d), nonneg_on_01(-d)))
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_matches_eager_twin(self, m, cache):
         """`nonneg_on_01` given both the difference polynomial and its path
         counts, so that Sturm reads the polynomial built by subtraction."""
-        self._check_twin(cache.table(m), lambda d, diff: (
+        self._check_twin(cache, m, lambda d, diff: (
             nonneg_on_01(d, diff), nonneg_on_01(-d, [-c for c in diff])))
 
     def test_certified_pairs_build_no_polynomial(self, monkeypatch, cache):
@@ -391,7 +397,7 @@ class TestPointwise:
         assert leq_pointwise(M(31, 5), M(0, 5), table).result is Comparison.GREATER_OR_EQUAL
         for f in all_monomials(5):
             for g in all_monomials(5):
-                diff = [b - a for a, b in zip(table.path_counts(f), table.path_counts(g))]
+                diff = [b - a for a, b in zip(table.counts[f.bits], table.counts[g.bits])]
                 if min(diff) >= 0 or max(diff) <= 0:
                     leq_pointwise(f, g, table)
         assert not rebuilds

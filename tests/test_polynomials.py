@@ -290,7 +290,7 @@ class TestPathCounts:
         n = 1 << m
         for u in range(n):
             for v in range(n):
-                diff = [b - a for a, b in zip(table.path_counts(u), table.path_counts(v))]
+                diff = [b - a for a, b in zip(table.counts[u], table.counts[v])]
                 rebuilt = _power_from_counts(diff)
                 assert rebuilt == table[v] - table[u] == _from_path_counts(PathCounts(n, diff))
 

@@ -40,6 +40,24 @@ def test_check_passes_at_its_smallest_m(cache, check):
     assert check.run(m, cache.table(m)) is None
 
 
+@pytest.mark.parametrize("m", [5, 6])
+def test_only_moment_averages_integrates(monkeypatch, cache, m):
+    """Every check reads its averages from the moment recursion but
+    tables/moment-averages, which holds them against the integrals."""
+    table = cache.table(m)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check integrated a channel")
+    for module in (synthesis, polynomials):
+        monkeypatch.setattr(module, "integrate01", refuse)
+    construction.pointwise_verdicts.cache_clear()
+    for check in checks.REGISTRY:
+        if check.name != "tables/moment-averages" and check.applies(m):
+            assert check.run(m, table) is None, check.name
+    with pytest.raises(AssertionError, match="integrated"):
+        named("tables/moment-averages").run(m, table)
+
+
 def test_pointwise_table_checks_share_one_scan(monkeypatch, cache):
     """incomparable-pairs, incomparable-complement-closure and
     pointwise-avr-compat read one `leq_pointwise` verdict per label pair, and
@@ -60,7 +78,7 @@ def test_pointwise_table_checks_share_one_scan(monkeypatch, cache):
 
 def test_verify_converts_each_channel_at_most_once(capsys, monkeypatch):
     """`verify --m 5 --suite all` converts the channels of its table through
-    `ChannelTable.path_counts`, once each, and no difference polynomial; the
+    `ChannelTable.counts`, once each, and no difference polynomial; the
     oracle check converts the m = 4 channels once each on its own."""
     seen = Counter()
     convert = polynomials.to_path_counts
@@ -81,9 +99,9 @@ def test_verify_converts_each_channel_at_most_once(capsys, monkeypatch):
 def test_checks_report_two_swapped_channels(cache):
     """Labels 3 and 16 are not complements (3 ^ 16 != 31), so a table with
     their channels swapped breaks duality, the threshold symmetry of labels
-    3 and 28, and the best six channels of m = 5."""
+    3 and 28, and the agreement of its integrals with the moment recursion."""
     polys = list(cache.table(5).polys)
     polys[3], polys[16] = polys[16], polys[3]
     swapped = synthesis.ChannelTable(5, tuple(polys))
-    for name in ("identities/duality", "identities/threshold-symmetry", "tables/first-order-rm"):
+    for name in ("identities/duality", "identities/threshold-symmetry", "tables/moment-averages"):
         assert named(name).run(5, swapped) is not None, name

@@ -19,7 +19,6 @@ from becpolar.synthesis import (
     _half_enclosure,
     _threshold_floor,
     average_numerators,
-    channel_averages,
     channel_threshold,
     synth_all,
     synth_labels,
@@ -107,21 +106,17 @@ class TestSynthAll:
     def test_path_counts_are_kept_outside_equality(self):
         table = synth_all(3)
         before = hash(table)
-        assert [table.path_counts(u) for u in range(8)] == [
+        assert [table.counts[u] for u in range(8)] == [
             to_path_counts(table[u], 8).counts for u in range(8)]
-        assert table.path_counts(Monomial(3, 5)) is table.path_counts(5)
+        assert table.counts[5] is table.counts[5]
         fresh = ChannelTable(3, table.polys)
         assert hash(table) == before == hash(fresh)
         assert table == fresh and repr(table) == repr(fresh)
 
-    def test_averages_are_kept_outside_equality(self):
+    def test_avr_integrates_by_label_or_monomial(self):
         table = synth_all(3)
-        before = hash(table)
         assert [table.avr(u) for u in range(8)] == [integrate01(p) for p in table.polys]
-        assert table.avr(Monomial(3, 5)) is table.avr(5)
-        fresh = ChannelTable(3, table.polys)
-        assert hash(table) == before == hash(fresh)
-        assert table == fresh and repr(table) == repr(fresh)
+        assert table.avr(Monomial(3, 5)) == table.avr(5) == integrate01(table[5])
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_matches_schoolbook_table(self, m, cache):
@@ -163,19 +158,19 @@ class TestSynthLabels:
         for m in (0, -1, MAX_M + 1):
             for build in (lambda: synth_labels(m, [0], force=True),
                           lambda: synth_all(m, force=True),
-                          lambda: channel_averages(m, force=True)):
+                          lambda: average_numerators(m, force=True)):
                 with pytest.raises(ValueError, match=f"1..{MAX_M}"):
                     build()
         for build in (lambda: synth_labels(SYNTH_CAP + 1, [0]),
                       lambda: synth_all(SYNTH_CAP + 1),
-                      lambda: channel_averages(SYNTH_CAP + 1)):
+                      lambda: average_numerators(SYNTH_CAP + 1)):
             with pytest.raises(ValueError, match="force=True"):
                 build()
 
     @pytest.mark.parametrize("m", [11, 12])
     def test_refuses_m_above_the_cap_without_force(self, m):
         for build in (lambda: synth_labels(m, [0]), lambda: synth_all(m),
-                      lambda: channel_averages(m)):
+                      lambda: average_numerators(m)):
             with pytest.raises(ValueError, match=f"m={m} exceeds the synthesis cap 10"):
                 build()
 
@@ -183,6 +178,8 @@ class TestSynthLabels:
     def test_rejects_labels_out_of_range(self, labels):
         with pytest.raises(ValueError, match="labels"):
             synth_labels(2, labels)
+        with pytest.raises(ValueError, match="labels"):
+            average_numerators(2, labels)
 
 
 def _average_numerators_by_rows(m: int) -> tuple[tuple[int, ...], int]:
@@ -209,13 +206,15 @@ def _average_numerators_by_rows(m: int) -> tuple[tuple[int, ...], int]:
 def averages_beyond_tables(request):
     """Averages at an m whose table tier-1 does not build."""
     m = request.param
-    return m, channel_averages(m, force=True)
+    nums, d = average_numerators(m, force=True)
+    return m, [Fraction(x, d) for x in nums]
 
 
 class TestChannelAverages:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_equal_the_integrals_of_the_table(self, m, cache):
-        assert channel_averages(m) == tuple(integrate01(p) for p in cache.table(m).polys)
+        nums, d = average_numerators(m)
+        assert [Fraction(x, d) for x in nums] == [integrate01(p) for p in cache.table(m).polys]
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_numerators_are_the_integrals_times_d(self, m, cache):
@@ -227,6 +226,17 @@ class TestChannelAverages:
     @pytest.mark.parametrize("m", range(1, 11))
     def test_equal_the_row_recursion(self, m):
         assert average_numerators(m) == _average_numerators_by_rows(m)
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_labels_read_the_full_walk(self, m):
+        """The walk restricted to the suffixes of some labels gives each the
+        numerator of the full walk, in the order asked, duplicates included."""
+        full, d = average_numerators(m)
+        rng = random.Random(m)
+        for size in (0, 1, 2, 5, (1 << m) // 2, 1 << m, 3 << m):
+            labels = [rng.randrange(1 << m) for _ in range(size)]
+            assert average_numerators(m, labels) == (tuple(full[u] for u in labels), d)
+        assert average_numerators(m, iter([(1 << m) - 1, 0])) == ((full[-1], full[0]), d)
 
     def test_keeps_one_difference_row_alive(self):
         """About 0.7-0.8 MB at m = 10; every row of the difference tables kept
@@ -286,8 +296,8 @@ class TestDuality:
         for u in range(n):
             ubar = u ^ (n - 1)
             assert _dual(table[u]) == table[ubar], u
-            reversal = [comb(n, i) - c for i, c in enumerate(reversed(table.path_counts(u)))]
-            assert list(table.path_counts(ubar)) == reversal, u
+            reversal = [comb(n, i) - c for i, c in enumerate(reversed(table.counts[u]))]
+            assert list(table.counts[ubar]) == reversal, u
         assert cache.check("identities/duality", m) is None
 
     @pytest.mark.parametrize("m", range(1, 8))
