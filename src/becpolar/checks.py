@@ -60,13 +60,6 @@ def _check(name: str, applies: Callable[[int], bool] = lambda m: True,
     return register
 
 
-def _averages(m: int, labels: list[int] | None = None) -> tuple[tuple[int, ...], int]:
-    """`average_numerators` of the labels of m (None: all) and their
-    denominator D.  Forced: a check reads it only when the table of m
-    exists, so m has passed the synthesis cap already."""
-    return synthesis.average_numerators(m, labels, force=True)
-
-
 def _leqs():
     return ((Relation.WEAK, orders.leq_weak), (Relation.STANDARD, orders.leq_std),
             (Relation.DOMINANCE, orders.leq_dominance))
@@ -159,7 +152,7 @@ def _inclusion_exclusion(m, table):
 def _closed_form_avr(m, table):
     """Closed forms equal the averages for i leading 1-bits and i leading 0-bits."""
     mask = (1 << m) - 1
-    nums, d = _averages(m)
+    nums, d = synthesis.average_numerators(m)
     avr = [Fraction(x, d) for x in nums]
     for i in range(m + 1):
         u = (1 << i) - 1
@@ -196,7 +189,7 @@ def _duality(m, table):
 @_check("identities/avr-complement")
 def _avr_complement(m, table):
     mask = (1 << m) - 1
-    nums, d = _averages(m)
+    nums, d = synthesis.average_numerators(m)
     for u in range(1 << m):
         if nums[u] + nums[u ^ mask] != d:
             yield f"u={u}"
@@ -235,7 +228,7 @@ def _threshold_symmetry(m, table):
 @_check("tables/avr-2dp", applies=lambda m: m in golden.AVR_2DP_ROWS)
 def _avr_2dp(m, table):
     """Cited two-place averages, listed in ranked order."""
-    nums, d = _averages(m, [u for u, _ in golden.AVR_2DP_ROWS[m]])
+    nums, d = synthesis.average_numerators(m, [u for u, _ in golden.AVR_2DP_ROWS[m]])
     exact = [Fraction(x, d) for x in nums]
     for (u, cited), value in zip(golden.AVR_2DP_ROWS[m], exact):
         rendered = str(construction.render_avr(value, 2))
@@ -260,7 +253,7 @@ def _degree2_path_counts(m, table):
 
 @_check("tables/incomparable-pairs", applies=lambda m: m in (4, 5))
 def _incomparable_pairs(m, table):
-    pairs = construction.incomparable_pairs(m, table)
+    pairs = construction.incomparable_pairs(table)
     if pairs != {4: [], 5: golden.INCOMPARABLE_PAIRS_M5}[m]:
         yield f"got {pairs}"
 
@@ -268,7 +261,7 @@ def _incomparable_pairs(m, table):
 @_check("tables/incomparable-complement-closure",
         applies=lambda m: m <= construction.INCOMPARABLE_M_CAP)
 def _incomparable_complement_closure(m, table):
-    pairs = set(construction.incomparable_pairs(m, table))
+    pairs = set(construction.incomparable_pairs(table))
     mask = (1 << m) - 1
     for u, v in pairs:
         if tuple(sorted((mask ^ v, mask ^ u))) not in pairs:
@@ -278,7 +271,7 @@ def _incomparable_complement_closure(m, table):
 @_check("tables/pointwise-avr-compat", applies=lambda m: m <= construction.INCOMPARABLE_M_CAP)
 def _pointwise_avr_compat(m, table):
     """A pointwise-ordered pair is ordered the same way by average."""
-    avrs, _ = _averages(m)
+    avrs, _ = synthesis.average_numerators(m)
     for u, v, verdict in construction.pointwise_verdicts(table):
         if avrs[u] < avrs[v] and verdict in (Comparison.GREATER_OR_EQUAL, Comparison.EQUAL):
             yield f"({u}, {v}) is {verdict.value} pointwise but not by average"
@@ -288,7 +281,7 @@ def _pointwise_avr_compat(m, table):
 def _moment_averages(m, table):
     """The moment recursion's averages equal the integrals of the table, the
     one check that reads an average from its integration twin."""
-    nums, d = _averages(m)
+    nums, d = synthesis.average_numerators(m)
     for u, x in enumerate(nums):
         if Fraction(x, d) != table.avr(u):
             yield f"u={u}: {Fraction(x, d)} != {table.avr(u)}"
@@ -296,7 +289,7 @@ def _moment_averages(m, table):
 
 @_check("tables/distinct-averages")
 def _distinct_averages(m, table):
-    avrs, _ = _averages(m)
+    avrs, _ = synthesis.average_numerators(m)
     if len(set(avrs)) != len(avrs):
         yield "two channels share an average reliability"
 
@@ -328,7 +321,7 @@ def _pair_avr_decimals(m, table):
         for u, text, got in zip(pair, cited, rendered):
             if abs(got - Decimal(text)) > Decimal(1).scaleb(-places):
                 yield f"u={u}: {got} vs cited {text}"
-    nums, d = _averages(m, list(golden.PAIR_AVR_6DP_M5))
+    nums, d = synthesis.average_numerators(m, list(golden.PAIR_AVR_6DP_M5))
     for (u, want), x in zip(golden.PAIR_AVR_6DP_M5.items(), nums):
         got = str(construction.render_avr(x, 6, d))
         if got != want:
@@ -337,11 +330,11 @@ def _pair_avr_decimals(m, table):
 
 @_check("tables/avr-distribution")
 def _avr_distribution(m, table):
-    counts = construction.avr_distribution(m, force=True)
+    counts = construction.avr_distribution(m)
     ok = sum(counts) == 1 << m
     # mirror symmetry of the histogram follows from complementation only when
     # no average sits exactly on a decile edge (at m=2, 1/5 does)
-    nums, d = _averages(m)
+    nums, d = synthesis.average_numerators(m)
     if all(10 * x % d for x in nums):
         ok = ok and counts == counts[::-1]
     if m in golden.DISTRIBUTION_FIRST5:

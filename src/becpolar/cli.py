@@ -32,6 +32,22 @@ from .orders import Relation
 
 _RELATIONS = {"w": Relation.WEAK, "std": Relation.STANDARD, "dom": Relation.DOMINANCE}
 
+# synth_all took 0.04-0.06 s at m = 8, 0.42-0.66 s at m = 9 and 6.8 s at
+# m = 10 (2-core shared host, CPython 3.11): each stage doubles both degree
+# and coefficient size, and took about ten and fifteen times the last.
+# m = 11 took 331 s with the schoolbook square; it is not measured since.
+SYNTH_CAP = 10
+
+
+def _admit(args: argparse.Namespace) -> None:
+    """Refuse a request's m before any work: outside 1..MAX_M always
+    (`synthesis.check_m`), above SYNTH_CAP unless --force is given."""
+    synthesis.check_m(args.m)
+    if args.m > SYNTH_CAP and not args.force:
+        raise ValueError(
+            f"m={args.m} exceeds the synthesis cap {SYNTH_CAP} (cost grows tenfold per stage); "
+            "pass --force to override")
+
 
 def _dec(value: Fraction, places: int = 6) -> str:
     return str(construction.render_avr(value, places))
@@ -70,12 +86,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     time: the JSON is written entry by entry, each entry's text indented as
     `json.dumps(..., indent=2)` nests it, so no text of the whole table is
     ever built."""
-    synthesis.check_m(args.m, args.force)
+    _admit(args)
     m = args.m
     if args.u is not None and not 0 <= args.u < (1 << m):
         raise ValueError(f"u={args.u} out of range for m={m}")
     labels = [args.u] if args.u is not None else None
-    polys = synthesis.synth_labels(m, labels, force=args.force)
+    polys = synthesis.synth_labels(m, labels)
     entries = (_channel_entry(m, u, poly) for u, poly in polys.items())
     if args.format == "json":
         out = sys.stdout
@@ -120,18 +136,18 @@ def cmd_rank(args: argparse.Namespace) -> int:
     the full table.  `avr` reads each listed average off its own ranking
     scores; `p=` and `beta=` run the recursion on the k listed labels only.
     """
-    synthesis.check_m(args.m, args.force)
+    _admit(args)
     m = args.m
     criterion = _parse_criterion(args.by)
     k = args.k if args.k is not None else 1 << m
     if not 0 <= k <= (1 << m):
         raise ValueError(f"--k {k} out of range for m={m}")
-    ranking = construction.rank(criterion, m, force=args.force)
+    ranking = construction.rank(criterion, m)
     listed = ranking.order[:k]
     if criterion.kind == "average":
         avrs = [ranking.score(u) for u in listed]
     else:
-        nums, d = synthesis.average_numerators(m, listed, force=args.force)
+        nums, d = synthesis.average_numerators(m, listed)
         avrs = [Fraction(x, d) for x in nums]
     tol = Fraction(1, 2**30)
     records = []
@@ -166,7 +182,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_poset(args: argparse.Namespace) -> int:
-    synthesis.check_m(args.m, force=True)  # hasse_edges has its own, lower cap
+    synthesis.check_m(args.m)
     m = args.m
     relation = _RELATIONS[args.relation]
     edges = orders.hasse_edges(m, relation)
@@ -192,8 +208,8 @@ def cmd_poset(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    synthesis.check_m(args.m, args.force)
-    table = synthesis.synth_all(args.m, force=args.force)
+    _admit(args)
+    table = synthesis.synth_all(args.m)
     count = failures = 0
     for check in checks.REGISTRY:
         if args.suite not in ("all", check.suite) or not check.applies(args.m):
@@ -216,8 +232,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_distribution(args: argparse.Namespace) -> int:
-    synthesis.check_m(args.m, args.force)
-    counts = construction.avr_distribution(args.m, force=args.force)
+    _admit(args)
+    counts = construction.avr_distribution(args.m)
     print("bucket_low,bucket_high,count")
     for i, c in enumerate(counts):
         print(f"0.{i},{'1.0' if i == 9 else f'0.{i + 1}'},{c}")
@@ -225,8 +241,8 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 
 def cmd_avrplot(args: argparse.Namespace) -> int:
-    synthesis.check_m(args.m, args.force)
-    nums, d = synthesis.average_numerators(args.m, force=args.force)
+    _admit(args)
+    nums, d = synthesis.average_numerators(args.m)
     lines = ["u,avr"] + [f"{u},{construction.render_avr(x, 6, d)}" for u, x in enumerate(nums)]
     text = "\n".join(lines) + "\n"
     if args.out == "-":

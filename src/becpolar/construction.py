@@ -65,18 +65,17 @@ class Criterion:
 class RankedChannels:
     """All 2^m channels sorted most reliable first (ties broken by label).
 
-    `keys` holds the exact sort key of each channel label: for beta and
-    average, the integer numerator of the score over the common
-    `denominator`; for pointwise, the score itself (denominator 1).  A
-    score's `Fraction` is built when it is read, so reading k scores of a
-    large m reduces k fractions, not 2^m.
+    `keys` holds the exact sort key of each channel label, the integer
+    numerator of its score over the common `denominator`.  A score's
+    `Fraction` is built when it is read, so reading k scores of a large m
+    reduces k fractions, not 2^m.
     """
 
     m: int
     criterion: Criterion
     order: tuple[int, ...]
-    keys: tuple[int | Fraction, ...]
-    denominator: int = 1
+    keys: tuple[int, ...]
+    denominator: int
 
     def score(self, u: int) -> Fraction:
         """Exact score of channel u."""
@@ -95,74 +94,57 @@ def _beta_numerators(m: int, beta: Decimal) -> tuple[list[int], int]:
     return nums, q ** max(m - 1, 0)
 
 
-def _table_of(m: int, table: ChannelTable | None, force: bool = False) -> ChannelTable:
-    """`table` when it is the channel table of m, built when None."""
-    if table is None:
-        return synth_all(m, force)
-    if table.m != m:
-        raise ValueError(f"table is for m={table.m}, not m={m}")
-    return table
-
-
-def rank(criterion: Criterion, m: int, table: ChannelTable | None = None,
-         force: bool = False) -> RankedChannels:
+def rank(criterion: Criterion, m: int) -> RankedChannels:
     """Score every channel under the criterion and sort ascending (best first).
 
-    Every score is an exact rational.  Beta scores are kept and sorted as
-    integer numerators over q^(m-1), beta = p/q, and average scores as
-    integer numerators over D = lcm(1..2^m + 1) from `average_numerators`,
-    which builds no polynomial; both become `Fraction`s only when read
-    (`RankedChannels.score`).  Only pointwise scores read `table`: at p = a/q
-    they need the table of m, built here when not given, and are sorted on
-    the integers score * q^(2^m).  `force` passes the synthesis cap when this
-    builds averages or a table.
+    Every score is an exact rational, kept and sorted as an integer numerator
+    over one common denominator (a `Fraction` compare multiplies), and built
+    as a `Fraction` only when read (`RankedChannels.score`).  Beta scores are
+    over q^(m-1), beta = p/q.  Average scores are over D = lcm(1..2^m + 1),
+    from `average_numerators`, which builds no polynomial.  Pointwise scores
+    at p = a/q are over q^(2^m), evaluated on the channel table of m, which
+    this builds.
     Ties break by ascending label; beta scores never tie, since two
     labels with equal scores would make the rational beta > 1 a root of a
     polynomial with coefficients in {-1, 0, 1}, whose rational roots are +-1.
     """
     n = 1 << m
-    den = 1
-    if criterion.kind == "beta":  # sort integers: a Fraction compare multiplies
+    if criterion.kind == "beta":
         keys, den = _beta_numerators(m, criterion.beta)
-        sort_keys = keys
     elif criterion.kind == "pointwise":
-        table = _table_of(m, table, force)
-        keys = [eval_rational(table[u], criterion.p) for u in range(n)]
         # every score's denominator divides q^n, p = a/q, as each channel has degree n
-        scale = criterion.p.denominator ** n
-        sort_keys = [s.numerator * (scale // s.denominator) for s in keys]
+        den = criterion.p.denominator ** n
+        scores = (eval_rational(poly, criterion.p) for poly in synth_all(m).polys)
+        keys = [s.numerator * (den // s.denominator) for s in scores]
     elif criterion.kind == "average":
-        keys, den = average_numerators(m, force=force)
-        sort_keys = keys
+        keys, den = average_numerators(m)
     else:
         raise ValueError(f"unknown criterion kind {criterion.kind!r}")
-    ordered = sorted(range(n), key=lambda u: (sort_keys[u], u))
+    ordered = sorted(range(n), key=lambda u: (keys[u], u))
     return RankedChannels(m, criterion, tuple(ordered), tuple(keys), den)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=INCOMPARABLE_M_CAP)
 def pointwise_verdicts(table: ChannelTable) -> tuple[tuple[int, int, orders.Comparison], ...]:
     """(u, v, verdict) of `leq_pointwise` for every label pair of the table,
     u before v in ascending average order: the one pairwise pointwise scan,
-    kept for the last table scanned.
+    kept for one table of each m that the checks scan.
 
     Pairs are taken in average order, sorted on the numerators of
     `average_numerators`, so that `leq_pointwise` settles a pair ordered that
     way pointwise with its first sign decision."""
     monos = all_monomials(table.m)
-    # force: the table of m exists, so m has passed the synthesis cap already
-    nums, _ = average_numerators(table.m, force=True)
+    nums, _ = average_numerators(table.m)
     by_avr = sorted(range(len(table)), key=nums.__getitem__)
     return tuple((u, v, orders.leq_pointwise(monos[u], monos[v], table).result)
                  for i, u in enumerate(by_avr) for v in by_avr[i + 1:])
 
 
-def incomparable_pairs(m: int, table: ChannelTable | None = None) -> list[tuple[int, int]]:
+def incomparable_pairs(table: ChannelTable) -> list[tuple[int, int]]:
     """All label pairs (u, v), u < v, whose channels the pointwise order
     cannot rank, sorted.  Exhaustive over all pairs; capped at m <= 6."""
-    if m > INCOMPARABLE_M_CAP:
-        raise ValueError(f"m={m} exceeds pairwise-scan cap {INCOMPARABLE_M_CAP}")
-    table = _table_of(m, table)
+    if table.m > INCOMPARABLE_M_CAP:
+        raise ValueError(f"m={table.m} exceeds pairwise-scan cap {INCOMPARABLE_M_CAP}")
     return sorted((min(u, v), max(u, v)) for u, v, verdict in pointwise_verdicts(table)
                   if verdict is orders.Comparison.INCOMPARABLE)
 
@@ -193,16 +175,16 @@ def avr_of_pairs(m: int, pairs: list[tuple[int, int]],
     return list(zip(views[::2], views[1::2]))
 
 
-def avr_distribution(m: int, force: bool = False) -> list[int]:
+def avr_distribution(m: int) -> list[int]:
     """Histogram of average reliabilities over the deciles (i/10, (i+1)/10].
 
     Bucket membership is decided exactly on the integer numerators x over D
     (upper-inclusive).  Every channel lands in a bucket because its average
     reliability is strictly positive and at most 1.  The averages are those
-    of `average_numerators(m, force=force)`.
+    of `average_numerators(m)`, with its width check and no cost cap.
     """
     counts = [0] * 10
-    nums, d = average_numerators(m, force=force)
+    nums, d = average_numerators(m)
     for x in nums:
         if not 0 < x <= d:
             raise AssertionError(f"average reliability {Fraction(x, d)} outside (0, 1]")

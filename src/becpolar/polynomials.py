@@ -168,11 +168,12 @@ def eval_rational(a: IntPoly, p: Fraction) -> Fraction:
 
 
 @lru_cache(maxsize=16)
-def _integration_weights(length: int) -> tuple[int, tuple[int, ...]]:
+def integration_weights(length: int) -> tuple[int, tuple[int, ...]]:
     """lcm(1..length) and its quotients by 1..length: integrating
     coefficients 0..length-1 over [0, 1] is a dot product with the quotients
-    over the lcm.  At length 2^m + 1 the weights are about 2^m times smaller
-    than the channel table whose rows they integrate."""
+    over the lcm.  At length 2^m + 1 the quotients are the root moments of
+    `synthesis.average_numerators`, and about 2^m times smaller than the
+    channel table whose rows they integrate."""
     denom = lcm(*range(1, length + 1))
     return denom, tuple(denom // (i + 1) for i in range(length))
 
@@ -181,7 +182,7 @@ def integrate01(a: IntPoly) -> Fraction:
     """Exact integral of a over [0, 1]: sum of coeff[i] / (i + 1)."""
     if a.is_zero():
         return Fraction(0)
-    denom, weights = _integration_weights(len(a.coeffs))
+    denom, weights = integration_weights(len(a.coeffs))
     return Fraction(sum(map(mul, a.coeffs, weights)), denom)
 
 

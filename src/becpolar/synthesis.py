@@ -25,18 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from math import isqrt, lcm
+from math import isqrt
 from operator import sub
 from typing import Callable, Iterable
 
 from .monomials import MAX_M, Monomial
-from .polynomials import IntPoly, P, horner_numerator, integrate01, to_path_counts
-
-# synth_all took 0.04-0.06 s at m = 8, 0.42-0.66 s at m = 9 and 6.8 s at
-# m = 10 (2-core shared host, CPython 3.11): each stage doubles both degree
-# and coefficient size, and took about ten and fifteen times the last.
-# m = 11 took 331 s with the schoolbook square; it is not measured since.
-SYNTH_CAP = 10
+from .polynomials import (
+    IntPoly, P, horner_numerator, integrate01, integration_weights, to_path_counts)
 
 
 class _LazyCounts(dict):
@@ -83,17 +78,11 @@ class ChannelTable:
         return integrate01(self[key])
 
 
-def check_m(m: int, force: bool = False) -> None:
+def check_m(m: int) -> None:
     """Refuse a stage count before any work: m must be in 1..MAX_M, the
-    largest label width, even with force, and m above SYNTH_CAP needs force
-    (degree 2^m and coefficients of about 2^m bits make synthesis cost grow
-    about tenfold per stage)."""
+    largest label width.  What an m costs is the caller's to weigh."""
     if not 1 <= m <= MAX_M:
         raise ValueError(f"m must be in 1..{MAX_M}, got {m}")
-    if m > SYNTH_CAP and not force:
-        raise ValueError(
-            f"m={m} exceeds the synthesis cap {SYNTH_CAP} (cost grows tenfold per stage); "
-            "pass --force (force=True) to override")
 
 
 def synth_poly(u: Monomial) -> IntPoly:
@@ -113,8 +102,7 @@ def _label_set(m: int, labels: Iterable[int]) -> set[int]:
     return wanted
 
 
-def synth_labels(m: int, labels: Iterable[int] | None,
-                 force: bool = False) -> dict[int, IntPoly]:
+def synth_labels(m: int, labels: Iterable[int] | None) -> dict[int, IntPoly]:
     """Channel polynomials of the given labels (None: every label of m),
     keyed by label in ascending order, built with suffix sharing.
 
@@ -123,9 +111,10 @@ def synth_labels(m: int, labels: Iterable[int] | None,
     are the top k bits of some requested label: one squaring per expanded
     node, both children derived from it.  For every label of m that is the
     whole tree, 2^(m+1) - 2 transform results.  Duplicates and order of
-    `labels` do not matter.  `check_m(m, force)` caps m.
+    `labels` do not matter.  m must pass `check_m`; no cost cap applies,
+    and each stage costs about ten times the last.
     """
-    check_m(m, force)
+    check_m(m)
     wanted = _label_set(m, range(1 << m) if labels is None else labels)
     level = {0: P} if wanted else {}
     for k in range(1, m + 1):
@@ -142,13 +131,12 @@ def synth_labels(m: int, labels: Iterable[int] | None,
     return level
 
 
-def synth_all(m: int, force: bool = False) -> ChannelTable:
-    """Full channel table of m: `synth_labels` of every label, with its caps."""
-    return ChannelTable(m, tuple(synth_labels(m, None, force).values()))
+def synth_all(m: int) -> ChannelTable:
+    """Full channel table of m: `synth_labels` of every label."""
+    return ChannelTable(m, tuple(synth_labels(m, None).values()))
 
 
-def average_numerators(m: int, labels: Iterable[int] | None = None,
-                       force: bool = False) -> tuple[tuple[int, ...], int]:
+def average_numerators(m: int, labels: Iterable[int] | None = None) -> tuple[tuple[int, ...], int]:
     """Integer numerators of the exact averages of the given labels, in the
     order given (None: every label of m, in label order), and their common
     denominator D = lcm(1..2^m + 1).  This is the library's one source of
@@ -159,7 +147,7 @@ def average_numerators(m: int, labels: Iterable[int] | None = None,
     d >= 1 carries K + 1 = 2^(m-d) + 1 moments chosen by its last bit: for
     a 0-bit M[k] = D * integral_0^1 Z_w^k dp, for a 1-bit M[k] = D *
     integral_0^1 (1 - Z_w)^k dp.  The root (Z = p) has both vectors equal to
-    D / (k + 1).
+    D / (k + 1), the weights of `integration_weights`.
     A child whose bit repeats its parent's last bit is Z^2 (0-bit) or has
     1 - Z' = (1 - Z)^2 (1-bit), so it takes the parent's even-indexed
     entries with no arithmetic; both children of the root are of this kind.
@@ -178,14 +166,14 @@ def average_numerators(m: int, labels: Iterable[int] | None = None,
     against 2.9 ms, 15 ms, 0.12 s, 1.4 s and 20 s for the products by rows
     of (2 - x)^k that it replaced (one run each, 2-core host, CPython 3.11).
     Fewer labels skip every difference table that no requested suffix
-    needs.  `check_m(m, force)` caps m.
+    needs.  m must pass `check_m`; no cost cap applies.
     """
-    check_m(m, force)
+    check_m(m)
     n = 1 << m
     order = range(n) if labels is None else list(labels)
     wanted = None if labels is None else _label_set(m, order)
-    d = lcm(*range(1, n + 2))
-    depth1 = [d // (k + 1) for k in range(n + 1)][::2]  # even entries of the root's
+    d, root = integration_weights(n + 1)
+    depth1 = root[::2]  # even entries of the root's moments
     level = {0: depth1, 1: depth1}
     for k in range(2, m + 1):
         keep = None if wanted is None else {u >> (m - k) for u in wanted}

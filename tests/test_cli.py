@@ -184,7 +184,7 @@ class TestRank:
         m = 7
         table = synthesis.synth_all(m)
         criterion = cli._parse_criterion(by)
-        ranking = construction.rank(criterion, m, table)
+        ranking = construction.rank(criterion, m)
         records = []
         for u in ranking.order:
             score = ranking.score(u)
@@ -256,6 +256,32 @@ def test_bad_m_exits_before_synthesis(capsys, monkeypatch, argv):
     assert err.startswith("error: m must be in 1..16") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("synth", "--u", "0"),
+    ("rank", "--by", "avr"),
+    ("rank", "--by", "beta=1.22"),
+    ("rank", "--by", "p=1/3"),
+    ("verify",),
+    ("distribution",),
+    ("avrplot", "--out", "-"),
+], ids=["synth", "rank-avr", "rank-beta", "rank-p", "verify", "distribution", "avrplot"])
+def test_m_above_the_cap_exits_before_synthesis(capsys, monkeypatch, argv):
+    """The CLI alone caps m: without --force, m = 11 is refused before any
+    library call that synthesizes, averages or ranks."""
+    from becpolar import construction, synthesis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before the cap check")
+    for module, name in ((synthesis, "synth_labels"), (synthesis, "synth_all"),
+                         (synthesis, "average_numerators"), (construction, "synth_all"),
+                         (construction, "average_numerators"), (construction, "rank")):
+        monkeypatch.setattr(module, name, refuse)
+    code, out, err = run_cli(capsys, *argv, "--m", "11")
+    assert code == 2 and out == ""
+    assert err == ("error: m=11 exceeds the synthesis cap 10 (cost grows tenfold per stage); "
+                   "pass --force to override\n")
+
+
 def test_verify_tables_integrates_each_channel_once(capsys, monkeypatch):
     from becpolar import synthesis
     calls = []
@@ -288,8 +314,7 @@ def test_averages_build_no_polynomial(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", AVERAGE_COMMANDS, ids=lambda argv: argv[0])
 def test_averages_keep_force(capsys, monkeypatch, argv):
-    from becpolar import synthesis
-    monkeypatch.setattr(synthesis, "SYNTH_CAP", 3)
+    monkeypatch.setattr(cli, "SYNTH_CAP", 3)
     code, _, err = run_cli(capsys, *argv, "--m", "4")
     assert code == 2 and "m=4 exceeds the synthesis cap 3" in err
     code, out, _ = run_cli(capsys, *argv, "--m", "4", "--force")

@@ -35,8 +35,8 @@ class TestRank:
         ranking = rank(Criterion.average(), 6)
         assert ranking.order[:36] == golden.ORDER_PREFIX_M6
 
-    def test_pointwise_scores_exact(self, cache):
-        ranking = rank(Criterion.pointwise_at(Fraction(1, 2)), 2, cache.table(2))
+    def test_pointwise_scores_exact(self):
+        ranking = rank(Criterion.pointwise_at(Fraction(1, 2)), 2)
         assert [ranking.score(u) for u in range(4)] == [Fraction(1, 16), Fraction(7, 16),
                                                         Fraction(9, 16), Fraction(15, 16)]
 
@@ -53,8 +53,8 @@ class TestRank:
 
 
 class TestConstruct:
-    def test_pointwise_half_m2_k2(self, cache):
-        got = rank(Criterion.pointwise_at(Fraction(1, 2)), 2, cache.table(2)).order[:2]
+    def test_pointwise_half_m2_k2(self):
+        got = rank(Criterion.pointwise_at(Fraction(1, 2)), 2).order[:2]
         assert set(got) == {0, 1}
 
     def test_average_m5_k6_is_first_order_rm(self, cache):
@@ -76,13 +76,13 @@ class TestConstruct:
 
 class TestIncomparablePairs:
     def test_m5(self, cache):
-        assert incomparable_pairs(5, cache.table(5)) == golden.INCOMPARABLE_PAIRS_M5
+        assert incomparable_pairs(cache.table(5)) == golden.INCOMPARABLE_PAIRS_M5
 
     def test_m6(self, cache):
-        assert incomparable_pairs(6, cache.table(6)) == golden.INCOMPARABLE_PAIRS_M6
+        assert incomparable_pairs(cache.table(6)) == golden.INCOMPARABLE_PAIRS_M6
 
     def test_m4_empty(self, cache):
-        assert incomparable_pairs(4, cache.table(4)) == []
+        assert incomparable_pairs(cache.table(4)) == []
 
     def test_complement_closure_m5(self, cache):
         pairs = set(golden.INCOMPARABLE_PAIRS_M5)
@@ -90,21 +90,9 @@ class TestIncomparablePairs:
             mirrored = tuple(sorted((31 - u, 31 - v)))
             assert mirrored in pairs
 
-    def test_cap(self):
-        with pytest.raises(ValueError):
-            incomparable_pairs(7)
-
-    def test_rejects_a_table_of_another_m(self, cache):
-        with pytest.raises(ValueError, match="table is for m=5"):
-            incomparable_pairs(4, cache.table(5))
-
-
-@pytest.mark.parametrize("call", [
-    lambda table: rank(Criterion.pointwise_at(Fraction(1, 3)), 5, table),
-], ids=["rank"])
-def test_rejects_a_table_of_another_m(call, cache):
-    with pytest.raises(ValueError, match="table is for m=6, not m=5"):
-        call(cache.table(6))
+    def test_cap(self, cache):
+        with pytest.raises(ValueError, match="m=7 exceeds pairwise-scan cap 6"):
+            incomparable_pairs(cache.table(7))
 
 
 def _order(scores):
@@ -178,7 +166,7 @@ class TestDistribution:
         assert tuple(avr_distribution(10)[:5]) == golden.DISTRIBUTION_FIRST5[10]
 
     def test_m11_first_five_without_a_table(self):
-        assert tuple(avr_distribution(11, force=True)[:5]) == golden.DISTRIBUTION_FIRST5[11]
+        assert tuple(avr_distribution(11)[:5]) == golden.DISTRIBUTION_FIRST5[11]
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_buckets_sum_and_mirror(self, m):
@@ -232,7 +220,9 @@ class TestBeta:
         assert ranking.denominator == lcm(*range(1, 34))
         assert all(type(x) is int for x in ranking.keys)
         assert [ranking.score(u) for u in range(32)] == cache.avrs(5)
-        ranking = rank(Criterion.pointwise_at(Fraction(1, 3)), 5, cache.table(5))
+        ranking = rank(Criterion.pointwise_at(Fraction(1, 3)), 5)
+        assert ranking.denominator == 3 ** 32
+        assert all(type(x) is int for x in ranking.keys)
         assert [ranking.score(u) for u in range(32)] == [
             eval_rational(cache.table(5)[u], Fraction(1, 3)) for u in range(32)]
 

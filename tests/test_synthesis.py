@@ -13,7 +13,6 @@ from becpolar.monomials import MAX_M, Monomial
 from becpolar.polynomials import IntPoly, integrate01, to_path_counts
 from becpolar.reliability import avr_closed_form, avr_closed_form_complement
 from becpolar.synthesis import (
-    SYNTH_CAP,
     ChannelTable,
     _bisect_half,
     _half_enclosure,
@@ -96,12 +95,11 @@ class TestSynthAll:
         assert cache.check("identities/erasure-conservation", m) is None
 
     def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            synth_all(13)
+        # the library checks only the width; the cost cap is the CLI's
         with pytest.raises(ValueError):
             synth_all(0)
         with pytest.raises(ValueError, match="1..16"):
-            synth_all(17, force=True)  # force lifts SYNTH_CAP, not MAX_M
+            synth_all(17)
 
     def test_path_counts_are_kept_outside_equality(self):
         table = synth_all(3)
@@ -156,23 +154,10 @@ class TestSynthLabels:
 
     def test_caps_match_synth_all(self):
         for m in (0, -1, MAX_M + 1):
-            for build in (lambda: synth_labels(m, [0], force=True),
-                          lambda: synth_all(m, force=True),
-                          lambda: average_numerators(m, force=True)):
+            for build in (lambda: synth_labels(m, [0]), lambda: synth_all(m),
+                          lambda: average_numerators(m)):
                 with pytest.raises(ValueError, match=f"1..{MAX_M}"):
                     build()
-        for build in (lambda: synth_labels(SYNTH_CAP + 1, [0]),
-                      lambda: synth_all(SYNTH_CAP + 1),
-                      lambda: average_numerators(SYNTH_CAP + 1)):
-            with pytest.raises(ValueError, match="force=True"):
-                build()
-
-    @pytest.mark.parametrize("m", [11, 12])
-    def test_refuses_m_above_the_cap_without_force(self, m):
-        for build in (lambda: synth_labels(m, [0]), lambda: synth_all(m),
-                      lambda: average_numerators(m)):
-            with pytest.raises(ValueError, match=f"m={m} exceeds the synthesis cap 10"):
-                build()
 
     @pytest.mark.parametrize("labels", [[4], [-1], [0, 9]])
     def test_rejects_labels_out_of_range(self, labels):
@@ -206,7 +191,7 @@ def _average_numerators_by_rows(m: int) -> tuple[tuple[int, ...], int]:
 def averages_beyond_tables(request):
     """Averages at an m whose table tier-1 does not build."""
     m = request.param
-    nums, d = average_numerators(m, force=True)
+    nums, d = average_numerators(m)
     return m, [Fraction(x, d) for x in nums]
 
 
