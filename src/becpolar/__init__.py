@@ -22,7 +22,6 @@ from .synthesis import (
     synth_all,
     synth_labels,
     synth_poly,
-    threshold_estimate,
 )
 from .orders import (
     Comparison,

@@ -211,18 +211,24 @@ def _path_count_bounds(m, table):
 
 @_check("identities/threshold-symmetry", applies=lambda m: m >= 2)
 def _threshold_symmetry(m, table):
-    tol = Fraction(1, 2**20)
+    """Thresholds to 2^-20 of i leading 1-bits and their complements: each
+    pair sums to exactly 1 (the true ones do, and are irrational), and Z_u
+    rises, so t = x / 2^20 is the bisection's midpoint on the table iff
+    Z_u((x - 1) / 2^20) < 1/2 < Z_u((x + 1) / 2^20), read as integer signs."""
+    tol, den = Fraction(1, 2**20), 1 << 20
     for i_ones in range(1, m):
-        u = (1 << i_ones) - 1
-        f = Monomial(m, u)
-        t1 = synthesis.threshold_estimate(table[f], tol)
-        t2 = synthesis.threshold_estimate(table[f.complement()], tol)
-        if abs(t1 + t2 - 1) > 2 * tol:
-            yield f"u={u}: {float(t1)} + {float(t2)} != 1"
-        from_label = (synthesis.channel_threshold(f, tol),
-                      synthesis.channel_threshold(f.complement(), tol))
-        if from_label != (t1, t2):
-            yield f"u={u}: thresholds from the label differ from the polynomial bisection"
+        f = Monomial(m, (1 << i_ones) - 1)
+        t = synthesis.channel_threshold(f, tol)
+        t_bar = synthesis.channel_threshold(f.complement(), tol)
+        if t_bar != 1 - t:
+            yield f"u={f.bits}: {t} + {t_bar} != 1"
+        for g, tg in ((f, t), (f.complement(), t_bar)):
+            cs = table[g].coeffs
+            x, half = tg.numerator, den ** (len(cs) - 1)
+            if tg.denominator != den or not (
+                    2 * polynomials.horner_numerator(cs, x - 1, den) < half
+                    < 2 * polynomials.horner_numerator(cs, x + 1, den)):
+                yield f"u={g.bits}: threshold {tg} is not the bisection's midpoint on the table"
 
 
 @_check("tables/avr-2dp", applies=lambda m: m in golden.AVR_2DP_ROWS)

@@ -38,15 +38,22 @@ _RELATIONS = {"w": Relation.WEAK, "std": Relation.STANDARD, "dom": Relation.DOMI
 # m = 11 took 331 s with the schoolbook square; it is not measured since.
 SYNTH_CAP = 10
 
+# verify and synth of every channel convert each channel with the comb-based
+# to_path_counts: 0.04 s a channel at m = 8 (11 s for all), 0.41-0.66 s at
+# m = 9 (5 min for all), about sixteen times the last per stage (2-core host).
+CONVERT_CAP = 8
 
-def _admit(args: argparse.Namespace) -> None:
+
+def _admit(args: argparse.Namespace, cap: int) -> None:
     """Refuse a request's m before any work: outside 1..MAX_M always
-    (`synthesis.check_m`), above SYNTH_CAP unless --force is given."""
+    (`synthesis.check_m`), above SYNTH_CAP or the command's own `cap`
+    (CONVERT_CAP where every channel is converted) unless --force is given."""
     synthesis.check_m(args.m)
-    if args.m > SYNTH_CAP and not args.force:
-        raise ValueError(
-            f"m={args.m} exceeds the synthesis cap {SYNTH_CAP} (cost grows tenfold per stage); "
-            "pass --force to override")
+    for limit, name, growth in ((SYNTH_CAP, "synthesis", "tenfold"),
+                                (cap, "conversion", "sixteenfold")):
+        if args.m > limit and not args.force:
+            raise ValueError(f"m={args.m} exceeds the {name} cap {limit} (cost grows {growth} "
+                             "per stage); pass --force to override")
 
 
 def _dec(value: Fraction, places: int = 6) -> str:
@@ -86,7 +93,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     time: the JSON is written entry by entry, each entry's text indented as
     `json.dumps(..., indent=2)` nests it, so no text of the whole table is
     ever built."""
-    _admit(args)
+    _admit(args, SYNTH_CAP if args.u is not None else CONVERT_CAP)
     m = args.m
     if args.u is not None and not 0 <= args.u < (1 << m):
         raise ValueError(f"u={args.u} out of range for m={m}")
@@ -136,7 +143,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     the full table.  `avr` reads each listed average off its own ranking
     scores; `p=` and `beta=` run the recursion on the k listed labels only.
     """
-    _admit(args)
+    _admit(args, SYNTH_CAP)
     m = args.m
     criterion = _parse_criterion(args.by)
     k = args.k if args.k is not None else 1 << m
@@ -208,7 +215,7 @@ def cmd_poset(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _admit(args)
+    _admit(args, CONVERT_CAP)
     table = synthesis.synth_all(args.m)
     count = failures = 0
     for check in checks.REGISTRY:
@@ -232,7 +239,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_distribution(args: argparse.Namespace) -> int:
-    _admit(args)
+    _admit(args, SYNTH_CAP)
     counts = construction.avr_distribution(args.m)
     print("bucket_low,bucket_high,count")
     for i, c in enumerate(counts):
@@ -241,7 +248,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 
 def cmd_avrplot(args: argparse.Namespace) -> int:
-    _admit(args)
+    _admit(args, SYNTH_CAP)
     nums, d = synthesis.average_numerators(args.m)
     lines = ["u,avr"] + [f"{u},{construction.render_avr(x, 6, d)}" for u, x in enumerate(nums)]
     text = "\n".join(lines) + "\n"

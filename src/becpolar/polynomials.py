@@ -167,13 +167,14 @@ def eval_rational(a: IntPoly, p: Fraction) -> Fraction:
     return Fraction(sum(map(mul, a.coeffs, _power_weights(num, den, n))), den ** n)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=2)
 def integration_weights(length: int) -> tuple[int, tuple[int, ...]]:
     """lcm(1..length) and its quotients by 1..length: integrating
     coefficients 0..length-1 over [0, 1] is a dot product with the quotients
     over the lcm.  At length 2^m + 1 the quotients are the root moments of
     `synthesis.average_numerators`, and about 2^m times smaller than the
-    channel table whose rows they integrate."""
+    channel table whose rows they integrate.  Only the last two lengths are
+    kept: the rows of m = 13 alone take 13.1 MB."""
     denom = lcm(*range(1, length + 1))
     return denom, tuple(denom // (i + 1) for i in range(length))
 

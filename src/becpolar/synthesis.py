@@ -27,11 +27,10 @@ from fractions import Fraction
 from itertools import islice
 from math import isqrt
 from operator import sub
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .monomials import MAX_M, Monomial
-from .polynomials import (
-    IntPoly, P, horner_numerator, integrate01, integration_weights, to_path_counts)
+from .polynomials import IntPoly, P, integrate01, integration_weights, to_path_counts
 
 
 class _LazyCounts(dict):
@@ -195,52 +194,6 @@ def average_numerators(m: int, labels: Iterable[int] | None = None) -> tuple[tup
     return tuple(d - level[u][1] if u & 1 else level[u][1] for u in order), d
 
 
-def _bisect_half(excess: Callable[[int, int], int], tol) -> Fraction:
-    """Dyadic bisection for the point where an increasing f on [0, 1]
-    crosses 1/2, to within +/- tol.
-
-    `excess(x, j)` is an integer with the sign of f(x / 2^j) - 1/2.  The
-    bracket is [lo, lo + 1] / 2^j, kept as the integer lo, and bisection
-    stops once its width 1/2^j is at most 2 * tol, which any positive tol
-    reaches.  Apart from that width test, the only rational is the one
-    returned: the midpoint hit exactly, or the midpoint of the last bracket.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    width = 2 * tol
-    lo, j = 0, 0
-    while Fraction(1, 1 << j) > width:
-        j += 1
-        lo *= 2
-        mid = lo + 1
-        v = excess(mid, j)
-        if v == 0:
-            return Fraction(mid, 1 << j)
-        if v < 0:
-            lo = mid
-    return Fraction(2 * lo + 1, 1 << (j + 1))
-
-
-def threshold_estimate(a: IntPoly, tol: Fraction = Fraction(1, 2**30)) -> Fraction:
-    """Bisection solution of a(p) = 1/2 to within +/- tol, exact arithmetic.
-
-    Requires a channel polynomial (monotone on [0,1] with a(0) = 0, a(1) = 1);
-    the bracket check rejects inputs that do not straddle 1/2.  The result is
-    a finite-m proxy for the sharp-transition point; 1 - Avr approximates the
-    same point through the average-reliability limit.
-
-    Each step of the dyadic bisection (`_bisect_half`) takes the sign of
-    a(x / 2^j) - 1/2 from 2 * 2^(jn) a(x / 2^j) - 2^(jn), an integer from
-    `horner_numerator` (n = deg a).  For a channel label,
-    `channel_threshold` returns the same value without the polynomial.
-    """
-    cs = a.coeffs
-    n = a.degree
-    if not (2 * horner_numerator(cs, 0, 1) - 1 < 0 < 2 * horner_numerator(cs, 1, 1) - 1):
-        raise ValueError("input does not bracket 1/2 on [0, 1]; not a channel polynomial?")
-    return _bisect_half(lambda x, j: 2 * horner_numerator(cs, x, 1 << j) - (1 << (j * n)), tol)
-
-
 def _ceil_isqrt(x: int) -> int:
     r = isqrt(x)
     return r + (r * r < x)
@@ -277,16 +230,19 @@ def _threshold_floor(bits: list[int], j: int, w: int) -> int:
 
 def channel_threshold(u: Monomial, tol: Fraction = Fraction(1, 2**30)) -> Fraction:
     """The threshold of channel u, Z_u(t) = 1/2, to within +/- tol, decided
-    from the label alone: equal to `threshold_estimate(synth_poly(u), tol)`.
+    from the label alone: what the dyadic bisection of the polynomial
+    `synth_poly(u)` on [0, 1] returns.  It is a finite-m proxy for the sharp
+    transition point, which 1 - Avr estimates through the average.
 
     Z_u(t) = 1/2 says t = S_{u_{m-1}}(...S_{u_0}(1/2)), S_0(y) = sqrt(y) and
     S_1(y) = 1 - sqrt(1 - y), which `_half_enclosure` encloses on integers
     over 2^w.  That t is irrational, since sqrt(1/2) is and each S_b maps an
-    irrational to an irrational, so the dyadic bisection of
-    `threshold_estimate` never hits it: it stops at the first j with
-    2^-j <= 2 tol and returns the midpoint (2 floor(t 2^j) + 1) / 2^(j+1),
-    which is what this returns.  The enclosure starts at w = j + 2m + 8,
-    which decided every label of m <= 13 in one pass.  At the default tol a
+    irrational to an irrational, so the bisection never hits it: it stops
+    at the first j with 2^-j <= 2 tol and returns the midpoint
+    (2 floor(t 2^j) + 1) / 2^(j+1) of the one width-2^-j dyadic bracket that
+    holds t, which is what this returns.  The enclosure starts at
+    w = j + 2m + 8, which decided every label of m <= 13 in one pass.  At
+    the default tol a
     label took 13-21 us at m = 8 and 9 and 27-44 us at m = 16, against
     0.40 ms, 0.96 ms and 1.6-1.7 s when each bisection step ran the label's
     recursion forward (2-core host, CPython 3.11).

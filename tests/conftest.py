@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from becpolar import checks, orders, synthesis
-from becpolar.monomials import all_monomials
+from becpolar.monomials import Monomial, all_monomials
 
 
 def named(name: str) -> checks.Check:
@@ -17,6 +17,38 @@ def named(name: str) -> checks.Check:
         if check.name == name:
             return check
     raise KeyError(name)
+
+
+def _excess(inner_first: list[int], x: int, j: int) -> int:
+    """An integer with the sign of Z(x / 2^j) - 1/2, Z taking one step per
+    bit, the first bit innermost.  With z = N / 2^E from N = x and E = j, a
+    0-bit maps N to N^2 and a 1-bit (2z - z^2) maps N to 2^(E+1) N - N^2,
+    and E doubles at every step."""
+    n, e = x, j
+    for bit in inner_first:
+        sq = n * n
+        n = (n << (e + 1)) - sq if bit else sq
+        e *= 2
+    return 2 * n - (1 << e)
+
+
+def _label_bisection(u: Monomial, tol) -> Fraction:
+    """Slow exact twin of `synthesis.channel_threshold`: dyadic bisection for
+    Z_u(t) = 1/2 to within +/- tol, each step running the label's recursion
+    on the midpoint (`_excess`).  The bracket [lo, lo + 1] / 2^j is kept as
+    the integer lo and halved until its width 2^-j is at most 2 tol; the
+    result is the midpoint of the last bracket.  No midpoint is ever the
+    root, which is irrational."""
+    inner_first = [(u.bits >> i) & 1 for i in range(u.m - 1, -1, -1)]
+    lo, j = 0, 0
+    while Fraction(1, 1 << j) > 2 * tol:
+        j += 1
+        lo *= 2
+        v = _excess(inner_first, lo + 1, j)
+        assert v != 0, (u, lo + 1, j)
+        if v < 0:
+            lo += 1
+    return Fraction(2 * lo + 1, 1 << (j + 1))
 
 
 class ChannelCache:

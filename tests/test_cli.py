@@ -8,6 +8,7 @@ import pytest
 
 from becpolar import cli
 from becpolar.monomials import Monomial
+from conftest import _label_bisection
 
 
 def run_cli(capsys, *argv):
@@ -177,7 +178,9 @@ class TestRank:
     @pytest.mark.parametrize("by", ["avr", "p=1/3", "beta=1.22"])
     def test_json_matches_table_and_polynomial_bisection(self, capsys, by):
         # the records as built from the full table, its integrals and the
-        # polynomial bisection, the slow twins of the label paths
+        # bisection on each label's recursion, the slow twins of the label
+        # paths (the threshold twin at every m of the polynomial bisection
+        # is in tests/test_synthesis.py)
         from fractions import Fraction
 
         from becpolar import construction, synthesis
@@ -188,7 +191,7 @@ class TestRank:
         records = []
         for u in ranking.order:
             score = ranking.score(u)
-            threshold = synthesis.threshold_estimate(table[u], Fraction(1, 2**30))
+            threshold = _label_bisection(Monomial(m, u), Fraction(1, 2**30))
             records.append({
                 "u": u,
                 "monomial": str(Monomial(m, u)),
@@ -280,6 +283,40 @@ def test_m_above_the_cap_exits_before_synthesis(capsys, monkeypatch, argv):
     assert code == 2 and out == ""
     assert err == ("error: m=11 exceeds the synthesis cap 10 (cost grows tenfold per stage); "
                    "pass --force to override\n")
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("synth",)], ids=["verify", "synth"])
+def test_converting_every_channel_caps_m_at_8(capsys, monkeypatch, argv):
+    """verify and synth of every channel convert each channel to path counts,
+    about 5 min at m = 9: without --force, m = 9 is refused before synthesis."""
+    from becpolar import synthesis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before the cap check")
+    for name in ("synth_labels", "synth_all"):
+        monkeypatch.setattr(synthesis, name, refuse)
+    code, out, err = run_cli(capsys, *argv, "--m", "9")
+    assert code == 2 and out == ""
+    assert err == ("error: m=9 exceeds the conversion cap 8 (cost grows sixteenfold per stage); "
+                   "pass --force to override\n")
+
+
+def test_one_channel_keeps_the_synthesis_cap(capsys):
+    code, out, _ = run_cli(capsys, "synth", "--m", "9", "--u", "0")
+    assert code == 0
+    assert json.loads(out)["channels"][0]["path_counts"] == [0] * 512 + [1]
+
+
+@pytest.mark.parametrize("argv", [("verify", "--suite", "identities"), ("synth",)],
+                         ids=["verify", "synth"])
+def test_converting_every_channel_keeps_force(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "CONVERT_CAP", 3)
+    code, out, _ = run_cli(capsys, *argv, "--m", "3")
+    assert code == 0 and len(out.splitlines()) > 5
+    code, _, err = run_cli(capsys, *argv, "--m", "4")
+    assert code == 2 and "m=4 exceeds the conversion cap 3" in err
+    code, out, _ = run_cli(capsys, *argv, "--m", "4", "--force")
+    assert code == 0 and len(out.splitlines()) > 5
 
 
 def test_verify_tables_integrates_each_channel_once(capsys, monkeypatch):
@@ -445,7 +482,7 @@ class TestVerify:
             (reliability, "ni_inclusion_exclusion"), (reliability, "gen_binomial"),
             (reliability, "avr_closed_form"),
             (synthesis, "synth_poly"), (synthesis, "synth_all"), (synthesis, "synth_labels"),
-            (synthesis, "threshold_estimate"), (synthesis, "channel_threshold"),
+            (synthesis, "channel_threshold"),
             (synthesis, "average_numerators"),
         ]
         for module, name in tracked:

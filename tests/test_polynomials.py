@@ -18,6 +18,7 @@ from becpolar.polynomials import (
     eval_rational,
     horner_numerator,
     integrate01,
+    integration_weights,
     nonneg_on_01,
     to_path_counts,
 )
@@ -148,6 +149,14 @@ class TestEvalIntegrate:
         for length in range(1, 601):
             coeffs = [rng.randint(-10**6, 10**6) for _ in range(length - 1)] + [rng.choice((-1, 1))]
             assert integrate01(IntPoly(coeffs)) == _fraction_integral(coeffs), length
+
+    def test_weights_cache_keeps_two_lengths(self):
+        """The cached weights of m = 13 take 13.1 MB, so no more than the
+        last two lengths stay in memory."""
+        for m in (8, 9, 10):
+            denom, weights = integration_weights((1 << m) + 1)
+            assert all(w * (i + 1) == denom for i, w in enumerate(weights))
+        assert integration_weights.cache_info().currsize <= 2
 
 
 def _fraction_integral(coeffs) -> Fraction:

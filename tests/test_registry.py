@@ -1,6 +1,7 @@
 """The check registry behind `becpolar verify` and the acceptance suite."""
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -105,3 +106,22 @@ def test_checks_report_two_swapped_channels(cache):
     swapped = synthesis.ChannelTable(5, tuple(polys))
     for name in ("identities/duality", "identities/threshold-symmetry", "tables/moment-averages"):
         assert named(name).run(5, swapped) is not None, name
+
+
+def test_threshold_certificate_rejects_wrong_thresholds(monkeypatch, cache):
+    """Two wrong thresholds that keep t(ubar) = 1 - t(u), so that only the
+    bracket certificate on the table can catch them: label 3 moved one
+    bracket up and its complement 28 one bracket down, and every threshold
+    right but to 2^-21, twice as fine as the check asks."""
+    channel_threshold = synthesis.channel_threshold
+    step = Fraction(1, 2**19)
+
+    def shifted(f, tol):
+        return channel_threshold(f, tol) + {3: step, 28: -step}.get(f.bits, 0)
+
+    def finer(f, tol):
+        return channel_threshold(f, tol / 2)
+    for wrong in (shifted, finer):
+        monkeypatch.setattr(synthesis, "channel_threshold", wrong)
+        detail = named("identities/threshold-symmetry").run(5, cache.table(5))
+        assert detail is not None and "not the bisection's midpoint" in detail, wrong.__name__

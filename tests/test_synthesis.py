@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import cache as memoize
 from math import comb, lcm
 from operator import mul
 
@@ -10,11 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from becpolar.monomials import MAX_M, Monomial
-from becpolar.polynomials import IntPoly, integrate01, to_path_counts
+from becpolar.polynomials import IntPoly, horner_numerator, integrate01, to_path_counts
 from becpolar.reliability import avr_closed_form, avr_closed_form_complement
 from becpolar.synthesis import (
     ChannelTable,
-    _bisect_half,
     _half_enclosure,
     _threshold_floor,
     average_numerators,
@@ -22,8 +22,8 @@ from becpolar.synthesis import (
     synth_all,
     synth_labels,
     synth_poly,
-    threshold_estimate,
 )
+from conftest import _excess, _label_bisection
 
 P = IntPoly([0, 1])
 ONE = IntPoly([1])
@@ -298,9 +298,10 @@ def _sqrt_lower_bound(value: Fraction, bits: int) -> Fraction:
     return Fraction(num, 1 << bits)
 
 
-def _fraction_threshold(a: IntPoly, tol: Fraction) -> Fraction:
-    """Slow exact twin of `threshold_estimate`: bisection on Fractions, with
-    a Fraction Horner at every step."""
+@memoize  # shared by the two tests that hold a twin against it at m <= 6
+def _fraction_threshold(a: IntPoly, tol) -> Fraction:
+    """Slow exact twin of `channel_threshold` on the channel's polynomial:
+    bisection on Fractions, with a Fraction Horner at every step."""
     def value(p):
         acc = Fraction(0)
         for c in reversed(a.coeffs):
@@ -321,93 +322,95 @@ def _fraction_threshold(a: IntPoly, tol: Fraction) -> Fraction:
     return (lo + hi) / 2
 
 
+def _is_bisection_midpoint(a: IntPoly, t: Fraction, tol) -> bool:
+    """Whether t is what the dyadic bisection of a (increasing on [0, 1],
+    crossing 1/2 at an irrational point) to within +/- tol returns: with j
+    the smallest such that 2^-j <= 2 tol, the midpoint x / 2^(j+1), x odd,
+    of the one width-2^-j bracket that holds the root, so that
+    a((x - 1) / 2^(j+1)) < 1/2 < a((x + 1) / 2^(j+1)).  Signs are read as
+    integers, the way identities/threshold-symmetry reads them."""
+    j = 0
+    while Fraction(1, 1 << j) > 2 * tol:
+        j += 1
+    den, x = 1 << (j + 1), t.numerator
+    half = den ** a.degree
+    return (t.denominator == den
+            and 2 * horner_numerator(a.coeffs, x - 1, den) < half
+            < 2 * horner_numerator(a.coeffs, x + 1, den))
+
+
 TWIN_TOLS = [Fraction(1, 2**30), Fraction(1, 2**20), Fraction(1, 10**6), Fraction(1, 3), Fraction(1)]
 
 
 class TestThreshold:
+    """The slow twins of `channel_threshold` against each other, and
+    thresholds against roots known in closed form."""
+
     @pytest.mark.parametrize("m", range(1, 7))
     def test_matches_fraction_bisection(self, m, cache):
-        for a in cache.table(m).polys:
+        for u, a in enumerate(cache.table(m).polys):
             for tol in TWIN_TOLS:
-                assert threshold_estimate(a, tol) == _fraction_threshold(a, tol), (m, a, tol)
+                assert _label_bisection(Monomial(m, u), tol) == _fraction_threshold(
+                    a, tol), (m, u, tol)
 
     def test_exact_midpoint_hit(self):
+        # the Fraction twin returns a midpoint as soon as it is the root
         a = IntPoly([0, 0, 2])  # 2p^2 = 1/2 at p = 1/2, the first midpoint
         for tol in TWIN_TOLS:
-            assert threshold_estimate(a, tol) == _fraction_threshold(a, tol) == Fraction(1, 2)
+            assert _fraction_threshold(a, tol) == Fraction(1, 2)
         b = IntPoly([0, 0, 8])  # 8p^2 = 1/2 at p = 1/4, the second midpoint
-        assert threshold_estimate(b, Fraction(1, 2**30)) == Fraction(1, 4)
+        assert _fraction_threshold(b, Fraction(1, 2**30)) == Fraction(1, 4)
 
     def test_non_dyadic_and_float_tolerances(self):
-        a = IntPoly([0, 2, -1])
+        u, a = Monomial(1, 1), IntPoly([0, 2, -1])
         for tol in (Fraction(1, 3), Fraction(2, 7), Fraction(1, 10**9), 1e-6, 0.3, 5):
-            assert threshold_estimate(a, tol) == _fraction_threshold(a, tol), tol
+            got = channel_threshold(u, tol)
+            assert got == _fraction_threshold(a, tol) == _label_bisection(u, tol), tol
 
     def test_parallel_pair(self):
         # 2p - p^2 = 1/2 at p = 1 - sqrt(2)/2
         tol = Fraction(1, 2**30)
         root = 1 - _sqrt_lower_bound(Fraction(1, 2), 60)
-        assert abs(threshold_estimate(IntPoly([0, 2, -1]), tol) - root) <= 2 * tol
+        assert abs(channel_threshold(Monomial(1, 1), tol) - root) <= 2 * tol
 
     def test_series_pair(self):
         tol = Fraction(1, 2**30)
         root = _sqrt_lower_bound(Fraction(1, 2), 60)
-        assert abs(threshold_estimate(IntPoly([0, 0, 1]), tol) - root) <= 2 * tol
+        assert abs(channel_threshold(Monomial(1, 0), tol) - root) <= 2 * tol
 
-    def test_dual_thresholds_sum_to_one(self, cache):
-        tol = Fraction(1, 2**24)
-        table = cache.table(4)
-        for u in (1, 3, 6, 7):
-            t1 = threshold_estimate(table[u], tol)
-            t2 = threshold_estimate(table[u ^ 15], tol)
-            assert abs(t1 + t2 - 1) <= 2 * tol
-
-    def test_rejects_non_bracketing_input(self):
-        with pytest.raises(ValueError):
-            threshold_estimate(IntPoly([1]))  # constant 1 never crosses 1/2
-        with pytest.raises(ValueError):
-            threshold_estimate(IntPoly([0, 2, -1]), Fraction(0))
-
-
-def _excess(inner_first: list[int], x: int, j: int) -> int:
-    """An integer with the sign of Z(x / 2^j) - 1/2, Z taking one step per
-    bit, the first bit innermost.  With z = N / 2^E from N = x and E = j, a
-    0-bit maps N to N^2 and a 1-bit (2z - z^2) maps N to 2^(E+1) N - N^2,
-    and E doubles at every step."""
-    n, e = x, j
-    for bit in inner_first:
-        sq = n * n
-        n = (n << (e + 1)) - sq if bit else sq
-        e *= 2
-    return 2 * n - (1 << e)
-
-
-def _label_bisection(u: Monomial, tol) -> Fraction:
-    """Slow exact twin of `channel_threshold`: the dyadic bisection
-    `_bisect_half`, each step running the label's recursion on the point."""
-    inner_first = [(u.bits >> i) & 1 for i in range(u.m - 1, -1, -1)]
-    return _bisect_half(lambda x, j: _excess(inner_first, x, j), tol)
+    def test_dual_thresholds_sum_to_one(self):
+        """Z_ubar(p) = 1 - Z_u(1 - p), and each threshold is irrational, so the
+        brackets of u and ubar mirror each other and so do their midpoints:
+        the two thresholds sum to exactly 1."""
+        for m in range(1, 9):
+            for u in range(1 << (m - 1)):
+                f = Monomial(m, u)
+                assert channel_threshold(f.complement()) == 1 - channel_threshold(f), (m, u)
 
 
 LABEL_TOLS = [Fraction(1, 2**30), Fraction(1, 2**60), Fraction(1, 3 * 2**20), 1e-6, 0.75]
 
 
 class TestChannelThreshold:
-    """`channel_threshold` against its slow twins: `threshold_estimate` of the
-    channel polynomial, and the bisection on the label's recursion
-    (`_label_bisection`).  Identical `Fraction`s."""
+    """`channel_threshold` against its slow twins: the Fraction bisection of
+    the channel polynomial at m <= 6, the bracket certificate on the
+    polynomial at m = 7 and 8, and the bisection on the label's recursion
+    (`_label_bisection`) at m = 6, 9, 10 and 12.  Identical `Fraction`s."""
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_matches_polynomial_bisection(self, m, cache):
         for u, poly in enumerate(cache.table(m).polys):
             for tol in TWIN_TOLS + [1e-6]:
                 got = channel_threshold(Monomial(m, u), tol)
-                assert got == threshold_estimate(poly, tol), (m, u, tol)
+                if m <= 6:
+                    assert got == _fraction_threshold(poly, tol), (m, u, tol)
+                else:
+                    assert _is_bisection_midpoint(poly, got, tol), (m, u, tol)
 
     def test_every_channel_m8(self, cache):
         tol = Fraction(1, 2**30)
         for u, poly in enumerate(cache.table(8).polys):
-            assert channel_threshold(Monomial(8, u), tol) == threshold_estimate(poly, tol), u
+            assert _is_bisection_midpoint(poly, channel_threshold(Monomial(8, u), tol), tol), u
 
     def test_every_label_m9_matches_label_bisection(self):
         for u in range(1 << 9):
@@ -437,14 +440,6 @@ class TestChannelThreshold:
             assert channel_threshold(Monomial(1, 1), tol) == _fraction_threshold(
                 IntPoly([0, 2, -1]), tol)
         assert channel_threshold(Monomial(1, 0)) + channel_threshold(Monomial(1, 1)) == 1
-
-    def test_exact_midpoint_hit(self):
-        # No channel reaches 1/2 at a dyadic point (its last step would need a
-        # rational square root of 1/2), so `channel_threshold` always returns
-        # the midpoint of the last bracket.  The hit is shown on the bisection
-        # of its twins: both return the midpoint as soon as it is exact.
-        assert _bisect_half(lambda x, j: 8 * x - 3 * (1 << j), Fraction(1, 2**30)) == Fraction(3, 8)
-        assert threshold_estimate(IntPoly([0, 0, 8])) == Fraction(1, 4)
 
     @pytest.mark.parametrize("m, u", [(1, 0), (1, 1), (5, 22), (9, 0), (9, 511), (9, 300)])
     def test_enclosure_holds_at_every_width(self, m, u):
