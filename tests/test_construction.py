@@ -6,7 +6,7 @@ from math import lcm
 
 import pytest
 
-from becpolar import golden
+from becpolar import construction, golden
 from becpolar.construction import (
     Criterion,
     avr_distribution,
@@ -20,6 +20,7 @@ from becpolar.construction import (
 from becpolar.monomials import Monomial
 from becpolar.orders import leq_std
 from becpolar.polynomials import eval_rational
+from becpolar.synthesis import average_numerators
 
 
 class TestRank:
@@ -50,6 +51,36 @@ class TestRank:
         avr_order = rank(Criterion.average(), 5).order
         beta_order = rank(Criterion.beta_expansion(Decimal("1.22")), 5).order
         assert avr_order == beta_order
+
+    @pytest.mark.parametrize("m", [0, 17])
+    @pytest.mark.parametrize("criterion", [
+        Criterion.average(), Criterion.pointwise_at(Fraction(1, 3)),
+        Criterion.beta_expansion(Decimal("1.22"))], ids=lambda c: c.label())
+    def test_every_criterion_refuses_a_width_outside_1_to_16(self, criterion, m):
+        with pytest.raises(ValueError, match=f"m must be in 1..16, got {m}"):
+            rank(criterion, m)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_average_keys_from_half_the_labels_equal_the_full_walk(self, m):
+        """Complement halving against the walk over every label: at m = 1
+        the half is label 0 alone."""
+        nums, d = average_numerators(m)
+        ranking = rank(Criterion.average(), m)
+        assert ranking.keys == nums
+        assert ranking.denominator == d
+        assert ranking.order == _order(nums)
+
+    @pytest.mark.parametrize("m", [1, 5, 8])
+    def test_average_walks_one_label_of_each_complement_pair(self, monkeypatch, m):
+        requested = []
+
+        def spy(m, labels=None):
+            labels = range(1 << m) if labels is None else list(labels)
+            requested.extend(labels)
+            return average_numerators(m, labels)
+        monkeypatch.setattr(construction, "average_numerators", spy)
+        rank(Criterion.average(), m)
+        assert sorted(requested) == list(range(1 << (m - 1)))
 
 
 class TestConstruct:
