@@ -51,7 +51,6 @@ from .construction import (
     Criterion,
     RankedChannels,
     avr_distribution,
-    avr_of_pairs,
     beta_avr_conflicts,
     beta_incompatible_count,
     incomparable_pairs,

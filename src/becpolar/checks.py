@@ -223,7 +223,7 @@ def _threshold_symmetry(m, table):
         if t_bar != 1 - t:
             yield f"u={f.bits}: {t} + {t_bar} != 1"
         for g, tg in ((f, t), (f.complement(), t_bar)):
-            cs = table[g].coeffs
+            cs = table[g.bits].coeffs
             x, half = tg.numerator, den ** (len(cs) - 1)
             if tg.denominator != den or not (
                     2 * polynomials.horner_numerator(cs, x - 1, den) < half
@@ -257,10 +257,10 @@ def _degree2_path_counts(m, table):
             yield f"u={u}: {got}"
 
 
-@_check("tables/incomparable-pairs", applies=lambda m: m in (4, 5))
+@_check("tables/incomparable-pairs", applies=lambda m: m in (4, 5, 6))
 def _incomparable_pairs(m, table):
     pairs = construction.incomparable_pairs(table)
-    if pairs != {4: [], 5: golden.INCOMPARABLE_PAIRS_M5}[m]:
+    if pairs != {4: [], 5: golden.INCOMPARABLE_PAIRS_M5, 6: golden.INCOMPARABLE_PAIRS_M6}[m]:
         yield f"got {pairs}"
 
 
@@ -321,14 +321,16 @@ def _first_order_rm(m, table):
 def _pair_avr_decimals(m, table):
     """Cited pair decimals agree with the exact averages to one unit in the
     last cited place, and the six-place renderings stay frozen."""
+    labels = [u for pair, _ in golden.FIRST4_PAIR_DECIMALS for u in pair]
+    nums, d = synthesis.average_numerators(m, labels + list(golden.PAIR_AVR_6DP_M5))
+    numerators = iter(nums)
     for pair, cited in golden.FIRST4_PAIR_DECIMALS:
         places = max(len(text) - 2 for text in cited)
-        rendered = construction.avr_of_pairs(m, [pair], places)[0]
-        for u, text, got in zip(pair, cited, rendered):
+        for u, text, x in zip(pair, cited, numerators):
+            got = construction.render_avr(x, places, d)
             if abs(got - Decimal(text)) > Decimal(1).scaleb(-places):
                 yield f"u={u}: {got} vs cited {text}"
-    nums, d = synthesis.average_numerators(m, list(golden.PAIR_AVR_6DP_M5))
-    for (u, want), x in zip(golden.PAIR_AVR_6DP_M5.items(), nums):
+    for (u, want), x in zip(golden.PAIR_AVR_6DP_M5.items(), numerators):
         got = str(construction.render_avr(x, 6, d))
         if got != want:
             yield f"u={u}: {got} != {want} at six places"

@@ -27,15 +27,15 @@ from fractions import Fraction
 from functools import cache
 
 from . import checks, construction, orders, polynomials, synthesis
-from .monomials import Monomial
+from .monomials import Monomial, check_m
 from .orders import Relation
 
 _RELATIONS = {"w": Relation.WEAK, "std": Relation.STANDARD, "dom": Relation.DOMINANCE}
 
-# synth_all took 0.04-0.06 s at m = 8, 0.42-0.66 s at m = 9 and 6.8 s at
-# m = 10 (2-core shared host, CPython 3.11): each stage doubles both degree
-# and coefficient size, and took about ten and fifteen times the last.
-# m = 11 took 331 s with the schoolbook square; it is not measured since.
+# synth_all took 0.05 s at m = 8, 0.45-0.48 s at m = 9 and 7.1-7.9 s at
+# m = 10, up to 11.4 s in a slow phase of the 2-core shared host (CPython
+# 3.11): each stage doubles both degree and coefficient size, and took about
+# ten and fifteen times the last.
 SYNTH_CAP = 10
 
 # verify and synth of every channel convert each channel with the comb-based
@@ -46,9 +46,9 @@ CONVERT_CAP = 8
 
 def _admit(args: argparse.Namespace, cap: int) -> None:
     """Refuse a request's m before any work: outside 1..MAX_M always
-    (`synthesis.check_m`), above SYNTH_CAP or the command's own `cap`
+    (`monomials.check_m`), above SYNTH_CAP or the command's own `cap`
     (CONVERT_CAP where every channel is converted) unless --force is given."""
-    synthesis.check_m(args.m)
+    check_m(args.m)
     for limit, name, growth in ((SYNTH_CAP, "synthesis", "tenfold"),
                                 (cap, "conversion", "sixteenfold")):
         if args.m > limit and not args.force:
@@ -56,8 +56,8 @@ def _admit(args: argparse.Namespace, cap: int) -> None:
                              "per stage); pass --force to override")
 
 
-def _dec(value: Fraction, places: int = 6) -> str:
-    return str(construction.render_avr(value, places))
+def _dec(value: Fraction) -> str:
+    return str(construction.render_avr(value, 6))
 
 
 def _frac(value: Fraction) -> str:
@@ -97,9 +97,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     m = args.m
     if args.u is not None and not 0 <= args.u < (1 << m):
         raise ValueError(f"u={args.u} out of range for m={m}")
-    labels = [args.u] if args.u is not None else None
-    polys = synthesis.synth_labels(m, labels)
-    entries = (_channel_entry(m, u, poly) for u, poly in polys.items())
+    if args.u is not None:
+        polys = [(args.u, synthesis.synth_poly(Monomial(m, args.u)))]
+    else:
+        polys = enumerate(synthesis.synth_labels(m))
+    entries = (_channel_entry(m, u, poly) for u, poly in polys)
     if args.format == "json":
         out = sys.stdout
         out.write(f'{{\n  "m": {m},\n  "channels": [')
@@ -189,7 +191,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_poset(args: argparse.Namespace) -> int:
-    synthesis.check_m(args.m)
+    check_m(args.m)
     m = args.m
     relation = _RELATIONS[args.relation]
     edges = orders.hasse_edges(m, relation)

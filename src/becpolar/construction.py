@@ -3,8 +3,8 @@
 Three ranking criteria: exact pointwise erasure probability at a fixed
 rational p, exact average reliability over p in [0, 1], and the beta-expansion
 score beta(u) = sum u_i beta^i.  Every score is an exact `Fraction`.  Also
-the derived statistics: pointwise-incomparable pairs, decimal views of
-selected pairs, the decile histogram of average reliabilities, and the
+the derived statistics: pointwise-incomparable pairs, decimal renderings of
+exact averages, the decile histogram of average reliabilities, and the
 disagreement between the average-reliability and beta rankings.
 """
 
@@ -16,9 +16,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import orders
-from .monomials import all_monomials
+from .monomials import all_monomials, check_m
 from .polynomials import eval_rational
-from .synthesis import ChannelTable, average_numerators, check_m, synth_all
+from .synthesis import ChannelTable, average_numerators, synth_all
 
 INCOMPARABLE_M_CAP = 6
 # Largest written size of beta (digits plus positive exponent): it bounds the
@@ -71,8 +71,6 @@ class RankedChannels:
     reduces k fractions, not 2^m.
     """
 
-    m: int
-    criterion: Criterion
     order: tuple[int, ...]
     keys: tuple[int, ...]
     denominator: int
@@ -129,7 +127,7 @@ def rank(criterion: Criterion, m: int) -> RankedChannels:
     else:
         raise ValueError(f"unknown criterion kind {criterion.kind!r}")
     ordered = sorted(range(n), key=lambda u: (keys[u], u))
-    return RankedChannels(m, criterion, tuple(ordered), tuple(keys), den)
+    return RankedChannels(tuple(ordered), tuple(keys), den)
 
 
 @lru_cache(maxsize=INCOMPARABLE_M_CAP)
@@ -171,15 +169,6 @@ def render_avr(value: Fraction | int, digits: int, denominator: int = 1) -> Deci
     if 2 * r >= den:
         q += 1
     return Decimal(f"{q}E{-digits}")
-
-
-def avr_of_pairs(m: int, pairs: list[tuple[int, int]],
-                 digits: int = 3) -> list[tuple[Decimal, Decimal]]:
-    """Decimal views (rounded half-up) of the exact average reliabilities of
-    the given label pairs of m, from `average_numerators` of their labels."""
-    nums, d = average_numerators(m, [u for pair in pairs for u in pair])
-    views = [render_avr(x, digits, d) for x in nums]
-    return list(zip(views[::2], views[1::2]))
 
 
 def avr_distribution(m: int) -> list[int]:

@@ -16,6 +16,13 @@ from itertools import accumulate
 MAX_M = 16
 
 
+def check_m(m: int) -> None:
+    """Refuse a stage count before any work: m must be in 1..MAX_M, the
+    largest label width.  What an m costs is the caller's to weigh."""
+    if not 1 <= m <= MAX_M:
+        raise ValueError(f"m must be in 1..{MAX_M}, got {m}")
+
+
 @dataclass(frozen=True, order=True)
 class Monomial:
     """A monomial in m binary variables, encoded as an m-bit mask."""
@@ -24,8 +31,7 @@ class Monomial:
     bits: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.m <= MAX_M:
-            raise ValueError(f"m must be in 1..{MAX_M}, got {self.m}")
+        check_m(self.m)
         if not 0 <= self.bits < (1 << self.m):
             raise ValueError(f"bits {self.bits} out of range for m={self.m}")
 

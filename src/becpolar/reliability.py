@@ -28,8 +28,6 @@ class CompositionGraph:
 
     node_count: int
     edges: tuple[tuple[int, int], ...]
-    source: int = 0
-    sink: int = 1
 
 
 def build_graph(u: Monomial) -> CompositionGraph:
@@ -58,7 +56,7 @@ def build_graph(u: Monomial) -> CompositionGraph:
 
 
 def oracle_path_counts(g: CompositionGraph) -> PathCounts:
-    """Count, for each i, the i-edge subsets connecting S to T.
+    """Count, for each i, the i-edge subsets connecting S (node 0) to T (node 1).
 
     A brute force over all 2^e edge subsets, run on them all at once: bit j
     of an integer stands for subset j, the edges whose bits are set in j.
@@ -77,7 +75,7 @@ def oracle_path_counts(g: CompositionGraph) -> PathCounts:
     has = [every // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
            for i in range(e)]
     reach = [0] * g.node_count
-    reach[g.source] = every
+    reach[0] = every
     before = None
     while reach != before:
         before = list(reach)
@@ -88,7 +86,7 @@ def oracle_path_counts(g: CompositionGraph) -> PathCounts:
     by_size = [every]
     for h in has:
         by_size = [s & ~h | prev & h for s, prev in zip(by_size + [0], [0] + by_size)]
-    return PathCounts(e, tuple((reach[g.sink] & s).bit_count() for s in by_size))
+    return PathCounts(e, tuple((reach[1] & s).bit_count() for s in by_size))
 
 
 def ni_inclusion_exclusion(m: int, i_ones: int) -> PathCounts:

@@ -6,11 +6,11 @@ a 0-bit squares (series step), a 1-bit maps z to 2z - z^2 (parallel step).
 This nesting order is frozen by golden tests against fully expanded m = 4
 polynomials.
 
-`synth_labels` builds the channels of a set of labels by sharing suffix
-polynomials: after k steps the intermediate depends only on the top k bits
-of u, so the polynomials are built level by level over a binary suffix tree
-(one squaring per node, both children derived from it), and `synth_all` is
-its all-labels case.
+`synth_labels` builds every channel of m by sharing suffix polynomials:
+after k steps the intermediate depends only on the top k bits of u, so the
+polynomials are built level by level over a binary suffix tree (one squaring
+per node, both children derived from it), and `synth_all` keeps them as a
+`ChannelTable`.
 
 The same recursion, run on a number in place of a polynomial, is Arikan's
 Bhattacharyya recursion Z_u(x), exact on the BEC.  Both steps are increasing
@@ -29,7 +29,7 @@ from math import isqrt
 from operator import sub
 from typing import Iterable
 
-from .monomials import MAX_M, Monomial
+from .monomials import Monomial, check_m
 from .polynomials import IntPoly, P, integrate01, integration_weights, to_path_counts
 
 
@@ -64,24 +64,13 @@ class ChannelTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", _LazyCounts(self.polys, 1 << self.m))
 
-    def __getitem__(self, key: int | Monomial) -> IntPoly:
-        u = key.bits if isinstance(key, Monomial) else key
+    def __getitem__(self, u: int) -> IntPoly:
         return self.polys[u]
 
-    def __len__(self) -> int:
-        return len(self.polys)
-
-    def avr(self, key: int | Monomial) -> Fraction:
+    def avr(self, u: int) -> Fraction:
         """Exact average reliability: the integral of the channel polynomial,
         the integration twin of `average_numerators`."""
-        return integrate01(self[key])
-
-
-def check_m(m: int) -> None:
-    """Refuse a stage count before any work: m must be in 1..MAX_M, the
-    largest label width.  What an m costs is the caller's to weigh."""
-    if not 1 <= m <= MAX_M:
-        raise ValueError(f"m must be in 1..{MAX_M}, got {m}")
+        return integrate01(self.polys[u])
 
 
 def synth_poly(u: Monomial) -> IntPoly:
@@ -93,46 +82,31 @@ def synth_poly(u: Monomial) -> IntPoly:
     return z
 
 
-def _label_set(m: int, labels: Iterable[int]) -> set[int]:
-    """The distinct labels of `labels`, each checked to lie in 0..2^m - 1."""
-    wanted = set(labels)
-    if any(not 0 <= u < (1 << m) for u in wanted):
-        raise ValueError(f"labels must be in 0..{(1 << m) - 1} for m={m}")
-    return wanted
+def synth_labels(m: int) -> tuple[IntPoly, ...]:
+    """Channel polynomials of every label of m, in label order, built with
+    suffix sharing.
 
-
-def synth_labels(m: int, labels: Iterable[int] | None) -> dict[int, IntPoly]:
-    """Channel polynomials of the given labels (None: every label of m),
-    keyed by label in ascending order, built with suffix sharing.
-
-    Level k holds the polynomials reachable after k steps, keyed by the top k
-    bits of u (last-consumed bit lowest), and expands only the nodes that
-    are the top k bits of some requested label: one squaring per expanded
-    node, both children derived from it.  For every label of m that is the
-    whole tree, 2^(m+1) - 2 transform results.  Duplicates and order of
-    `labels` do not matter.  m must pass `check_m`; no cost cap applies,
-    and each stage costs about ten times the last.
+    Level k holds the polynomials reachable after k steps, indexed by the
+    top k bits of u (last-consumed bit lowest): one squaring per node, both
+    children derived from it, 2^(m+1) - 2 transform results in all.  m must
+    pass `check_m`; no cost cap applies, and each stage costs about ten
+    times the last.
     """
     check_m(m)
-    wanted = _label_set(m, range(1 << m) if labels is None else labels)
-    level = {0: P} if wanted else {}
-    for k in range(1, m + 1):
-        keep = {u >> (m - k) for u in wanted}
-        nxt: dict[int, IntPoly] = {}
-        for node in list(level):  # ascending, so nxt is ascending too
-            parent = level.pop(node)  # freed once both children exist
+    level = [P]
+    for _ in range(m):
+        nxt: list[IntPoly] = []
+        for node in range(len(level)):  # node w has children 2w (0-bit) and 2w + 1 (1-bit)
+            parent, level[node] = level[node], None  # freed once both children exist
             sq = parent.square()
-            if 2 * node in keep:  # 0-bit child: series
-                nxt[2 * node] = sq
-            if 2 * node + 1 in keep:  # 1-bit child: parallel
-                nxt[2 * node + 1] = parent.scale(2) - sq
+            nxt += (sq, parent.scale(2) - sq)  # series, parallel
         level = nxt
-    return level
+    return tuple(level)
 
 
 def synth_all(m: int) -> ChannelTable:
-    """Full channel table of m: `synth_labels` of every label."""
-    return ChannelTable(m, tuple(synth_labels(m, None).values()))
+    """Full channel table of m, from `synth_labels`."""
+    return ChannelTable(m, synth_labels(m))
 
 
 def average_numerators(m: int, labels: Iterable[int] | None = None) -> tuple[tuple[int, ...], int]:
@@ -141,8 +115,8 @@ def average_numerators(m: int, labels: Iterable[int] | None = None) -> tuple[tup
     denominator D = lcm(1..2^m + 1).  This is the library's one source of
     exact averages; `ChannelTable.avr` is its integration twin.
 
-    Walks the suffix tree of `synth_labels` and, like it, expands only the
-    nodes that are the top bits of some requested label.  A node w at depth
+    Walks the suffix tree of `synth_labels`, expanding only the nodes that
+    are the top bits of some requested label.  A node w at depth
     d >= 1 carries K + 1 = 2^(m-d) + 1 moments chosen by its last bit: for
     a 0-bit M[k] = D * integral_0^1 Z_w^k dp, for a 1-bit M[k] = D *
     integral_0^1 (1 - Z_w)^k dp.  The root (Z = p) has both vectors equal to
@@ -161,16 +135,17 @@ def average_numerators(m: int, labels: Iterable[int] | None = None) -> tuple[tup
 
     For every label, about n^2 / 2 subtractions of integers of up to 1.44 n
     bits, n = 2^m, and no products: 1.9 ms at m = 8, 7 ms at m = 9, 0.03 s
-    at m = 10, 0.19 s at m = 11, 1.6 s at m = 12 and 12.6 s at m = 13,
-    against 2.9 ms, 15 ms, 0.12 s, 1.4 s and 20 s for the products by rows
-    of (2 - x)^k that it replaced (one run each, 2-core host, CPython 3.11).
-    Fewer labels skip every difference table that no requested suffix
-    needs.  m must pass `check_m`; no cost cap applies.
+    at m = 10, 0.19 s at m = 11, 1.6 s at m = 12 and 12.6 s at m = 13 (one
+    run each, 2-core host, CPython 3.11).  Fewer labels skip every
+    difference table that no requested suffix needs.  m must pass
+    `check_m`; no cost cap applies.
     """
     check_m(m)
     n = 1 << m
     order = range(n) if labels is None else list(labels)
-    wanted = None if labels is None else _label_set(m, order)
+    wanted = None if labels is None else set(order)
+    if wanted and not 0 <= min(wanted) <= max(wanted) < n:
+        raise ValueError(f"labels must be in 0..{n - 1} for m={m}")
     d, root = integration_weights(n + 1)
     depth1 = root[::2]  # even entries of the root's moments
     level = {0: depth1, 1: depth1}
@@ -242,10 +217,8 @@ def channel_threshold(u: Monomial, tol: Fraction = Fraction(1, 2**30)) -> Fracti
     (2 floor(t 2^j) + 1) / 2^(j+1) of the one width-2^-j dyadic bracket that
     holds t, which is what this returns.  The enclosure starts at
     w = j + 2m + 8, which decided every label of m <= 13 in one pass.  At
-    the default tol a
-    label took 13-21 us at m = 8 and 9 and 27-44 us at m = 16, against
-    0.40 ms, 0.96 ms and 1.6-1.7 s when each bisection step ran the label's
-    recursion forward (2-core host, CPython 3.11).
+    the default tol a label took 13-21 us at m = 8 and 9 and 27-44 us at
+    m = 16 (2-core host, CPython 3.11).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

@@ -48,8 +48,8 @@ def test_criterion_02_degree2_path_count_vectors(cache):
 
 
 def test_criterion_03_incomparable_pairs(cache):
-    with _Timer("criterion-3 incomparable pairs m=5 (seven) and m=4 (none)", 10.0):
-        _passes(cache, "tables/incomparable-pairs", 5, 4)
+    with _Timer("criterion-3 incomparable pairs m=5 (seven), m=6 (61) and m=4 (none)", 10.0):
+        _passes(cache, "tables/incomparable-pairs", 5, 6, 4)
 
 
 def test_criterion_04_average_ordering_prefixes(cache):

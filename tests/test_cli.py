@@ -233,8 +233,8 @@ def test_bad_u_and_k_exit_before_synthesis(capsys, monkeypatch, argv):
 
     def refuse(*args, **kwargs):
         raise AssertionError("synthesis ran before the usage check")
-    monkeypatch.setattr(synthesis, "synth_all", refuse)
-    monkeypatch.setattr(synthesis, "synth_labels", refuse)
+    for name in ("synth_all", "synth_labels", "synth_poly"):
+        monkeypatch.setattr(synthesis, name, refuse)
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "out of range" in err
@@ -400,6 +400,14 @@ class TestPoset:
                                "--dot", "-")
         assert code == 0
         assert sum(1 for line in out.splitlines() if "[label=" in line) == 8
+
+    def test_m10_is_admitted_and_m11_refused(self, capsys):
+        code, out, _ = run_cli(capsys, "poset", "--m", "10", "--relation", "w", "--dot", "-")
+        assert code == 0
+        assert sum(1 for line in out.splitlines() if "[label=" in line) == 1024
+        code, out, err = run_cli(capsys, "poset", "--m", "11", "--relation", "w", "--dot", "-")
+        assert code == 2 and out == ""
+        assert err == "error: m=11 exceeds exhaustive-scan cap 10\n"
 
     def test_writes_file(self, capsys, tmp_path):
         target = tmp_path / "poset.dot"

@@ -355,7 +355,7 @@ class TestPointwise:
         monos = all_monomials(m)
         for i, f in enumerate(monos):
             for g in monos[i:]:
-                d = table[g] - table[f]
+                d = table[g.bits] - table[f.bits]
                 diff = [b - a for a, b in zip(table.counts[f.bits], table.counts[g.bits])]
                 up, down = twin(d, diff)
                 for (a, b), first, second in (((f, g), up, down), ((g, f), down, up)):
@@ -635,5 +635,5 @@ class TestHasse:
                                for w in range(1 << m))
 
     def test_cap(self):
-        with pytest.raises(ValueError):
-            hasse_edges(8, Relation.STANDARD)
+        with pytest.raises(ValueError, match="m=11 exceeds exhaustive-scan cap 10"):
+            hasse_edges(11, Relation.STANDARD)

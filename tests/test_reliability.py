@@ -47,7 +47,7 @@ def _bfs_path_counts(g: CompositionGraph) -> tuple[int, ...]:
     counts = [0] * (len(g.edges) + 1)
     for mask in range(1 << len(g.edges)):
         kept = [edge for i, edge in enumerate(g.edges) if mask >> i & 1]
-        seen, frontier = {g.source}, [g.source]
+        seen, frontier = {0}, [0]  # S is node 0, T node 1
         while frontier:
             v = frontier.pop()
             for a, b in kept:
@@ -55,7 +55,7 @@ def _bfs_path_counts(g: CompositionGraph) -> tuple[int, ...]:
                     if x == v and y not in seen:
                         seen.add(y)
                         frontier.append(y)
-        counts[len(kept)] += g.sink in seen
+        counts[len(kept)] += 1 in seen
     return tuple(counts)
 
 
