@@ -214,8 +214,8 @@ def _threshold_symmetry(m, table):
     """Thresholds to 2^-20 of i leading 1-bits and their complements: each
     pair sums to exactly 1 (the true ones do, and are irrational), and Z_u
     rises, so t = x / 2^20 is the bisection's midpoint on the table iff
-    Z_u((x - 1) / 2^20) < 1/2 < Z_u((x + 1) / 2^20), read as integer signs."""
-    tol, den = Fraction(1, 2**20), 1 << 20
+    Z_u((x - 1) / 2^20) < 1/2 < Z_u((x + 1) / 2^20), compared exactly."""
+    tol, den, half = Fraction(1, 2**20), 1 << 20, Fraction(1, 2)
     for i_ones in range(1, m):
         f = Monomial(m, (1 << i_ones) - 1)
         t = synthesis.channel_threshold(f, tol)
@@ -223,11 +223,10 @@ def _threshold_symmetry(m, table):
         if t_bar != 1 - t:
             yield f"u={f.bits}: {t} + {t_bar} != 1"
         for g, tg in ((f, t), (f.complement(), t_bar)):
-            cs = table[g.bits].coeffs
-            x, half = tg.numerator, den ** (len(cs) - 1)
+            z, x = table[g.bits], tg.numerator
             if tg.denominator != den or not (
-                    2 * polynomials.horner_numerator(cs, x - 1, den) < half
-                    < 2 * polynomials.horner_numerator(cs, x + 1, den)):
+                    polynomials.eval_rational(z, Fraction(x - 1, den)) < half
+                    < polynomials.eval_rational(z, Fraction(x + 1, den))):
                 yield f"u={g.bits}: threshold {tg} is not the bisection's midpoint on the table"
 
 

@@ -35,7 +35,7 @@ _RELATIONS = {"w": Relation.WEAK, "std": Relation.STANDARD, "dom": Relation.DOMI
 # synth_all took 0.05 s at m = 8, 0.45-0.48 s at m = 9 and 7.1-7.9 s at
 # m = 10, up to 11.4 s in a slow phase of the 2-core shared host (CPython
 # 3.11): each stage doubles both degree and coefficient size, and took about
-# ten and fifteen times the last.
+# ten and fifteen times the last.  It caps synth --u and rank --by p=.
 SYNTH_CAP = 10
 
 # verify and synth of every channel convert each channel with the comb-based
@@ -43,17 +43,22 @@ SYNTH_CAP = 10
 # m = 9 (5 min for all), about sixteen times the last per stage (2-core host).
 CONVERT_CAP = 8
 
+# distribution, avrplot and rank --by avr|beta build no polynomial: the
+# average walk of every label took 0.19 s at m = 11, 1.6 s at m = 12 and
+# 12.6 s at m = 13 (2-core host), about eight times the last per stage.
+AVERAGE_CAP = 13
 
-def _admit(args: argparse.Namespace, cap: int) -> None:
+
+def _admit(args: argparse.Namespace, layer: str) -> None:
     """Refuse a request's m before any work: outside 1..MAX_M always
-    (`monomials.check_m`), above SYNTH_CAP or the command's own `cap`
-    (CONVERT_CAP where every channel is converted) unless --force is given."""
+    (`monomials.check_m`), and above the cap of the command's costliest
+    `layer` unless --force is given."""
     check_m(args.m)
-    for limit, name, growth in ((SYNTH_CAP, "synthesis", "tenfold"),
-                                (cap, "conversion", "sixteenfold")):
-        if args.m > limit and not args.force:
-            raise ValueError(f"m={args.m} exceeds the {name} cap {limit} (cost grows {growth} "
-                             "per stage); pass --force to override")
+    cap, growth = {"synthesis": (SYNTH_CAP, "tenfold"), "conversion": (CONVERT_CAP, "sixteenfold"),
+                   "average walk": (AVERAGE_CAP, "eightfold")}[layer]
+    if args.m > cap and not args.force:
+        raise ValueError(f"m={args.m} exceeds the {layer} cap {cap} (cost grows {growth} "
+                         "per stage); pass --force to override")
 
 
 def _dec(value: Fraction) -> str:
@@ -93,7 +98,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     time: the JSON is written entry by entry, each entry's text indented as
     `json.dumps(..., indent=2)` nests it, so no text of the whole table is
     ever built."""
-    _admit(args, SYNTH_CAP if args.u is not None else CONVERT_CAP)
+    _admit(args, "synthesis" if args.u is not None else "conversion")
     m = args.m
     if args.u is not None and not 0 <= args.u < (1 << m):
         raise ValueError(f"u={args.u} out of range for m={m}")
@@ -145,9 +150,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
     the full table.  `avr` reads each listed average off its own ranking
     scores; `p=` and `beta=` run the recursion on the k listed labels only.
     """
-    _admit(args, SYNTH_CAP)
-    m = args.m
     criterion = _parse_criterion(args.by)
+    _admit(args, "synthesis" if criterion.kind == "pointwise" else "average walk")
+    m = args.m
     k = args.k if args.k is not None else 1 << m
     if not 0 <= k <= (1 << m):
         raise ValueError(f"--k {k} out of range for m={m}")
@@ -217,7 +222,7 @@ def cmd_poset(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _admit(args, CONVERT_CAP)
+    _admit(args, "conversion")
     table = synthesis.synth_all(args.m)
     count = failures = 0
     for check in checks.REGISTRY:
@@ -241,7 +246,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_distribution(args: argparse.Namespace) -> int:
-    _admit(args, SYNTH_CAP)
+    _admit(args, "average walk")
     counts = construction.avr_distribution(args.m)
     print("bucket_low,bucket_high,count")
     for i, c in enumerate(counts):
@@ -250,7 +255,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 
 def cmd_avrplot(args: argparse.Namespace) -> int:
-    _admit(args, SYNTH_CAP)
+    _admit(args, "average walk")
     nums, d = synthesis.average_numerators(args.m)
     lines = ["u,avr"] + [f"{u},{construction.render_avr(x, 6, d)}" for u, x in enumerate(nums)]
     text = "\n".join(lines) + "\n"

@@ -201,22 +201,21 @@ def beta_avr_conflicts(m: int, beta: Decimal) -> list[tuple[int, int]]:
             if avr[u] < avr[v] and beta_score[u] > beta_score[v]]
 
 
-def beta_incompatible_count(m: int, beta: Decimal) -> int:
+def beta_incompatible_count(m: int, beta: Decimal) -> Fraction:
     """The paper's beta-incompatibility statistic: the number of ranking
     positions at which the beta and average-reliability orders hold different
-    channels, divided by 4.
+    channels, divided by 4, as an exact `Fraction`.
 
     It is zero iff the two rankings coincide, but it is not the number of
     discordant pairs (for that, take `len(beta_avr_conflicts(...))`): at
     beta = 1.22 it is 2/10/36 at m = 6/7/8, against 4/30/134 discordant
-    pairs.  Displacements mirror under complementation, so the displaced
-    count is a multiple of 4.  The averages are those of `rank` by average.
+    pairs.  Both rankings map the complement of the channel at position i
+    to position 2^m - 1 - i, so the displaced count is even, but it need
+    not be a multiple of 4: at m = 3, beta = 1.62 it is 2 (labels 3 and 4
+    swap), and the statistic is 1/2.  The averages are those of `rank` by
+    average.
     """
     avr_ranking = rank(Criterion.average(), m)
     beta_ranking = rank(Criterion.beta_expansion(beta), m)
     displaced = sum(1 for a, b in zip(avr_ranking.order, beta_ranking.order) if a != b)
-    if displaced % 4 != 0:
-        raise AssertionError(
-            f"displaced count {displaced} not divisible by 4; "
-            "complement symmetry violated?")
-    return displaced // 4
+    return Fraction(displaced, 4)

@@ -9,7 +9,7 @@ which CPython squares (Karatsuba), and read back slot by slot.  Rationals
 enter only at evaluation and integration, as `fractions.Fraction`, and each
 is built once, at the end: evaluation at num/den and integration are each a
 dot product of the coefficients with cached integer weights over one common
-denominator, and `horner_numerator` evaluates without a cache.
+denominator.
 
 The module also provides the change of basis to path-count (Bernstein-style)
 coefficients and an exact sign decision on [0, 1] built from square-free
@@ -131,20 +131,6 @@ ONE = IntPoly([1])
 P = IntPoly([0, 1])
 
 
-def horner_numerator(coeffs: Sequence[int], num: int, den: int) -> int:
-    """den^n * a(num/den) for a(p) = sum coeffs[i] p^i and n = len(coeffs) - 1.
-
-    Homogeneous Horner in plain integers, sum coeffs[i] num^i den^(n-i): no
-    rational and no gcd at any step.  The zero polynomial gives 0.
-    """
-    acc = 0
-    power = 1
-    for c in reversed(coeffs):
-        acc = acc * num + c * power
-        power *= den
-    return acc
-
-
 @lru_cache(maxsize=16)
 def _power_weights(num: int, den: int, n: int) -> tuple[int, ...]:
     """num^i den^(n-i) for i = 0..n: den^n a(num/den) is the dot product of
@@ -160,8 +146,7 @@ def _power_weights(num: int, den: int, n: int) -> tuple[int, ...]:
 def eval_rational(a: IntPoly, p: Fraction) -> Fraction:
     """Exact value a(p) at a rational point: den^n a(num/den) as a dot product
     of the coefficients with cached power weights (n = deg a), then one
-    `Fraction` (one gcd) for the result.  `horner_numerator` computes the
-    same integer without the cache."""
+    `Fraction` (one gcd) for the result."""
     num, den = p.numerator, p.denominator
     n = max(a.degree, 0)
     return Fraction(sum(map(mul, a.coeffs, _power_weights(num, den, n))), den ** n)
@@ -418,9 +403,9 @@ def _count_roots_open01(f: list[int]) -> int:
 
 def _nonroot_point(f: list[int]) -> Fraction:
     """A rational point in (0, 1) that is not a root of the nonzero f."""
-    denom = 2
+    poly, denom = IntPoly(f), 2
     while True:
         for k in range(1, denom):
-            if horner_numerator(f, k, denom) != 0:
+            if eval_rational(poly, Fraction(k, denom)) != 0:
                 return Fraction(k, denom)
         denom += 1

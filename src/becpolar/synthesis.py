@@ -6,18 +6,17 @@ a 0-bit squares (series step), a 1-bit maps z to 2z - z^2 (parallel step).
 This nesting order is frozen by golden tests against fully expanded m = 4
 polynomials.
 
-`synth_labels` builds every channel of m by sharing suffix polynomials:
-after k steps the intermediate depends only on the top k bits of u, so the
-polynomials are built level by level over a binary suffix tree (one squaring
-per node, both children derived from it), and `synth_all` keeps them as a
-`ChannelTable`.
+After k steps the state depends only on the top k bits of u, so one walk of
+the labels' suffix tree, `_suffix_walk`, builds each state once for all the
+labels below it: `synth_labels` on polynomials, kept by `synth_all` as a
+`ChannelTable`, and `average_numerators` on moments, which gives every exact
+average with no polynomial.
 
 The same recursion, run on a number in place of a polynomial, is Arikan's
 Bhattacharyya recursion Z_u(x), exact on the BEC.  Both steps are increasing
 bijections of [0, 1], so `channel_threshold` finds where Z_u crosses 1/2 by
 inverting them from the label alone, with integer square roots and no
-polynomial; `average_numerators` runs the recursion on the moments of each
-channel, which gives every exact average with no polynomial either.
+polynomial.
 """
 
 from __future__ import annotations
@@ -82,31 +81,63 @@ def synth_poly(u: Monomial) -> IntPoly:
     return z
 
 
-def synth_labels(m: int) -> tuple[IntPoly, ...]:
-    """Channel polynomials of every label of m, in label order, built with
-    suffix sharing.
-
-    Level k holds the polynomials reachable after k steps, indexed by the
-    top k bits of u (last-consumed bit lowest): one squaring per node, both
-    children derived from it, 2^(m+1) - 2 transform results in all.  m must
-    pass `check_m`; no cost cap applies, and each stage costs about ten
-    times the last.
-    """
+def _suffix_walk(m: int, root, children, labels: list[int] | None = None) -> tuple:
+    """The leaves of the suffix tree of m grown from `root`, one per label in
+    the order given (None: every label of m, in label order).  Node w at
+    depth k, the top k bits of a label, has children 2w (0-bit) and 2w + 1
+    (1-bit), whose states `children(k, w, state, want)` returns as a pair,
+    of which only those with `want[bit]` are read.  Only nodes that top some
+    requested label are expanded, and each parent is dropped once its
+    children exist.  m must pass `check_m`; labels are range-checked first."""
     check_m(m)
-    level = [P]
-    for _ in range(m):
-        nxt: list[IntPoly] = []
-        for node in range(len(level)):  # node w has children 2w (0-bit) and 2w + 1 (1-bit)
-            parent, level[node] = level[node], None  # freed once both children exist
-            sq = parent.square()
-            nxt += (sq, parent.scale(2) - sq)  # series, parallel
+    wanted = None if labels is None else set(labels)
+    if wanted and not 0 <= min(wanted) <= max(wanted) < 1 << m:
+        raise ValueError(f"labels must be in 0..{(1 << m) - 1} for m={m}")
+    level = {0: root} if wanted is None or wanted else {}
+    for k in range(m):
+        keep = None if wanted is None else {u >> (m - k - 1) for u in wanted}
+        nxt = {}
+        for w in list(level):
+            want = (True, True) if keep is None else (2 * w in keep, 2 * w + 1 in keep)
+            zero, one = children(k, w, level.pop(w), want)
+            if want[0]:
+                nxt[2 * w] = zero
+            if want[1]:
+                nxt[2 * w + 1] = one
         level = nxt
-    return tuple(level)
+    return tuple(level.values()) if labels is None else tuple(level[u] for u in labels)
+
+
+def _series_parallel(k: int, w: int, z: IntPoly, want: tuple[bool, bool]) -> tuple:
+    """Both children from one squaring: z^2 (series) and 2z - z^2 (parallel)."""
+    sq = z.square()
+    return sq, z.scale(2) - sq
+
+
+def synth_labels(m: int) -> tuple[IntPoly, ...]:
+    """Every label's channel polynomial, in label order: the suffix walk with
+    one squaring per node, 2^(m+1) - 2 results in all.  m must pass `check_m`;
+    no cost cap applies, and each stage costs about ten times the last."""
+    return _suffix_walk(m, P, _series_parallel)
 
 
 def synth_all(m: int) -> ChannelTable:
     """Full channel table of m, from `synth_labels`."""
     return ChannelTable(m, synth_labels(m))
+
+
+def _moment_children(k: int, w: int, moments: list[int], want: tuple[bool, bool]) -> tuple:
+    """The moment step of `average_numerators`, which describes it."""
+    even = moments[::2]
+    if k == 0 or not want[1 - (w & 1)]:  # the root, or no child flips w's last bit
+        return even, even
+    # the other child: rows 0, 2, 4, ... of the difference table, at column 0
+    flip, row = [moments[0]], moments
+    while len(row) > 1:
+        row = list(map(sub, row, islice(row, 1, None)))
+        row = list(map(sub, row, islice(row, 1, None)))
+        flip.append(row[0])
+    return (flip, even) if w & 1 else (even, flip)
 
 
 def average_numerators(m: int, labels: Iterable[int] | None = None) -> tuple[tuple[int, ...], int]:
@@ -115,23 +146,17 @@ def average_numerators(m: int, labels: Iterable[int] | None = None) -> tuple[tup
     denominator D = lcm(1..2^m + 1).  This is the library's one source of
     exact averages; `ChannelTable.avr` is its integration twin.
 
-    Walks the suffix tree of `synth_labels`, expanding only the nodes that
-    are the top bits of some requested label.  A node w at depth
-    d >= 1 carries K + 1 = 2^(m-d) + 1 moments chosen by its last bit: for
-    a 0-bit M[k] = D * integral_0^1 Z_w^k dp, for a 1-bit M[k] = D *
-    integral_0^1 (1 - Z_w)^k dp.  The root (Z = p) has both vectors equal to
-    D / (k + 1), the weights of `integration_weights`.
-    A child whose bit repeats its parent's last bit is Z^2 (0-bit) or has
-    1 - Z' = (1 - Z)^2 (1-bit), so it takes the parent's even-indexed
-    entries with no arithmetic; both children of the root are of this kind.
-    The other child takes the even-indexed entries of the parent's binomial
-    transform, the first column of its difference table: row 0 is M and
-    row t + 1 is row t minus itself shifted by one, so row t holds
-    D * integral Z^a (1 - Z)^t (with Z and 1 - Z swapped for a 1-bit).
-    Only one row is alive at a time.  Each entry of every row is D times
-    the integral of a product of powers of Z and 1 - Z, both in [0, 1] with
-    integer coefficients and degree at most 2^m, so it is an integer in
-    [0, D].  A leaf's numerator is M[1] for a 0-bit and D - M[1] for a 1-bit.
+    The suffix walk run on moments: node w at depth d >= 1 holds the
+    integers M[k] = D * integral_0^1 Y^k dp, k <= 2^(m-d), with Y = Z_w
+    after a 0-bit and 1 - Z_w after a 1-bit; the root (Y = p) holds the
+    weights D / (k + 1) of `integration_weights`.  The child whose bit
+    repeats w's last one, and both children of the root, have Y' = Y^2 and
+    take the even entries.  The other child has Y' = (1 - Y)^2 and takes
+    the even rows of column 0 of the difference table of M, whose row t
+    holds D * integral Y^a (1 - Y)^t dp, one row alive at a time.  Every
+    entry is D times the integral of an integer polynomial of degree <= 2^m
+    with values in [0, 1], so an integer in [0, D].  A leaf's numerator is
+    M[1] after a 0-bit and D - M[1] after a 1-bit.
 
     For every label, about n^2 / 2 subtractions of integers of up to 1.44 n
     bits, n = 2^m, and no products: 1.9 ms at m = 8, 7 ms at m = 9, 0.03 s
@@ -141,32 +166,11 @@ def average_numerators(m: int, labels: Iterable[int] | None = None) -> tuple[tup
     `check_m`; no cost cap applies.
     """
     check_m(m)
-    n = 1 << m
-    order = range(n) if labels is None else list(labels)
-    wanted = None if labels is None else set(order)
-    if wanted and not 0 <= min(wanted) <= max(wanted) < n:
-        raise ValueError(f"labels must be in 0..{n - 1} for m={m}")
-    d, root = integration_weights(n + 1)
-    depth1 = root[::2]  # even entries of the root's moments
-    level = {0: depth1, 1: depth1}
-    for k in range(2, m + 1):
-        keep = None if wanted is None else {u >> (m - k) for u in wanted}
-        nxt: dict[int, list[int]] = {}
-        for w, moments in level.items():  # node w has children 2w (0-bit) and 2w + 1 (1-bit)
-            repeat = 2 * w + (w & 1)  # the child whose bit repeats w's
-            if keep is None or repeat ^ 1 in keep:
-                # the other child: rows 0, 2, 4, ... of the difference
-                # table, read at column 0
-                flip, row = [moments[0]], moments
-                while len(row) > 1:
-                    row = list(map(sub, row, islice(row, 1, None)))
-                    row = list(map(sub, row, islice(row, 1, None)))
-                    flip.append(row[0])
-                nxt[repeat ^ 1] = flip
-            if keep is None or repeat in keep:
-                nxt[repeat] = moments[::2]
-        level = nxt
-    return tuple(d - level[u][1] if u & 1 else level[u][1] for u in order), d
+    order = None if labels is None else list(labels)
+    d, root = integration_weights((1 << m) + 1)
+    leaves = _suffix_walk(m, root, _moment_children, order)
+    return tuple(d - z[1] if u & 1 else z[1]
+                 for u, z in zip(range(1 << m) if order is None else order, leaves)), d
 
 
 def _ceil_isqrt(x: int) -> int:

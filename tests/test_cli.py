@@ -259,18 +259,29 @@ def test_bad_m_exits_before_synthesis(capsys, monkeypatch, argv):
     assert err.startswith("error: m must be in 1..16") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ("synth", "--u", "0"),
-    ("rank", "--by", "avr"),
-    ("rank", "--by", "beta=1.22"),
-    ("rank", "--by", "p=1/3"),
-    ("verify",),
-    ("distribution",),
-    ("avrplot", "--out", "-"),
+SYNTHESIS_REFUSAL = ("error: m=11 exceeds the synthesis cap 10 (cost grows tenfold per stage); "
+                     "pass --force to override\n")
+CONVERSION_REFUSAL = ("error: m=11 exceeds the conversion cap 8 (cost grows sixteenfold per "
+                      "stage); pass --force to override\n")
+AVERAGE_REFUSAL = ("error: m=14 exceeds the average walk cap 13 (cost grows eightfold per "
+                   "stage); pass --force to override\n")
+
+
+@pytest.mark.parametrize("argv, m, refusal", [
+    (("synth", "--u", "0"), 11, SYNTHESIS_REFUSAL),
+    (("rank", "--by", "avr"), 14, AVERAGE_REFUSAL),
+    (("rank", "--by", "beta=1.22"), 14, AVERAGE_REFUSAL),
+    (("rank", "--by", "p=1/3"), 11, SYNTHESIS_REFUSAL),
+    (("verify",), 11, CONVERSION_REFUSAL),
+    (("distribution",), 14, AVERAGE_REFUSAL),
+    (("avrplot", "--out", "-"), 14, AVERAGE_REFUSAL),
 ], ids=["synth", "rank-avr", "rank-beta", "rank-p", "verify", "distribution", "avrplot"])
-def test_m_above_the_cap_exits_before_synthesis(capsys, monkeypatch, argv):
-    """The CLI alone caps m: without --force, m = 11 is refused before any
-    library call that synthesizes, averages or ranks."""
+def test_m_above_the_cap_exits_before_synthesis(capsys, monkeypatch, argv, m, refusal):
+    """The CLI alone caps m, each command by its costliest layer: without
+    --force, m above the cap is refused before any library call that
+    synthesizes, averages or ranks.  Commands that build a polynomial take
+    the synthesis or conversion cap; commands that only walk averages take
+    the average walk's cap, 13."""
     from becpolar import construction, synthesis
 
     def refuse(*args, **kwargs):
@@ -279,10 +290,19 @@ def test_m_above_the_cap_exits_before_synthesis(capsys, monkeypatch, argv):
                          (synthesis, "average_numerators"), (construction, "synth_all"),
                          (construction, "average_numerators"), (construction, "rank")):
         monkeypatch.setattr(module, name, refuse)
-    code, out, err = run_cli(capsys, *argv, "--m", "11")
+    code, out, err = run_cli(capsys, *argv, "--m", str(m))
     assert code == 2 and out == ""
-    assert err == ("error: m=11 exceeds the synthesis cap 10 (cost grows tenfold per stage); "
-                   "pass --force to override\n")
+    assert err == refusal
+
+
+@pytest.mark.parametrize("argv", [("distribution",), ("rank", "--by", "beta=1.22", "--k", "2")],
+                         ids=["distribution", "rank-beta"])
+def test_averages_run_above_the_synthesis_cap(capsys, argv):
+    """m = 11 builds no polynomial for these commands, so the synthesis cap
+    does not refuse it."""
+    code, out, err = run_cli(capsys, *argv, "--m", "11")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == (11 if argv[0] == "distribution" else 3)
 
 
 @pytest.mark.parametrize("argv", [("verify",), ("synth",)], ids=["verify", "synth"])
@@ -351,9 +371,9 @@ def test_averages_build_no_polynomial(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", AVERAGE_COMMANDS, ids=lambda argv: argv[0])
 def test_averages_keep_force(capsys, monkeypatch, argv):
-    monkeypatch.setattr(cli, "SYNTH_CAP", 3)
+    monkeypatch.setattr(cli, "AVERAGE_CAP", 3)
     code, _, err = run_cli(capsys, *argv, "--m", "4")
-    assert code == 2 and "m=4 exceeds the synthesis cap 3" in err
+    assert code == 2 and "m=4 exceeds the average walk cap 3" in err
     code, out, _ = run_cli(capsys, *argv, "--m", "4", "--force")
     assert code == 0 and len(out.splitlines()) > 10
 

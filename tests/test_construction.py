@@ -148,7 +148,7 @@ def _conflicts(m, avrs):
     (lambda m: avr_distribution(m), lambda m, avrs: _deciles(avrs)),
     (lambda m: beta_avr_conflicts(m, Decimal("1.22")), _conflicts),
     (lambda m: beta_incompatible_count(m, Decimal("1.22")),
-     lambda m, avrs: sum(a != b for a, b in zip(_order(avrs), _order(_beta_scores(m)))) // 4),
+     lambda m, avrs: Fraction(sum(a != b for a, b in zip(_order(avrs), _order(_beta_scores(m)))), 4)),
 ], ids=["rank", "avr_distribution", "beta_avr_conflicts", "beta_incompatible_count"])
 @pytest.mark.parametrize("m", [6, 7])
 def test_averages_without_a_table_equal_the_table_path(call, twin, m, cache):
@@ -283,6 +283,25 @@ class TestBeta:
         beta = Decimal("1.22")
         assert beta_incompatible_count(m, beta) == statistic
         assert len(beta_avr_conflicts(m, beta)) == discordant
+
+    def test_incompatible_count_can_be_half_an_integer(self):
+        # average order (0, 1, 2, 4, 3, 5, 6, 7) against beta order 0..7:
+        # the complements 3 and 4 swap at the two middle positions
+        assert beta_incompatible_count(3, Decimal("1.62")) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_displaced_positions_mirror_under_complements(self, m):
+        """Both rankings put the complement of the channel at position i at
+        position 2^m - 1 - i, so the displaced positions are closed under
+        that mirror, and the statistic is their count over 4, exactly."""
+        n = 1 << m
+        by_avr = rank(Criterion.average(), m).order
+        for hundredths in range(101, 200):
+            beta = Decimal(hundredths) / 100
+            by_beta = rank(Criterion.beta_expansion(beta), m).order
+            displaced = {i for i in range(n) if by_avr[i] != by_beta[i]}
+            assert {n - 1 - i for i in displaced} == displaced, (m, beta)
+            assert beta_incompatible_count(m, beta) == Fraction(len(displaced), 4)
 
     def test_incompatible_count_zero_points(self):
         for m, points in golden.BETA_ZERO_POINTS.items():

@@ -16,7 +16,6 @@ from becpolar.polynomials import (
     _nonroot_point,
     _power_from_counts,
     eval_rational,
-    horner_numerator,
     integrate01,
     integration_weights,
     nonneg_on_01,
@@ -178,13 +177,10 @@ EVAL_POINTS = [Fraction(-3, 2), Fraction(-1), Fraction(-1, 7), Fraction(0), Frac
 
 
 class TestEvalTwins:
-    """`eval_rational` and `horner_numerator` against the Fraction Horner."""
+    """`eval_rational` against the Fraction Horner."""
 
     def _assert_matches(self, coeffs, p):
-        want = _fraction_horner(coeffs, p)
-        assert eval_rational(IntPoly(coeffs), p) == want
-        scale = p.denominator ** max(len(coeffs) - 1, 0)
-        assert horner_numerator(coeffs, p.numerator, p.denominator) == want * scale
+        assert eval_rational(IntPoly(coeffs), p) == _fraction_horner(coeffs, p)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_every_channel(self, m, cache):
@@ -196,7 +192,6 @@ class TestEvalTwins:
         for coeffs in ((), (0,), (1,), (-5,), (10**40,)):
             for p in EVAL_POINTS:
                 self._assert_matches(IntPoly(coeffs).coeffs, p)
-        assert horner_numerator((), 3, 5) == 0
         assert eval_rational(IntPoly(), Fraction(2, 3)) == 0
 
     def test_degree_256_channels(self, cache):

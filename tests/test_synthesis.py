@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from becpolar.monomials import MAX_M, Monomial
-from becpolar.polynomials import IntPoly, horner_numerator, integrate01, to_path_counts
+from becpolar.polynomials import IntPoly, eval_rational, integrate01, to_path_counts
 from becpolar.reliability import avr_closed_form, avr_closed_form_complement
 from becpolar.synthesis import (
     ChannelTable,
     _half_enclosure,
+    _suffix_walk,
     _threshold_floor,
     average_numerators,
     channel_threshold,
@@ -150,6 +151,60 @@ class TestSynthLabels:
     def test_rejects_labels_out_of_range(self, labels):
         with pytest.raises(ValueError, match="labels"):
             average_numerators(2, labels)
+
+
+def _bit_strings(calls):
+    """A step that records each call and makes a node's state the string of
+    its bits, outermost first, so a leaf reads back its own label."""
+    def children(k, w, state, want):
+        calls.append((k, w))
+        return state + "0", state + "1"
+    return children
+
+
+class TestSuffixWalk:
+    """The contract of `_suffix_walk`, shared by the polynomial and the
+    moment walks."""
+
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_every_label_in_label_order(self, m):
+        calls = []
+        leaves = _suffix_walk(m, "", _bit_strings(calls))
+        assert leaves == tuple(format(u, f"0{m}b") for u in range(1 << m))
+        assert len(calls) == (1 << m) - 1
+
+    @pytest.mark.parametrize("m", [1, 4, 7])
+    def test_one_label_expands_one_node_per_depth(self, m):
+        for u in (0, (1 << m) - 1, (1 << m) // 3):
+            calls = []
+            assert _suffix_walk(m, "", _bit_strings(calls), [u]) == (format(u, f"0{m}b"),)
+            assert calls == [(k, u >> (m - k)) for k in range(m)]
+
+    def test_expands_only_prefixes_of_requested_labels(self):
+        m, labels = 6, [5, 40, 41, 63]
+        calls = []
+        _suffix_walk(m, "", _bit_strings(calls), labels)
+        prefixes = {(k, u >> (m - k)) for u in labels for k in range(m)}
+        assert sorted(calls) == sorted(prefixes)
+
+    def test_repeated_labels_come_back_in_the_order_asked(self):
+        labels = [6, 1, 6, 6, 0, 1]
+        assert _suffix_walk(3, "", _bit_strings([]), labels) == tuple(
+            format(u, "03b") for u in labels)
+        assert _suffix_walk(3, "", _bit_strings([]), []) == ()
+
+    @pytest.mark.parametrize("labels", [[0, 8], [-1], [3, 2, 99]])
+    def test_out_of_range_label_raises_before_any_step(self, labels):
+        def children(*args):
+            raise AssertionError("a step ran before the range check")
+        with pytest.raises(ValueError, match="labels must be in 0..7 for m=3"):
+            _suffix_walk(3, "", children, labels)
+
+    def test_reads_only_wanted_children(self):
+        """A step may build any child; the walk keeps only the wanted ones."""
+        def children(k, w, state, want):
+            return (state + "0" if want[0] else None), (state + "1" if want[1] else None)
+        assert _suffix_walk(4, "", children, [9, 2]) == ("1001", "0010")
 
 
 def _average_numerators_by_rows(m: int) -> tuple[tuple[int, ...], int]:
@@ -312,16 +367,15 @@ def _is_bisection_midpoint(a: IntPoly, t: Fraction, tol) -> bool:
     crossing 1/2 at an irrational point) to within +/- tol returns: with j
     the smallest such that 2^-j <= 2 tol, the midpoint x / 2^(j+1), x odd,
     of the one width-2^-j bracket that holds the root, so that
-    a((x - 1) / 2^(j+1)) < 1/2 < a((x + 1) / 2^(j+1)).  Signs are read as
-    integers, the way identities/threshold-symmetry reads them."""
+    a((x - 1) / 2^(j+1)) < 1/2 < a((x + 1) / 2^(j+1)), compared exactly
+    with `eval_rational`, the way identities/threshold-symmetry compares."""
     j = 0
     while Fraction(1, 1 << j) > 2 * tol:
         j += 1
     den, x = 1 << (j + 1), t.numerator
-    half = den ** a.degree
     return (t.denominator == den
-            and 2 * horner_numerator(a.coeffs, x - 1, den) < half
-            < 2 * horner_numerator(a.coeffs, x + 1, den))
+            and eval_rational(a, Fraction(x - 1, den)) < Fraction(1, 2)
+            < eval_rational(a, Fraction(x + 1, den)))
 
 
 TWIN_TOLS = [Fraction(1, 2**30), Fraction(1, 2**20), Fraction(1, 10**6), Fraction(1, 3), Fraction(1)]
