@@ -124,8 +124,8 @@ def leq_pointwise(f: Monomial, g: Monomial, table: ChannelTable) -> OrderVerdict
     Both directions are decided from the difference of the two channels'
     path counts in the table (`ChannelTable.counts`, at n = 2^m, which is at
     least deg(Z_g - Z_f)), so no pair converts its difference, and no pair
-    builds the difference polynomial: `nonneg_on_01` gets the counts alone
-    and rebuilds the polynomial only when Sturm must decide.
+    builds the difference polynomial: `nonneg_on_01` gets the counts alone,
+    and reads the roots at 0 and 1 and the final sign off them.
     """
     _check_same_m(f, g)
     if table.m != f.m:

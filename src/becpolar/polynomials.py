@@ -12,11 +12,13 @@ dot product of the coefficients with cached integer weights over one common
 denominator.
 
 The module also provides the change of basis to path-count (Bernstein-style)
-coefficients and an exact sign decision on [0, 1] built from square-free
-decomposition plus Sturm sequences.  The decision can start from path counts
-alone (`nonneg_on_01(None, counts)`): a one-signed certificate settles it
-with no polynomial, and only Sturm rebuilds the polynomial from the counts,
-by the inverse shift-add, which needs additions only.  Sturm chains are run
+coefficients and an exact sign decision on [0, 1] read off the counts
+(`nonneg_on_01(None, counts)`).  A one-signed certificate settles it with no
+polynomial.  Otherwise the zero runs at the two ends of the counts are the
+roots at 0 and 1; the polynomial is rebuilt from the nonzero span by the
+inverse shift-add, which needs additions only; a gcd recursion keeps its
+odd-multiplicity factors, whose Sturm count finds any sign change inside;
+and with none, the first nonzero count gives the sign.  Sturm chains are run
 on primitive integer polynomials: each pseudo-remainder is divided by its
 content, and signs are corrected so every element equals the rational Sturm
 element up to a positive factor.
@@ -127,11 +129,10 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)})"
 
 
-ONE = IntPoly([1])
 P = IntPoly([0, 1])
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=2)
 def _power_weights(num: int, den: int, n: int) -> tuple[int, ...]:
     """num^i den^(n-i) for i = 0..n: den^n a(num/den) is the dot product of
     a's coefficients with them, for any a of degree n."""
@@ -226,17 +227,18 @@ def nonneg_on_01(d: IntPoly | None, path_counts: Sequence[int] | None = None) ->
     Certificate: if the coefficients of d in the p^i (1-p)^(n-i) basis share
     a sign, so does d on (0, 1).  One `min` finds nonnegative coefficients,
     among which `any` tells an all-zero set (d is identically zero) from the
-    rest; otherwise one `max` finds nonpositive ones.  If neither holds, d,
-    stripped of its roots at 0 and 1, changes sign in (0, 1) iff the product
-    of its odd-multiplicity factors (Yun's square-free decomposition) has a
-    root there, which a Sturm count finds.  With none, d has one sign on
-    (0, 1): that of one rational sample.
+    rest; otherwise one `max` finds nonpositive ones.  If neither holds, runs
+    of a zero counts first and b last mean d = p^a (1-p)^b f with f(0),
+    f(1) != 0, and f is rebuilt from the nonzero span of the counts alone
+    (`_power_from_counts`, additions only), whatever n the counts were taken
+    at.  d changes sign in (0, 1) iff the odd part of f (`_odd_part`) has a
+    root there, which a Sturm count finds.  With none, d keeps one sign on
+    (0, 1), which near 0 is that of its first nonzero count.
 
     `path_counts` optionally supplies the basis coefficients of d at any
-    n >= deg d; degree elevation keeps a one-signed certificate valid.  With
-    them, d may be None: it is then rebuilt from the counts, by additions
-    alone (`_power_from_counts`), only when the certificate fails and Sturm
-    needs it.  Without them, d is converted at n = max(deg d, 1).
+    n >= deg d; degree elevation keeps a one-signed certificate valid and
+    lengthens neither zero run.  With them d is not read, and may be None.
+    Without them, d is converted at n = max(deg d, 1).
     """
     if path_counts is None:
         if d is None:
@@ -246,19 +248,12 @@ def nonneg_on_01(d: IntPoly | None, path_counts: Sequence[int] | None = None) ->
         return SignVerdict.NONNEGATIVE if any(path_counts) else SignVerdict.IDENTICALLY_ZERO
     if max(path_counts) <= 0:
         return SignVerdict.CROSSES_ZERO
-    if d is None:
-        d = _power_from_counts(path_counts)
-    f = _strip_endpoint_roots(_primitive(list(d.coeffs)))
-    odd = ONE
-    for factor, mult in _squarefree_decomposition(f):
-        if mult % 2 == 1:
-            odd = odd * IntPoly(factor)
-    if odd.degree >= 1 and _count_roots_open01(list(odd.coeffs)) > 0:
+    lo = next(i for i, c in enumerate(path_counts) if c)
+    hi = len(path_counts) - next(i for i, c in enumerate(reversed(path_counts)) if c)
+    odd = _odd_part(_power_from_counts(path_counts[lo:hi]).coeffs)
+    if len(odd) > 1 and _count_roots_open01(odd) > 0:
         return SignVerdict.CROSSES_ZERO
-    # Sample d itself: stripping a root at 1 of odd multiplicity flips the sign.
-    value = eval_rational(d, _nonroot_point(f))
-    assert value != 0, "sample point unexpectedly hit a root"
-    return SignVerdict.NONNEGATIVE if value > 0 else SignVerdict.CROSSES_ZERO
+    return SignVerdict.NONNEGATIVE if path_counts[lo] > 0 else SignVerdict.CROSSES_ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -344,39 +339,13 @@ def _divexact(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
-def _squarefree_decomposition(f: list[int]) -> list[tuple[list[int], int]]:
-    """Yun's algorithm: f = content * prod factor^mult with square-free,
-    pairwise-coprime factors."""
+def _odd_part(f: Sequence[int]) -> list[int]:
+    """Primitive product, up to sign, of the odd-multiplicity factors of f:
+    with g = gcd(f, f'), f / g holds every factor once, and the odd part of g
+    those of even multiplicity."""
     f = _primitive(f)
-    fp = _derivative(f)
-    a0 = _poly_gcd(f, fp)
-    b = _divexact(f, a0)
-    d = (IntPoly(_divexact(fp, a0)) - IntPoly(_derivative(b))).coeffs
-    out: list[tuple[list[int], int]] = []
-    i = 1
-    while len(b) > 1:
-        a = _poly_gcd(b, d)
-        if len(a) > 1:
-            out.append((a, i))
-        b = _divexact(b, a)
-        d = (IntPoly(_divexact(d, a)) - IntPoly(_derivative(b))).coeffs
-        i += 1
-    return out
-
-
-def _strip_endpoint_roots(f: list[int]) -> list[int]:
-    """Remove all roots at p = 0 and p = 1 (exact deflation)."""
-    while f and f[0] == 0:
-        f = f[1:]
-    while f and sum(f) == 0:
-        # synthetic division by (p - 1)
-        q = [0] * (len(f) - 1)
-        acc = 0
-        for k in range(len(f) - 1, 0, -1):
-            acc += f[k]
-            q[k - 1] = acc
-        f = q
-    return f
+    g = _poly_gcd(f, _derivative(f))
+    return f if len(g) == 1 else _divexact(_divexact(f, g), _odd_part(g))
 
 
 def _sturm_chain(f: list[int]) -> list[list[int]]:
@@ -399,13 +368,3 @@ def _count_roots_open01(f: list[int]) -> int:
     """Distinct roots of square-free f in (0, 1); needs f(0) != 0, f(1) != 0."""
     chain = _sturm_chain(f)
     return _variations(c[0] for c in chain) - _variations(sum(c) for c in chain)
-
-
-def _nonroot_point(f: list[int]) -> Fraction:
-    """A rational point in (0, 1) that is not a root of the nonzero f."""
-    poly, denom = IntPoly(f), 2
-    while True:
-        for k in range(1, denom):
-            if eval_rational(poly, Fraction(k, denom)) != 0:
-                return Fraction(k, denom)
-        denom += 1

@@ -375,13 +375,6 @@ class TestPointwise:
         the slow exact twin."""
         self._check_twin(cache, m, lambda d, diff: (nonneg_on_01(d), nonneg_on_01(-d)))
 
-    @pytest.mark.parametrize("m", range(1, 7))
-    def test_matches_eager_twin(self, m, cache):
-        """`nonneg_on_01` given both the difference polynomial and its path
-        counts, so that Sturm reads the polynomial built by subtraction."""
-        self._check_twin(cache, m, lambda d, diff: (
-            nonneg_on_01(d, diff), nonneg_on_01(-d, [-c for c in diff])))
-
     def test_certified_pairs_build_no_polynomial(self, monkeypatch, cache):
         """A pair whose path-count difference shares a sign is settled with
         no difference polynomial: the rebuild from counts raises if reached.

@@ -13,8 +13,9 @@ from becpolar.polynomials import (
     IntPoly,
     PathCounts,
     SignVerdict,
-    _nonroot_point,
+    _odd_part,
     _power_from_counts,
+    _power_weights,
     eval_rational,
     integrate01,
     integration_weights,
@@ -157,6 +158,20 @@ class TestEvalIntegrate:
             assert all(w * (i + 1) == denom for i, w in enumerate(weights))
         assert integration_weights.cache_info().currsize <= 2
 
+    def test_power_weights_cache_keeps_two_points(self, cache):
+        """A ranking at one point reuses its weights for every channel, while
+        each threshold certificate evaluates at a point of its own, so no
+        more than the last two points stay in memory."""
+        table = cache.table(6)
+        _power_weights.cache_clear()
+        for u in range(64):
+            eval_rational(table[u], Fraction(2, 7))
+        info = _power_weights.cache_info()
+        assert (info.misses, info.hits) == (1, 63)
+        for k in range(1, 30):
+            eval_rational(table[0], Fraction(k, 31))
+        assert _power_weights.cache_info().currsize == 2
+
 
 def _fraction_integral(coeffs) -> Fraction:
     """Slow exact twin of `integrate01`: one Fraction per term."""
@@ -214,28 +229,6 @@ class TestEvalTwins:
             self._assert_matches(coeffs, p)
             for fixed in EVAL_POINTS:
                 self._assert_matches(coeffs, fixed)
-
-    def test_nonroot_point_matches_fraction_search(self):
-        def twin(f):
-            denom = 2
-            while True:
-                for k in range(1, denom):
-                    if _fraction_horner(f, Fraction(k, denom)) != 0:
-                        return Fraction(k, denom)
-                denom += 1
-
-        half, third, two_thirds = IntPoly([-1, 2]), IntPoly([-1, 3]), IntPoly([-2, 3])
-        quarter = IntPoly([-1, 4])
-        cases = [IntPoly([1]), IntPoly([0, 1]), half, half * third,
-                 half * third * two_thirds, half * third * two_thirds * quarter,
-                 half.square() * third * two_thirds * quarter * IntPoly([-3, 4])]
-        rng = random.Random(11)
-        cases += [IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 8))]) for _ in range(60)]
-        for f in cases:
-            if not f.is_zero():
-                assert _nonroot_point(list(f.coeffs)) == twin(f.coeffs), f
-        # roots 1/2, 1/3, 2/3, 1/4: the search order 1/2, 1/3, 2/3, 1/4, 2/4 reaches 3/4
-        assert _nonroot_point(list((half * third * two_thirds * quarter).coeffs)) == Fraction(3, 4)
 
 
 LEMMA2_U6 = (0, 0, 0, 0, 16, 192, 1008, 3040, 5828, 7456, 6552, 4048, 1788,
@@ -394,14 +387,74 @@ class TestNonnegOn01:
                 assert nonneg_on_01(down) is SignVerdict.CROSSES_ZERO, d
 
     def test_fast_path_agrees_with_sturm(self):
-        # force the slow path by passing mixed-sign basis coefficients check:
-        # compare verdicts computed with and without the precomputed counts
+        """Counts taken at n = deg d .. deg d + 4 give one verdict, whether
+        the certificate or Sturm decides it: degree elevation lengthens
+        neither zero run, so the roots read at 0 and 1 are those of d.
+        d = c p^a (1-p)^b (q p - r)^k e with a, b in 2..3 and r/q in (0, 1)
+        touches zero inside for even k and crosses for odd k; e is 1, p^2 + 1
+        or a random polynomial.  Without the interior factor, e = 8p^2 - 8p + 3
+        has counts (3, -1, 3) at its own degree, so Sturm decides at n = deg d
+        and the certificate from n = deg d + 1 on."""
+        positive = IntPoly([3, -8, 8])
+        for a, b in ((2, 2), (2, 3), (3, 2), (3, 3)):
+            d = positive
+            for factor in [P] * a + [IntPoly([1, -1])] * b:
+                d = d * factor
+            for sign, want in ((1, SignVerdict.NONNEGATIVE), (-1, SignVerdict.CROSSES_ZERO)):
+                counts = [to_path_counts(d.scale(sign), n).counts
+                          for n in range(d.degree, d.degree + 5)]
+                assert min(counts[0]) < 0 < max(counts[0])
+                assert all(min(cs) >= 0 or max(cs) <= 0 for cs in counts[1:])
+                assert all(nonneg_on_01(None, cs) is want for cs in counts), (a, b, sign)
         rng = random.Random(7)
-        for _ in range(120):
-            coeffs = [rng.randint(-6, 6) for _ in range(rng.randint(1, 9))]
-            d = IntPoly(coeffs)
-            counts = to_path_counts(d, max(d.degree, 1)).counts
-            assert nonneg_on_01(d) is nonneg_on_01(d, counts) is nonneg_on_01(None, counts)
+        for trial in range(150):
+            c = rng.choice([-3, -1, 1, 2])
+            q = rng.randint(2, 7)
+            r, k = rng.randint(1, q - 1), rng.randint(1, 3)
+            d = IntPoly([c]) * (P * P * IntPoly([1, -1]) * IntPoly([1, -1]))
+            for factor in [P] * rng.randint(0, 1) + [IntPoly([1, -1])] * rng.randint(0, 1) \
+                    + [IntPoly([-r, q])] * k:
+                d = d * factor
+            extra = trial % 3
+            if extra == 1:
+                d = d * IntPoly([1, 0, 1])
+            elif extra == 2:
+                d = d * IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(1, 5))])
+            verdict = nonneg_on_01(d)
+            if extra < 2:
+                want = SignVerdict.NONNEGATIVE if k % 2 == 0 and c > 0 else SignVerdict.CROSSES_ZERO
+                assert verdict is want, d
+            for n in range(max(d.degree, 1), d.degree + 5):
+                assert nonneg_on_01(None, to_path_counts(d, n).counts) is verdict, (d, n)
+
+    def test_odd_part_matches_factored_twin(self):
+        """`_odd_part` of c prod (q p - r)^k (p^2 + 1)^j, k, j in 1..4, is up to
+        sign the primitive product of the factors of odd total multiplicity,
+        and a constant when every multiplicity is even."""
+        rng = random.Random(22)
+        cases = [(6, {Fraction(1, 2): 2}, 4)]
+        for _ in range(300):
+            roots: Counter[Fraction] = Counter()
+            for _ in range(rng.randint(0, 4)):
+                q = rng.randint(1, 7)
+                roots[Fraction(rng.randint(-q, 2 * q), q)] += rng.randint(1, 4)
+            cases.append((rng.choice([-6, -1, 1, 2, 15]), roots, rng.randint(1, 4)))
+        for c, roots, j in cases:
+            d, want = IntPoly([c]), IntPoly([1])
+            for r, k in roots.items():
+                factor = IntPoly([-r.numerator, r.denominator])
+                for _ in range(k):
+                    d = d * factor
+                if k % 2:
+                    want = want * factor
+            for _ in range(j):
+                d = d * IntPoly([1, 0, 1])
+            if j % 2:
+                want = want * IntPoly([1, 0, 1])
+            odd = IntPoly(_odd_part(list(d.coeffs)))
+            assert odd in (want, -want), (c, roots, j)
+            if all(k % 2 == 0 for k in roots.values()) and j % 2 == 0:
+                assert odd.degree == 0
 
     def test_matches_dense_sampling_random(self):
         rng = random.Random(1234)
