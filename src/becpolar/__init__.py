@@ -9,7 +9,6 @@ from .monomials import MAX_M, Monomial, all_monomials
 from .polynomials import (
     IntPoly,
     PathCounts,
-    SignVerdict,
     eval_rational,
     integrate01,
     nonneg_on_01,
@@ -39,7 +38,6 @@ from .orders import (
     mult_compatible,
 )
 from .reliability import (
-    CompositionGraph,
     avr_closed_form,
     avr_closed_form_complement,
     build_graph,

@@ -133,6 +133,7 @@ def _parse_criterion(text: str) -> construction.Criterion:
         if text == "avr":
             return construction.Criterion.average()
         if text.startswith("p="):
+            construction.check_number_size("p", text[2:])
             return construction.Criterion.pointwise_at(Fraction(text[2:]))
         if text.startswith("beta="):
             return construction.Criterion.beta_expansion(Decimal(text[5:]))
@@ -328,11 +329,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Exact values may pass CPython's int-to-string limit (4300 digits, 0 is none):
+    # commands bound the numbers they parse (`construction.check_number_size`).
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

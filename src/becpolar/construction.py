@@ -21,9 +21,18 @@ from .polynomials import eval_rational
 from .synthesis import ChannelTable, average_numerators, synth_all
 
 INCOMPARABLE_M_CAP = 6
-# Largest written size of beta (digits plus positive exponent): it bounds the
-# size of the exact numerator, so scoring cannot run away on e.g. 1e999999999.
-BETA_SIZE_CAP = 100
+# Largest written size of a p or beta, digits plus the magnitude of any exponent:
+# it bounds the exact ratio, so neither parsing nor scoring runs away on 1e-999999999.
+NUMBER_SIZE_CAP = 100
+
+
+def check_number_size(name: str, text: str) -> None:
+    """Refuse a written number above NUMBER_SIZE_CAP before it is parsed.  An
+    exponent is read to one digit more than the cap has, which exceeds it."""
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = "".join(filter(str.isdigit, exponent)).lstrip("0")[:len(str(NUMBER_SIZE_CAP)) + 1]
+    if sum(map(str.isdigit, mantissa)) + int(exponent or 0) > NUMBER_SIZE_CAP:
+        raise ValueError(f"{name}={text} needs more than {NUMBER_SIZE_CAP} digits written out")
 
 
 @dataclass(frozen=True)
@@ -38,6 +47,7 @@ class Criterion:
     def pointwise_at(cls, p: Fraction) -> "Criterion":
         if not 0 < p < 1:
             raise ValueError(f"p must lie strictly between 0 and 1, got {p}")
+        check_number_size("p", str(p))
         return cls("pointwise", p=p)
 
     @classmethod
@@ -48,9 +58,7 @@ class Criterion:
     def beta_expansion(cls, beta: Decimal) -> "Criterion":
         if not beta.is_finite() or beta <= 1:
             raise ValueError(f"beta must be a finite number above 1, got {beta}")
-        t = beta.as_tuple()
-        if len(t.digits) + max(t.exponent, 0) > BETA_SIZE_CAP:
-            raise ValueError(f"beta={beta} needs more than {BETA_SIZE_CAP} digits written out")
+        check_number_size("beta", str(beta))
         return cls("beta", beta=beta)
 
     def label(self) -> str:

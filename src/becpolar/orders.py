@@ -17,9 +17,10 @@ The first three run on label ints: the weak order is a mask test, and the
 standard and dominance orders each compare two per-mask tuples cached in
 `monomials` (the support largest index first, and its running sums) in one
 `all(map(le, ...))`.  `compare`, `closure`, `interval`, `is_decreasing` and
-`hasse_edges` run those kernels on labels, and every verdict is one of 16
-shared `OrderVerdict` instances.  The implication chain
-weak => standard => dominance => pointwise is exercised exhaustively in tests.
+`hasse_edges` run those kernels on labels, equal labels are EQUAL under every
+relation, and every verdict is one of 4 shared `OrderVerdict` instances.  The
+implication chain weak => standard => dominance => pointwise is exercised
+exhaustively in tests.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from operator import le, neg, sub
 
 from .monomials import Monomial, _check_same_m, _support_desc, _support_sums
-from .polynomials import SignVerdict, nonneg_on_01
+from .polynomials import nonneg_on_01
 from .synthesis import ChannelTable
 
 
@@ -49,21 +50,13 @@ class Comparison(enum.Enum):
 
 @dataclass(frozen=True)
 class OrderVerdict:
-    relation: Relation
     result: Comparison
 
 
-# The 16 verdicts, one shared instance each, listed in `Comparison` order
-# (below, above, equal, apart).  On CPython 3.11 an enum member hashes in
-# Python code and reading one off its class goes through the attribute hook
-# of `EnumType`, each about 0.2 us, so the tables are keyed by member value
-# and the kernels read members from module names.
-_VERDICTS = {r._value_: tuple(OrderVerdict(r, c) for c in Comparison) for r in Relation}
+_BELOW, _ABOVE, _EQUAL, _APART = map(OrderVerdict, Comparison)
+# On CPython 3.11 hashing an enum member or reading one off its class takes
+# about 0.2 us: `_LEQ` is keyed by member value, and `compare` reads this.
 _POINTWISE = Relation.POINTWISE
-_NONNEGATIVE = SignVerdict.NONNEGATIVE
-_IDENTICALLY_ZERO = SignVerdict.IDENTICALLY_ZERO
-_POINTWISE_BELOW, _POINTWISE_ABOVE, _POINTWISE_EQUAL, _POINTWISE_APART = (
-    _VERDICTS[_POINTWISE._value_])
 
 
 def _weak_leq(u: int, v: int) -> bool:
@@ -121,25 +114,24 @@ def leq_dominance(f: Monomial, g: Monomial) -> bool:
 def leq_pointwise(f: Monomial, g: Monomial, table: ChannelTable) -> OrderVerdict:
     """Compare two channels under the universal (all p in [0,1]) order.
 
-    Both directions are decided from the difference of the two channels'
-    path counts in the table (`ChannelTable.counts`, at n = 2^m, which is at
-    least deg(Z_g - Z_f)), so no pair converts its difference, and no pair
-    builds the difference polynomial: `nonneg_on_01` gets the counts alone,
-    and reads the roots at 0 and 1 and the final sign off them.
+    Equal labels are EQUAL.  Otherwise both directions are decided from the
+    difference of the two channels' path counts (`ChannelTable.counts`, at
+    n = 2^m >= deg(Z_g - Z_f)), so no pair converts or builds its difference
+    polynomial: `nonneg_on_01` reads the roots at 0 and 1 and the sign off
+    the counts alone.
     """
     _check_same_m(f, g)
     if table.m != f.m:
         raise ValueError(f"table is for m={table.m}, monomials have m={f.m}")
+    if f.bits == g.bits:
+        return _EQUAL
     counts = table.counts
     diff = list(map(sub, counts[g.bits], counts[f.bits]))
-    forward = nonneg_on_01(None, diff)
-    if forward is _NONNEGATIVE:
-        return _POINTWISE_BELOW
-    if forward is _IDENTICALLY_ZERO:
-        return _POINTWISE_EQUAL
-    if nonneg_on_01(None, list(map(neg, diff))) is _NONNEGATIVE:
-        return _POINTWISE_ABOVE
-    return _POINTWISE_APART
+    if nonneg_on_01(None, diff):
+        return _BELOW
+    if nonneg_on_01(None, list(map(neg, diff))):
+        return _ABOVE
+    return _APART
 
 
 def _leq(relation: Relation):
@@ -157,15 +149,14 @@ def compare(f: Monomial, g: Monomial, relation: Relation,
         return leq_pointwise(f, g, table)
     leq = _leq(relation)
     _check_same_m(f, g)
-    below, above, equal, apart = _VERDICTS[relation._value_]
     u, v = f.bits, g.bits
     if u == v:
-        return equal
+        return _EQUAL
     if leq(u, v):
-        return below
+        return _BELOW
     if leq(v, u):
-        return above
-    return apart
+        return _ABOVE
+    return _APART
 
 
 def mult_compatible(f: Monomial, g: Monomial, h: Monomial) -> bool:

@@ -12,13 +12,14 @@ dot product of the coefficients with cached integer weights over one common
 denominator.
 
 The module also provides the change of basis to path-count (Bernstein-style)
-coefficients and an exact sign decision on [0, 1] read off the counts
-(`nonneg_on_01(None, counts)`).  A one-signed certificate settles it with no
-polynomial.  Otherwise the zero runs at the two ends of the counts are the
-roots at 0 and 1; the polynomial is rebuilt from the nonzero span by the
-inverse shift-add, which needs additions only; a gcd recursion keeps its
-odd-multiplicity factors, whose Sturm count finds any sign change inside;
-and with none, the first nonzero count gives the sign.  Sturm chains are run
+coefficients and an exact yes/no decision whether a polynomial is >= 0 on
+[0, 1], read off the counts (`nonneg_on_01(None, counts)`).  A one-signed
+certificate settles it with no polynomial.  Otherwise the zero runs at the
+two ends of the counts are the roots at 0 and 1; the polynomial is rebuilt
+from the nonzero span by the inverse shift-add, which needs additions only;
+a gcd recursion keeps its odd-multiplicity factors, whose Sturm count finds
+any sign change inside; and with none, the first nonzero count gives the
+sign.  Sturm chains are run
 on primitive integer polynomials: each pseudo-remainder is divided by its
 content, and signs are corrected so every element equals the rational Sturm
 element up to a positive factor.
@@ -26,10 +27,9 @@ element up to a positive factor.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd, lcm
 from operator import mul, sub
 from typing import Iterable, Sequence
@@ -215,25 +215,18 @@ def _power_from_counts(counts: Sequence[int]) -> IntPoly:
     return IntPoly(r)
 
 
-class SignVerdict(enum.Enum):
-    NONNEGATIVE = "nonnegative"
-    CROSSES_ZERO = "crosses_zero"
-    IDENTICALLY_ZERO = "identically_zero"
-
-
-def nonneg_on_01(d: IntPoly | None, path_counts: Sequence[int] | None = None) -> SignVerdict:
-    """Exact decision whether d(p) >= 0 for every p in [0, 1].
+def nonneg_on_01(d: IntPoly | None, path_counts: Sequence[int] | None = None) -> bool:
+    """Exact decision whether d(p) >= 0 for every p in [0, 1]; True for d = 0.
 
     Certificate: if the coefficients of d in the p^i (1-p)^(n-i) basis share
-    a sign, so does d on (0, 1).  One `min` finds nonnegative coefficients,
-    among which `any` tells an all-zero set (d is identically zero) from the
-    rest; otherwise one `max` finds nonpositive ones.  If neither holds, runs
-    of a zero counts first and b last mean d = p^a (1-p)^b f with f(0),
-    f(1) != 0, and f is rebuilt from the nonzero span of the counts alone
-    (`_power_from_counts`, additions only), whatever n the counts were taken
-    at.  d changes sign in (0, 1) iff the odd part of f (`_odd_part`) has a
-    root there, which a Sturm count finds.  With none, d keeps one sign on
-    (0, 1), which near 0 is that of its first nonzero count.
+    a sign, so does d on (0, 1): one `min` finds nonnegative coefficients
+    (all zero included), otherwise one `max` nonpositive ones.  If neither
+    holds, runs of a zero counts first and b last mean d = p^a (1-p)^b f
+    with f(0), f(1) != 0, and f is rebuilt from the nonzero span of the
+    counts alone (`_power_from_counts`, additions only), whatever n the
+    counts were taken at.  d changes sign in (0, 1) iff the odd part of f
+    (`_odd_part`) has a root there, which a Sturm count finds.  With none, d
+    keeps one sign on (0, 1), which near 0 is that of its first nonzero count.
 
     `path_counts` optionally supplies the basis coefficients of d at any
     n >= deg d; degree elevation keeps a one-signed certificate valid and
@@ -245,15 +238,14 @@ def nonneg_on_01(d: IntPoly | None, path_counts: Sequence[int] | None = None) ->
             raise ValueError("nonneg_on_01 needs d or its path counts")
         path_counts = to_path_counts(d, max(d.degree, 1)).counts
     if min(path_counts) >= 0:
-        return SignVerdict.NONNEGATIVE if any(path_counts) else SignVerdict.IDENTICALLY_ZERO
+        return True
     if max(path_counts) <= 0:
-        return SignVerdict.CROSSES_ZERO
+        return False
     lo = next(i for i, c in enumerate(path_counts) if c)
     hi = len(path_counts) - next(i for i, c in enumerate(reversed(path_counts)) if c)
     odd = _odd_part(_power_from_counts(path_counts[lo:hi]).coeffs)
-    if len(odd) > 1 and _count_roots_open01(odd) > 0:
-        return SignVerdict.CROSSES_ZERO
-    return SignVerdict.NONNEGATIVE if path_counts[lo] > 0 else SignVerdict.CROSSES_ZERO
+    crosses = len(odd) > 1 and _count_roots_open01(odd) > 0
+    return not crosses and path_counts[lo] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +259,8 @@ def _derivative(a: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(a)][1:]
 
 
-def _content(a: list[int]) -> int:
-    g = 0
-    for c in a:
-        g = gcd(g, c)
-    return g or 1
-
-
 def _primitive(a: list[int]) -> list[int]:
-    g = _content(a)
+    g = reduce(gcd, a, 0) or 1
     return [c // g for c in a]
 
 

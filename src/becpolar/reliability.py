@@ -12,7 +12,6 @@ independently of the polynomial recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -22,16 +21,9 @@ from .polynomials import PathCounts
 ORACLE_EDGE_CAP = 16
 
 
-@dataclass(frozen=True)
-class CompositionGraph:
-    """Multigraph of identical devices with terminals S = node 0, T = node 1."""
-
-    node_count: int
-    edges: tuple[tuple[int, int], ...]
-
-
-def build_graph(u: Monomial) -> CompositionGraph:
-    """Recursive series/parallel replacement, outermost bit u_0 first.
+def build_graph(u: Monomial) -> tuple[tuple[int, int], ...]:
+    """Edges of the composition (S = node 0, T = node 1) by recursive
+    series/parallel replacement, outermost bit u_0 first.
 
     Each step replaces every current edge by two edges (in series for a 0-bit,
     in parallel for a 1-bit), mirroring the nesting of the channel recursion;
@@ -52,11 +44,12 @@ def build_graph(u: Monomial) -> CompositionGraph:
                 nxt.append((a, c))
                 nxt.append((c, b))
         edges = nxt
-    return CompositionGraph(nodes, tuple(edges))
+    return tuple(edges)
 
 
-def oracle_path_counts(g: CompositionGraph) -> PathCounts:
-    """Count, for each i, the i-edge subsets connecting S (node 0) to T (node 1).
+def oracle_path_counts(edges: tuple[tuple[int, int], ...]) -> PathCounts:
+    """Count, for each i, the i-edge subsets connecting S (node 0) to T (node 1)
+    in the multigraph of the edges, on nodes 0 up to the largest named (>= 1).
 
     A brute force over all 2^e edge subsets, run on them all at once: bit j
     of an integer stands for subset j, the edges whose bits are set in j.
@@ -67,19 +60,19 @@ def oracle_path_counts(g: CompositionGraph) -> PathCounts:
     route.  Capped at 16 edges: 2^16 subsets make integers of 8 KB, while the
     32 edges of m = 5 would need 2^32-bit integers, 512 MB each.
     """
-    e = len(g.edges)
+    e = len(edges)
     if e > ORACLE_EDGE_CAP:
         raise ValueError(f"{e} edges exceeds oracle cap {ORACLE_EDGE_CAP}")
     every = (1 << (1 << e)) - 1
     # 2^i zeros then 2^i ones, repeated over the 2^e subsets
     has = [every // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
            for i in range(e)]
-    reach = [0] * g.node_count
+    reach = [0] * (max([1, *map(max, edges)]) + 1)
     reach[0] = every
     before = None
     while reach != before:
         before = list(reach)
-        for (a, b), h in zip(g.edges, has):
+        for (a, b), h in zip(edges, has):
             joined = (reach[a] | reach[b]) & h
             reach[a] |= joined
             reach[b] |= joined

@@ -2,12 +2,17 @@
 
 import contextlib
 import json
+import sys
+import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from becpolar import cli
 from becpolar.monomials import Monomial
+from becpolar.polynomials import eval_rational
+from becpolar.synthesis import synth_poly
 from conftest import _label_bisection
 
 
@@ -216,11 +221,34 @@ class TestRank:
         assert code == 2
 
     @pytest.mark.parametrize("by", ["p=1/0", "beta=abc", "beta=NaN", "beta=Infinity",
-                                    "beta=1e999999999"])
+                                    "beta=1e999999999", "p=1e-999999999"])
     def test_bad_number_is_usage_error(self, capsys, by):
+        start = time.perf_counter()
         code, _, err = run_cli(capsys, "rank", "--m", "3", "--by", by)
+        assert time.perf_counter() - start < 1  # refused before it is parsed
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_exact_score_past_4300_digits(self, capsys):
+        """The score denominator has 4352 digits, past CPython's default
+        int-to-string limit, which `main` lifts while the command runs and
+        restores after."""
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python has no int-to-string limit")
+        limit = sys.get_int_max_str_digits()
+        p = "1/100000000000000003"
+        code, out, err = run_cli(capsys, "rank", "--m", "8", "--by", f"p={p}", "--k", "1",
+                                 "--format", "json")
+        assert sys.get_int_max_str_digits() == limit
+        assert code == 0, err
+        record = json.loads(out)["records"][0]
+        sys.set_int_max_str_digits(0)  # to read the score back here
+        try:
+            score = Fraction(record["score"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert score.denominator > 10 ** 4300
+        assert score == eval_rational(synth_poly(Monomial(8, record["u"])), Fraction(p))
 
 
 @pytest.mark.parametrize("argv", [

@@ -233,6 +233,12 @@ class TestBeta:
             Criterion.beta_expansion(Decimal("1." + "0" * 100 + "1"))
         Criterion.beta_expansion(Decimal("1." + "0" * 98 + "1"))  # 100 digits
 
+    def test_p_size_cap_is_100_digits(self):
+        """The rule of beta, on p as written num/den, for library callers."""
+        with pytest.raises(ValueError, match="digits"):
+            Criterion.pointwise_at(Fraction(1, 10 ** 100))
+        Criterion.pointwise_at(Fraction(1, 10 ** 98))  # 100 digits
+
     @pytest.mark.parametrize("m", range(1, 7))
     def test_beta_order_sorts_independent_fractions(self, m):
         for hundredths in range(101, 201):

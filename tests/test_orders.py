@@ -8,7 +8,7 @@ from operator import le
 
 import pytest
 
-from becpolar import golden, polynomials, synthesis
+from becpolar import golden, orders, polynomials, synthesis
 from becpolar.monomials import Monomial, all_monomials
 from becpolar.orders import (
     Comparison,
@@ -25,7 +25,7 @@ from becpolar.orders import (
     leq_weak,
     mult_compatible,
 )
-from becpolar.polynomials import SignVerdict, nonneg_on_01
+from becpolar.polynomials import nonneg_on_01
 
 
 def M(u, m):
@@ -203,7 +203,6 @@ class TestLabelKernels:
                         got = scan[f.bits, g.bits]
                     else:
                         got = compare(f, g, relation, table)
-                    assert got.relation is relation
                     assert got.result is _verdict(twin, f, g), (f, g, relation)
 
     @pytest.mark.parametrize("relation", list(TWINS))
@@ -359,11 +358,11 @@ class TestPointwise:
                 diff = [b - a for a, b in zip(table.counts[f.bits], table.counts[g.bits])]
                 up, down = twin(d, diff)
                 for (a, b), first, second in (((f, g), up, down), ((g, f), down, up)):
-                    if first is SignVerdict.IDENTICALLY_ZERO:
+                    if first and second:
                         want = Comparison.EQUAL
-                    elif first is SignVerdict.NONNEGATIVE:
+                    elif first:
                         want = Comparison.LESS_OR_EQUAL
-                    elif second is SignVerdict.NONNEGATIVE:
+                    elif second:
                         want = Comparison.GREATER_OR_EQUAL
                     else:
                         want = Comparison.INCOMPARABLE
@@ -431,10 +430,23 @@ class TestPointwise:
         assert sorted(map(table.polys.index, converted)) == [6, 9]
         assert sorted(table.counts) == [6, 9]
 
+    def test_equal_labels_decide_no_sign(self, monkeypatch, cache):
+        """Equal labels are EQUAL under all four relations at m <= 5, read off
+        the labels with no `nonneg_on_01` call; `test_compare_matches_twins`
+        checks that no pair of distinct labels is."""
+        def refuse(*args):
+            raise AssertionError("an equal pair decided a sign")
+        monkeypatch.setattr(orders, "nonneg_on_01", refuse)
+        for m in range(1, 6):
+            table = cache.table(m)
+            for f in all_monomials(m):
+                for relation in Relation:
+                    assert compare(f, f, relation, table).result is Comparison.EQUAL
+
     def test_verdicts_are_shared_instances(self, cache):
-        """`compare` and `leq_pointwise` return one instance per relation and
-        result, 16 in all, and a newly built verdict equals it and hashes
-        alike."""
+        """`compare` and `leq_pointwise` return one instance per result,
+        4 in all, whatever the relation, and a newly built verdict equals it
+        and hashes alike."""
         table = cache.table(5)
         monos = all_monomials(5)
         shared = {}
@@ -442,12 +454,12 @@ class TestPointwise:
             for g in monos:
                 for relation in Relation:
                     verdict = compare(f, g, relation, table)
-                    assert shared.setdefault((relation, verdict.result), verdict) is verdict
+                    assert shared.setdefault(verdict.result, verdict) is verdict
                 pointwise = leq_pointwise(f, g, table)
-                assert shared[Relation.POINTWISE, pointwise.result] is pointwise
-        assert len(shared) == 16
-        for (relation, result), verdict in shared.items():
-            fresh = OrderVerdict(relation, result)
+                assert shared[pointwise.result] is pointwise
+        assert len(shared) == 4
+        for result, verdict in shared.items():
+            fresh = OrderVerdict(result)
             assert fresh is not verdict
             assert fresh == verdict and hash(fresh) == hash(verdict)
             assert {fresh: 1}[verdict] == 1

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from becpolar.polynomials import (
     IntPoly,
     PathCounts,
-    SignVerdict,
     _odd_part,
     _power_from_counts,
     _power_weights,
@@ -304,10 +303,18 @@ class TestPathCounts:
                 assert integrate01(z) == via_counts
 
 
+def _answers_at_every_n(d: IntPoly, want: bool) -> None:
+    """`nonneg_on_01` answers the bool `want` from d and from its counts at
+    n = deg d .. deg d + 4."""
+    assert nonneg_on_01(d) is want
+    for n in range(max(d.degree, 0), d.degree + 5):
+        assert nonneg_on_01(None, to_path_counts(d, n).counts) is want, n
+
+
 class TestNonnegOn01:
     def test_identically_zero(self):
-        assert nonneg_on_01(IntPoly()) is SignVerdict.IDENTICALLY_ZERO
-        assert nonneg_on_01(None, [0, 0, 0]) is SignVerdict.IDENTICALLY_ZERO
+        _answers_at_every_n(IntPoly(), True)
+        assert nonneg_on_01(None, [0, 0, 0]) is True
 
     def test_needs_d_or_counts(self):
         with pytest.raises(ValueError, match="d or its path counts"):
@@ -315,51 +322,51 @@ class TestNonnegOn01:
 
     def test_dominance_pair_m4(self):
         d = _synth(9, 4) - _synth(6, 4)
-        assert nonneg_on_01(d) is SignVerdict.NONNEGATIVE
+        _answers_at_every_n(d, True)  # certified at n = deg d
 
     def test_incomparable_pair_m5(self):
         d = _synth(16, 5) - _synth(3, 5)
-        assert nonneg_on_01(d) is SignVerdict.CROSSES_ZERO
-        assert nonneg_on_01(-d) is SignVerdict.CROSSES_ZERO
+        _answers_at_every_n(d, False)
+        _answers_at_every_n(-d, False)
 
     def test_strictly_positive_inside(self):
-        assert nonneg_on_01(IntPoly([1, 1])) is SignVerdict.NONNEGATIVE
+        assert nonneg_on_01(IntPoly([1, 1])) is True
 
     def test_negative_constant(self):
-        assert nonneg_on_01(IntPoly([-2])) is SignVerdict.CROSSES_ZERO
+        assert nonneg_on_01(IntPoly([-2])) is False
 
     def test_touching_zero_inside_is_nonnegative(self):
         # (2p - 1)^2 touches zero at 1/2
         d = IntPoly([1, -4, 4])
-        assert nonneg_on_01(d) is SignVerdict.NONNEGATIVE
-        assert nonneg_on_01(-d) is SignVerdict.CROSSES_ZERO
+        assert nonneg_on_01(d) is True
+        assert nonneg_on_01(-d) is False
 
     def test_odd_triple_root_crosses(self):
         # (2p - 1)^3 changes sign at 1/2
         d = IntPoly([-1, 6, -12, 8])
-        assert nonneg_on_01(d) is SignVerdict.CROSSES_ZERO
+        assert nonneg_on_01(d) is False
 
     def test_endpoint_roots_allowed(self):
         # p(1-p) >= 0 with roots exactly at both endpoints
-        assert nonneg_on_01(IntPoly([0, 1, -1])) is SignVerdict.NONNEGATIVE
-        assert nonneg_on_01(IntPoly([0, -1, 1])) is SignVerdict.CROSSES_ZERO
+        assert nonneg_on_01(IntPoly([0, 1, -1])) is True
+        assert nonneg_on_01(IntPoly([0, -1, 1])) is False
 
     def test_high_multiplicity_endpoints(self):
         # p^3 (1-p)^2 and its negation
         d = IntPoly([0, 0, 0, 1]) * IntPoly([1, -2, 1])
-        assert nonneg_on_01(d) is SignVerdict.NONNEGATIVE
-        assert nonneg_on_01(-d) is SignVerdict.CROSSES_ZERO
+        assert nonneg_on_01(d) is True
+        assert nonneg_on_01(-d) is False
 
     def test_sign_dip_between_touch_points(self):
         # -(p - 1/4)^2 (p - 3/4)^2 is nonpositive, touching zero twice
         q = IntPoly([1, -4]) * IntPoly([3, -4])
-        assert nonneg_on_01(-(q * q)) is SignVerdict.CROSSES_ZERO
+        assert nonneg_on_01(-(q * q)) is False
 
     def test_factored_polynomials(self):
         # p (1-p) (2p - 1)^2: dividing out the root at 1 flips the sign
         d = IntPoly([0, 1, -1]) * IntPoly([1, -4, 4])
-        assert nonneg_on_01(d) is SignVerdict.NONNEGATIVE
-        assert nonneg_on_01(-d) is SignVerdict.CROSSES_ZERO
+        assert nonneg_on_01(d) is True
+        assert nonneg_on_01(-d) is False
         # d = c p^a (1-p)^b prod (q p - r)^k [(p^2 + 1)] with roots r/q in
         # (0, 1): d changes sign iff some interior root has odd total
         # multiplicity; otherwise every factor but c is nonnegative on [0, 1].
@@ -379,12 +386,12 @@ class TestNonnegOn01:
             for factor in factors:
                 d = d * factor
             if any(k % 2 for k in roots.values()):
-                assert nonneg_on_01(d) is SignVerdict.CROSSES_ZERO, d
-                assert nonneg_on_01(-d) is SignVerdict.CROSSES_ZERO, d
+                assert nonneg_on_01(d) is False, d
+                assert nonneg_on_01(-d) is False, d
             else:
                 up, down = (d, -d) if c > 0 else (-d, d)
-                assert nonneg_on_01(up) is SignVerdict.NONNEGATIVE, d
-                assert nonneg_on_01(down) is SignVerdict.CROSSES_ZERO, d
+                assert nonneg_on_01(up) is True, d
+                assert nonneg_on_01(down) is False, d
 
     def test_fast_path_agrees_with_sturm(self):
         """Counts taken at n = deg d .. deg d + 4 give one verdict, whether
@@ -400,7 +407,7 @@ class TestNonnegOn01:
             d = positive
             for factor in [P] * a + [IntPoly([1, -1])] * b:
                 d = d * factor
-            for sign, want in ((1, SignVerdict.NONNEGATIVE), (-1, SignVerdict.CROSSES_ZERO)):
+            for sign, want in ((1, True), (-1, False)):
                 counts = [to_path_counts(d.scale(sign), n).counts
                           for n in range(d.degree, d.degree + 5)]
                 assert min(counts[0]) < 0 < max(counts[0])
@@ -422,7 +429,7 @@ class TestNonnegOn01:
                 d = d * IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(1, 5))])
             verdict = nonneg_on_01(d)
             if extra < 2:
-                want = SignVerdict.NONNEGATIVE if k % 2 == 0 and c > 0 else SignVerdict.CROSSES_ZERO
+                want = k % 2 == 0 and c > 0
                 assert verdict is want, d
             for n in range(max(d.degree, 1), d.degree + 5):
                 assert nonneg_on_01(None, to_path_counts(d, n).counts) is verdict, (d, n)
@@ -464,13 +471,13 @@ class TestNonnegOn01:
             if d.is_zero():
                 continue
             samples = [eval_rational(d, Fraction(k, 257)) for k in range(258)]
-            if verdict is SignVerdict.NONNEGATIVE:
+            if verdict:
                 assert all(v >= 0 for v in samples)
             else:
                 # authoritative verdict says negative somewhere; sampling may
                 # miss it only for sign dips between grid points
                 if any(v < 0 for v in samples):
-                    assert verdict is SignVerdict.CROSSES_ZERO
+                    assert verdict is False
 
 
 class TestSamplingAgreementChannels:
@@ -494,15 +501,13 @@ class TestSamplingAgreementChannels:
                 d = table[v] - table[u]
                 verdict = nonneg_on_01(d)
                 diff = values[v] - values[u]
-                if verdict is SignVerdict.NONNEGATIVE:
+                if verdict:
                     suspect = np.nonzero(diff < -1e-9)[0]
                     for idx in suspect[:3]:
                         k = int(idx)
                         assert eval_rational(d, Fraction(k, 10_000)) >= 0
-                elif verdict is SignVerdict.CROSSES_ZERO:
-                    neg = nonneg_on_01(-d)
-                    if neg is SignVerdict.NONNEGATIVE:
-                        suspect = np.nonzero(diff > 1e-9)[0]
-                        for idx in suspect[:3]:
-                            k = int(idx)
-                            assert eval_rational(d, Fraction(k, 10_000)) <= 0
+                elif nonneg_on_01(-d):
+                    suspect = np.nonzero(diff > 1e-9)[0]
+                    for idx in suspect[:3]:
+                        k = int(idx)
+                        assert eval_rational(d, Fraction(k, 10_000)) <= 0
