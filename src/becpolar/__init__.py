@@ -31,10 +31,8 @@ from .orders import (
     hasse_edges,
     interval,
     is_decreasing,
-    leq_dominance,
+    leq,
     leq_pointwise,
-    leq_std,
-    leq_weak,
     mult_compatible,
 )
 from .reliability import (

@@ -6,7 +6,7 @@ named `suite/slug`.  `applies(m)` says at which m the fact has instances and
 `examines(m)` which m the check actually examines (a few cap it to stay
 desk-scale, and read no table).  The body yields a one-line detail for each
 violation it finds; a check passes when its body yields none.  Bodies call
-library functions through their module attributes (`orders.leq_weak`), so
+library functions through their module attributes (`orders.leq`), so
 instrumentation of a module sees every call a check makes.
 """
 
@@ -60,16 +60,14 @@ def _check(name: str, applies: Callable[[int], bool] = lambda m: True,
     return register
 
 
-def _leqs():
-    return ((Relation.WEAK, orders.leq_weak), (Relation.STANDARD, orders.leq_std),
-            (Relation.DOMINANCE, orders.leq_dominance))
+_LABEL_RELATIONS = (Relation.WEAK, Relation.STANDARD, Relation.DOMINANCE)
 
 
 @_check("orders/poset-axioms", examines=lambda m: min(m, 5))
 def _poset_axioms(m, table):
     monos = monomials.all_monomials(m)
-    for rel, leq in _leqs():
-        above = {f.bits: {g.bits for g in monos if leq(f, g)} for f in monos}
+    for rel in _LABEL_RELATIONS:
+        above = {f.bits: {g.bits for g in monos if orders.leq(f, g, rel)} for f in monos}
         for f in monos:
             if f.bits not in above[f.bits]:
                 yield f"{rel.value} not reflexive at {f}"
@@ -88,8 +86,7 @@ def _implication_chain(m, table):
         for g in monos:
             if f == g:
                 continue
-            weak, std = orders.leq_weak(f, g), orders.leq_std(f, g)
-            dom = orders.leq_dominance(f, g)
+            weak, std, dom = (orders.leq(f, g, rel) for rel in _LABEL_RELATIONS)
             if weak and not std:
                 yield f"weak !=> standard at {f},{g}"
             if std and not dom:
@@ -124,9 +121,9 @@ def _closure_decreasing(m, table):
             f for f in monos if f.degree <= 1}:
         yield "interval(1, x_{m-1}) != degree<=1 monomials"
     hm = min(m, orders.HASSE_CAP)
-    for rel, leq in _leqs():
+    for rel in _LABEL_RELATIONS:
         for a, b in orders.hasse_edges(hm, rel):
-            if a == b or not leq(Monomial(hm, a), Monomial(hm, b)):
+            if a == b or not orders.leq(Monomial(hm, a), Monomial(hm, b), rel):
                 yield f"{rel.value} hasse edge {a}->{b} not a strict relation"
 
 

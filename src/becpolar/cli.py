@@ -43,6 +43,13 @@ SYNTH_CAP = 10
 # m = 9 (5 min for all), about sixteen times the last per stage (2-core host).
 CONVERT_CAP = 8
 
+# rank --by p=a/q writes every score over q^(2^m), up to 2^m * digits(q)
+# digits.  rank --k 1 with a 99-digit q took 0.5 s at m = 7, 2.9-4.3 s at
+# m = 8 and 25 s at m = 9; at m = 9 with 50 digits 8.2 s; and at m = 10,
+# 10.0 s with 1 digit, 19.4 s with 9 and 44 s with 25 (2-core host).  The cap keeps
+# the scoring within about the 10 s that synthesis takes at its own cap.
+SCORE_DIGITS_CAP = 10_000
+
 # distribution, avrplot and rank --by avr|beta build no polynomial: the
 # average walk of every label took 0.19 s at m = 11, 1.6 s at m = 12 and
 # 12.6 s at m = 13 (2-core host), about eight times the last per stage.
@@ -116,9 +123,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         out.write("\n  ]\n}\n")
     else:
         print("u,i,coeff,path_count")
-        for entry in entries:
-            coeffs = entry["coeffs"] + [0] * ((1 << m) + 1 - len(entry["coeffs"]))
-            for i, (c, npc) in enumerate(zip(coeffs, entry["path_counts"])):
+        for entry in entries:  # every channel has degree 2^m: 2^m + 1 coefficients
+            for i, (c, npc) in enumerate(zip(entry["coeffs"], entry["path_counts"])):
                 print(f"{entry['u']},{i},{c},{npc}")
     return 0
 
@@ -154,6 +160,11 @@ def cmd_rank(args: argparse.Namespace) -> int:
     criterion = _parse_criterion(args.by)
     _admit(args, "synthesis" if criterion.kind == "pointwise" else "average walk")
     m = args.m
+    if criterion.kind == "pointwise":
+        digits = (1 << m) * len(str(criterion.p.denominator))
+        if digits > SCORE_DIGITS_CAP and not args.force:
+            raise ValueError(f"p={criterion.p} at m={m} scores over q^{1 << m}, up to {digits} "
+                             f"digits, above the cap {SCORE_DIGITS_CAP}; pass --force to override")
     k = args.k if args.k is not None else 1 << m
     if not 0 <= k <= (1 << m):
         raise ValueError(f"--k {k} out of range for m={m}")

@@ -134,7 +134,7 @@ def rank(criterion: Criterion, m: int) -> RankedChannels:
         keys = half + tuple(den - x for x in reversed(half))
     else:
         raise ValueError(f"unknown criterion kind {criterion.kind!r}")
-    ordered = sorted(range(n), key=lambda u: (keys[u], u))
+    ordered = sorted(range(n), key=keys.__getitem__)  # stable: ties stay in label order
     return RankedChannels(tuple(ordered), tuple(keys), den)
 
 

@@ -16,11 +16,11 @@ Four relations, coarsest to finest on what they can compare:
 The first three run on label ints: the weak order is a mask test, and the
 standard and dominance orders each compare two per-mask tuples cached in
 `monomials` (the support largest index first, and its running sums) in one
-`all(map(le, ...))`.  `compare`, `closure`, `interval`, `is_decreasing` and
-`hasse_edges` run those kernels on labels, equal labels are EQUAL under every
-relation, and every verdict is one of 4 shared `OrderVerdict` instances.  The
-implication chain weak => standard => dominance => pointwise is exercised
-exhaustively in tests.
+`all(map(le, ...))`.  `leq`, `compare`, `closure`, `interval`,
+`is_decreasing` and `hasse_edges` run those kernels on labels, equal labels
+are EQUAL under every relation, and every verdict is one of 4 shared
+`OrderVerdict` instances.  The implication chain weak => standard =>
+dominance => pointwise is exercised exhaustively in tests.
 """
 
 from __future__ import annotations
@@ -64,51 +64,28 @@ def _weak_leq(u: int, v: int) -> bool:
 
 
 def _std_leq(u: int, v: int) -> bool:
-    """Standard order on labels.  Largest index first, the first deg(u)
-    indices of v span the divisor of v by its deg(u) largest variables (all
-    of v at equal degree), and `map` stops there; a label of higher degree is
+    """Standard order on labels.  Equal degree: the l-th smallest index of u
+    is at most that of v for every l.  Lower degree: u compares against the
+    divisor of v by its deg(u) largest variables, the componentwise-largest
+    divisor, which decides the existential form of the definition.  Largest
+    index first, the first deg(u) indices of v span that divisor (all of v
+    at equal degree), and `map` stops there; a label of higher degree is
     never below."""
     a, b = _support_desc(u), _support_desc(v)
     return len(a) <= len(b) and all(map(le, a, b))
 
 
 def _dom_leq(u: int, v: int) -> bool:
-    """Dominance order on labels: the same frame as `_std_leq` on the running
-    sums of the largest indices."""
+    """Dominance order on labels, which refines the standard order: for
+    every l the sum of the l largest indices of u is at most that of v, in
+    the same frame as `_std_leq` (a lower degree reduces to the top-deg(u)
+    divisor of v) on the running sums of the largest indices."""
     a, b = _support_sums(u), _support_sums(v)
     return len(a) <= len(b) and all(map(le, a, b))
 
 
 _LEQ = {Relation.WEAK._value_: _weak_leq, Relation.STANDARD._value_: _std_leq,
         Relation.DOMINANCE._value_: _dom_leq}
-
-
-def leq_weak(f: Monomial, g: Monomial) -> bool:
-    """f precedes g in the weak order iff f divides g."""
-    return f.divides(g)
-
-
-def leq_std(f: Monomial, g: Monomial) -> bool:
-    """Standard partial order.
-
-    Equal degree: the l-th smallest index of f is at most that of g for every
-    l.  Lower degree: compare f against the top-deg(f) divisor of g, which is
-    the componentwise-largest divisor and therefore decides the existential
-    form of the definition.
-    """
-    _check_same_m(f, g)
-    return _std_leq(f.bits, g.bits)
-
-
-def leq_dominance(f: Monomial, g: Monomial) -> bool:
-    """Dominance partial order (refines the standard order).
-
-    Equal degree: for every l = 1..s the sum of the l largest indices of f is
-    at most the corresponding sum for g.  Lower degree reduces to the
-    top-deg(f) divisor of g exactly as in the standard order.
-    """
-    _check_same_m(f, g)
-    return _dom_leq(f.bits, g.bits)
 
 
 def leq_pointwise(f: Monomial, g: Monomial, table: ChannelTable) -> OrderVerdict:
@@ -140,6 +117,12 @@ def _leq(relation: Relation):
     if leq is None:
         raise ValueError("the pointwise order needs a ChannelTable (compare/leq_pointwise)")
     return leq
+
+
+def leq(f: Monomial, g: Monomial, relation: Relation) -> bool:
+    """f precedes g (or equals it) under the weak, standard or dominance order."""
+    _check_same_m(f, g)
+    return _leq(relation)(f.bits, g.bits)
 
 
 def compare(f: Monomial, g: Monomial, relation: Relation,
@@ -174,7 +157,7 @@ def mult_compatible(f: Monomial, g: Monomial, h: Monomial) -> bool:
         raise ValueError("h must be a single variable")
     if h.divides(f) or h.divides(g):
         raise ValueError("h must divide neither f nor g")
-    return leq_dominance(f, g) == leq_dominance(h * f, h * g)
+    return leq(f, g, Relation.DOMINANCE) == leq(h * f, h * g, Relation.DOMINANCE)
 
 
 def is_decreasing(monos: set[Monomial], relation: Relation) -> bool:

@@ -323,6 +323,44 @@ def test_m_above_the_cap_exits_before_synthesis(capsys, monkeypatch, argv, m, re
     assert err == refusal
 
 
+Q99 = "1" + "0" * 97 + "3"  # a 99-digit denominator
+
+
+@pytest.mark.parametrize("m", [9, 10])
+def test_long_denominator_exits_before_synthesis(capsys, monkeypatch, m):
+    """`rank --by p=a/q` scores over q^(2^m): without --force, a 99-digit q
+    is refused at m = 9 and 10 before any synthesis."""
+    from becpolar import construction, synthesis
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before the cap check")
+    for module in (synthesis, construction):
+        monkeypatch.setattr(module, "synth_all", refuse)
+    code, out, err = run_cli(capsys, "rank", "--m", str(m), "--k", "1", "--by", f"p=1/{Q99}")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.endswith(f"up to {(1 << m) * 99} digits, above the cap 10000; "
+                        "pass --force to override\n")
+
+
+@pytest.mark.parametrize("m, p", [(8, "8/9"), (8, "1/100000000000000003"), (10, "1/100000003")])
+def test_denominators_within_the_cap_reach_synthesis(monkeypatch, m, p):
+    from becpolar import construction
+
+    def reached(*args, **kwargs):
+        raise AssertionError("synthesis reached")
+    monkeypatch.setattr(construction, "synth_all", reached)
+    with pytest.raises(AssertionError, match="synthesis reached"):
+        cli.main(["rank", "--m", str(m), "--k", "1", "--by", f"p={p}"])
+
+
+def test_long_denominator_keeps_force(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SCORE_DIGITS_CAP", 16)
+    code, _, err = run_cli(capsys, "rank", "--m", "3", "--by", "p=1/107")
+    assert code == 2 and "up to 24 digits" in err
+    code, out, _ = run_cli(capsys, "rank", "--m", "3", "--by", "p=1/107", "--force")
+    assert code == 0 and len(out.splitlines()) == 9
+
+
 @pytest.mark.parametrize("argv", [("distribution",), ("rank", "--by", "beta=1.22", "--k", "2")],
                          ids=["distribution", "rank-beta"])
 def test_averages_run_above_the_synthesis_cap(capsys, argv):
@@ -530,8 +568,7 @@ class TestVerify:
             return wrapper
 
         tracked = [
-            (orders, "leq_weak"), (orders, "leq_std"), (orders, "leq_dominance"),
-            (orders, "leq_pointwise"), (orders, "mult_compatible"),
+            (orders, "leq"), (orders, "leq_pointwise"), (orders, "mult_compatible"),
             (orders, "is_decreasing"), (orders, "closure"), (orders, "interval"),
             (orders, "hasse_edges"),
             (reliability, "build_graph"), (reliability, "oracle_path_counts"),

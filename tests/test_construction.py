@@ -17,7 +17,7 @@ from becpolar.construction import (
     render_avr,
 )
 from becpolar.monomials import Monomial
-from becpolar.orders import leq_std
+from becpolar.orders import Relation, leq
 from becpolar.polynomials import eval_rational
 from becpolar.synthesis import average_numerators
 
@@ -100,7 +100,7 @@ class TestConstruct:
         monos = [Monomial(m, u) for u in range(1 << m)]
         for f in monos:
             for g in monos:
-                if leq_std(g, f):
+                if leq(g, f, Relation.STANDARD):
                     assert pos[g.bits] <= pos[f.bits]
 
 
@@ -321,7 +321,7 @@ class TestBeta:
         vals = rank(Criterion.beta_expansion(Decimal(b)), m).keys
         for f in monos:
             for g in monos:
-                if leq_std(f, g):
+                if leq(f, g, Relation.STANDARD):
                     assert vals[f.bits] <= vals[g.bits]
 
 

@@ -19,13 +19,14 @@ from becpolar.orders import (
     hasse_edges,
     interval,
     is_decreasing,
-    leq_dominance,
+    leq,
     leq_pointwise,
-    leq_std,
-    leq_weak,
     mult_compatible,
 )
 from becpolar.polynomials import nonneg_on_01
+
+
+WEAK, STD, DOM = Relation.WEAK, Relation.STANDARD, Relation.DOMINANCE
 
 
 def M(u, m):
@@ -34,66 +35,88 @@ def M(u, m):
 
 class TestWeak:
     def test_divisor(self):
-        assert leq_weak(M(0b01, 2), M(0b11, 2))
+        assert leq(M(0b01, 2), M(0b11, 2), WEAK)
 
     def test_std_counterexample_pair(self):
         # x0*x2 precedes x1*x2 in the standard order but does not divide it
-        assert not leq_weak(M(0b101, 3), M(0b110, 3))
-        assert leq_std(M(0b101, 3), M(0b110, 3))
+        assert not leq(M(0b101, 3), M(0b110, 3), WEAK)
+        assert leq(M(0b101, 3), M(0b110, 3), STD)
 
     def test_one_below_everything(self):
         for g in all_monomials(4):
-            assert leq_weak(M(0, 4), g)
+            assert leq(M(0, 4), g, WEAK)
 
     def test_mixed_m_rejected(self):
         with pytest.raises(ValueError):
-            leq_weak(M(1, 3), M(1, 4))
+            leq(M(1, 3), M(1, 4), WEAK)
 
 
 class TestStandard:
     def test_equal_degree(self):
-        assert leq_std(M(0b0101, 4), M(0b0110, 4))       # x0x2 <= x1x2
+        assert leq(M(0b0101, 4), M(0b0110, 4), STD)       # x0x2 <= x1x2
 
     def test_incomparable_equal_degree(self):
         f, g = M(0b0110, 4), M(0b1001, 4)                # x1x2 vs x0x3
-        assert not leq_std(f, g) and not leq_std(g, f)
+        assert not leq(f, g, STD) and not leq(g, f, STD)
 
     def test_lower_degree_via_divisor(self):
-        assert leq_std(M(0b001, 3), M(0b110, 3))         # x0 <= x1x2
+        assert leq(M(0b001, 3), M(0b110, 3), STD)         # x0 <= x1x2
 
     def test_chain_of_variables(self):
         m = 5
         for i in range(m - 1):
-            assert leq_std(M(1 << i, m), M(1 << (i + 1), m))
+            assert leq(M(1 << i, m), M(1 << (i + 1), m), STD)
 
     def test_higher_degree_never_below(self):
-        assert not leq_std(M(0b111, 3), M(0b110, 3))
+        assert not leq(M(0b111, 3), M(0b110, 3), STD)
 
 
 class TestDominance:
     def test_key_pair(self):
-        assert leq_dominance(M(0b0110, 4), M(0b1001, 4))  # x1x2 <=d x0x3
-        assert not leq_dominance(M(0b1001, 4), M(0b0110, 4))
+        assert leq(M(0b0110, 4), M(0b1001, 4), DOM)  # x1x2 <=d x0x3
+        assert not leq(M(0b1001, 4), M(0b0110, 4), DOM)
 
     def test_interleaved_pair(self):
         m = 5
-        assert leq_dominance(M(0b01100, m), M(0b10010, m))  # x2x3 <=d x1x4
+        assert leq(M(0b01100, m), M(0b10010, m), DOM)  # x2x3 <=d x1x4
 
     def test_multiple_blocked_by_shared_variable(self):
         m = 5
         f, g = M(0b01110, m), M(0b10010, m)  # x1x2x3 vs x1x4
-        assert not leq_dominance(f, g) and not leq_dominance(g, f)
+        assert not leq(f, g, DOM) and not leq(g, f, DOM)
 
     def test_reflexive(self):
         for f in all_monomials(4):
-            assert leq_dominance(f, f)
+            assert leq(f, f, DOM)
 
     def test_refines_standard(self):
         for m in range(1, 7):
             for f in all_monomials(m):
                 for g in all_monomials(m):
-                    if leq_std(f, g):
-                        assert leq_dominance(f, g)
+                    if leq(f, g, STD):
+                        assert leq(f, g, DOM)
+
+
+class TestLeq:
+    """`leq` is the yes/no side of `compare` under the three label orders."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_agrees_with_compare(self, m):
+        below = (Comparison.LESS_OR_EQUAL, Comparison.EQUAL)
+        monos = all_monomials(m)
+        for relation in (WEAK, STD, DOM):
+            for f in monos:
+                for g in monos:
+                    assert leq(f, g, relation) is (compare(f, g, relation).result in below)
+
+    def test_pointwise_refused(self):
+        with pytest.raises(ValueError, match="ChannelTable"):
+            leq(M(1, 3), M(3, 3), Relation.POINTWISE)
+
+    def test_mixed_m_rejected(self):
+        for relation in (WEAK, STD, DOM):
+            with pytest.raises(ValueError, match="variable counts differ"):
+                leq(M(1, 3), M(1, 4), relation)
 
 
 def _leq_brute_divisor(f, g, equal_degree_leq):
@@ -122,13 +145,13 @@ class TestDivisorShortcut:
     def test_standard(self, m):
         for f in all_monomials(m):
             for g in all_monomials(m):
-                assert leq_std(f, g) == _leq_brute_divisor(f, g, _std_equal)
+                assert leq(f, g, STD) == _leq_brute_divisor(f, g, _std_equal)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_dominance(self, m):
         for f in all_monomials(m):
             for g in all_monomials(m):
-                assert leq_dominance(f, g) == _leq_brute_divisor(f, g, _dom_equal)
+                assert leq(f, g, DOM) == _leq_brute_divisor(f, g, _dom_equal)
 
 
 def _std_twin(f, g):
@@ -179,8 +202,8 @@ class TestLabelKernels:
         monos = all_monomials(m)
         for f in monos:
             for g in monos:
-                assert leq_std(f, g) == _std_twin(f, g), (f, g)
-                assert leq_dominance(f, g) == _dom_twin(f, g), (f, g)
+                assert leq(f, g, STD) == _std_twin(f, g), (f, g)
+                assert leq(f, g, DOM) == _dom_twin(f, g), (f, g)
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_compare_matches_twins(self, m, cache):
@@ -296,23 +319,24 @@ class TestOrderChainCounts:
 
 
 class TestPosetAxioms:
-    @pytest.mark.parametrize("relation", [leq_weak, leq_std, leq_dominance])
+    @pytest.mark.parametrize("relation", [WEAK, STD, DOM],
+                             ids=["leq_weak", "leq_std", "leq_dominance"])
     @pytest.mark.parametrize("m", range(1, 6))
     def test_axioms(self, relation, m):
         monos = all_monomials(m)
         n = len(monos)
-        leq = [[relation(monos[a], monos[b]) for b in range(n)] for a in range(n)]
+        below = [[leq(monos[a], monos[b], relation) for b in range(n)] for a in range(n)]
         for a in range(n):
-            assert leq[a][a]
+            assert below[a][a]
             for b in range(n):
                 if a != b:
-                    assert not (leq[a][b] and leq[b][a])
+                    assert not (below[a][b] and below[b][a])
         for a in range(n):
             for b in range(n):
-                if leq[a][b]:
+                if below[a][b]:
                     for c in range(n):
-                        if leq[b][c]:
-                            assert leq[a][c]
+                        if below[b][c]:
+                            assert below[a][c]
 
 
 class TestPointwise:
@@ -515,7 +539,7 @@ class TestCorollaryMultiplication:
         table = cache.table(m)
         pairs = [(f, g) for f in all_monomials(m) for g in all_monomials(m)
                  if f.degree == 2 and g.degree == 2 and f != g
-                 and leq_dominance(f, g)]
+                 and leq(f, g, DOM)]
         for f, g in pairs:
             i1, i2 = f.support()
             inner = [l for l in range(i1 + 1, i2) if not (g.bits >> l) & 1
@@ -526,7 +550,7 @@ class TestCorollaryMultiplication:
                     for l in sub:
                         h_bits |= 1 << l
                     h = M(h_bits, m)
-                    assert leq_dominance(f * h, g * h)
+                    assert leq(f * h, g * h, DOM)
                     verdict = leq_pointwise(f * h, g * h, table)
                     assert verdict.result in (Comparison.LESS_OR_EQUAL, Comparison.EQUAL)
 
@@ -613,13 +637,11 @@ class TestHasse:
     def test_reduction_is_minimal_and_complete(self):
         # reachability through covering edges reconstructs the full strict order
         m = 4
-        for relation, leq in ((Relation.STANDARD, leq_std),
-                              (Relation.DOMINANCE, leq_dominance),
-                              (Relation.WEAK, leq_weak)):
+        for relation in (STD, DOM, WEAK):
             edges = set(hasse_edges(m, relation))
             monos = all_monomials(m)
             strict = {(a, b) for a in range(1 << m) for b in range(1 << m)
-                      if a != b and leq(monos[a], monos[b])}
+                      if a != b and leq(monos[a], monos[b], relation)}
             # completeness: transitive closure of edges = strict relation
             closure_pairs = set()
             adj = {}

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -62,6 +63,14 @@ def test_only_moment_averages_integrates(monkeypatch, cache, m):
         named("tables/moment-averages").run(m, table)
 
 
+def _fresh_scan_cache(monkeypatch):
+    """Give `pointwise_verdicts` an empty cache of its own for one test, so
+    that the test scans afresh and the session's cached scans survive it."""
+    scan = construction.pointwise_verdicts
+    monkeypatch.setattr(construction, "pointwise_verdicts",
+                        lru_cache(maxsize=scan.cache_info().maxsize)(scan.__wrapped__))
+
+
 def test_pointwise_table_checks_share_one_scan(monkeypatch, cache):
     """incomparable-pairs, incomparable-complement-closure and
     pointwise-avr-compat read one `leq_pointwise` verdict per label pair, and
@@ -69,7 +78,7 @@ def test_pointwise_table_checks_share_one_scan(monkeypatch, cache):
     calls = []
     leq_pointwise = orders.leq_pointwise
     monkeypatch.setattr(orders, "leq_pointwise", lambda *args: calls.append(args) or leq_pointwise(*args))
-    construction.pointwise_verdicts.cache_clear()
+    _fresh_scan_cache(monkeypatch)
     table = cache.table(5)
     for name in ("tables/incomparable-pairs", "tables/incomparable-complement-closure",
                  "tables/pointwise-avr-compat"):
@@ -92,7 +101,7 @@ def test_verify_converts_each_channel_at_most_once(capsys, monkeypatch):
         return convert(a, n)
     for module in (polynomials, synthesis):
         monkeypatch.setattr(module, "to_path_counts", counted)
-    construction.pointwise_verdicts.cache_clear()
+    _fresh_scan_cache(monkeypatch)
     assert cli.main(["verify", "--m", "5", "--suite", "all"]) == 0
     capsys.readouterr()
     assert max(seen.values()) == 1

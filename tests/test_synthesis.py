@@ -55,9 +55,14 @@ class TestSynthPoly:
         assert synth_poly(Monomial(2, 0)) == IntPoly([0, 0, 0, 0, 1])
 
     def test_degree_is_two_to_m(self):
-        for m in range(1, 7):
+        """A series step squares the leading term and a parallel step leads
+        with -lc^2, so no channel loses degree: `synth --format csv` prints
+        2^m + 1 coefficients of each without padding."""
+        for m in range(1, 8):
             for u in (0, 1, (1 << m) - 1):
                 assert synth_poly(Monomial(m, u)).degree == 1 << m
+            for poly in synth_labels(m):
+                assert poly.degree == 1 << m and abs(poly.coeffs[-1]) == 1
 
     def test_boundary_values(self):
         for m in range(1, 6):
