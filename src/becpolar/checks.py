@@ -163,11 +163,11 @@ def _closed_form_avr(m, table):
 
 @_check("identities/erasure-conservation")
 def _erasure_conservation(m, table):
-    total = polynomials.IntPoly()
-    for poly in table.polys:
-        total = total + poly
-    if total != polynomials.IntPoly([0, 1 << m]):
-        yield f"sum of channels != {1 << m}p"
+    """The channels sum to n p, n = 2^m, whose path counts are N_i = i C(n, i)."""
+    n = 1 << m
+    for i, total in enumerate(map(sum, zip(*(table.counts[u] for u in range(n))))):
+        if total != i * comb(n, i):
+            yield f"sum of N_{i} is {total}, not {i}*C({n},{i})"
 
 
 @_check("identities/duality")

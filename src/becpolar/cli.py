@@ -32,40 +32,37 @@ from .orders import Relation
 
 _RELATIONS = {"w": Relation.WEAK, "std": Relation.STANDARD, "dom": Relation.DOMINANCE}
 
-# synth_all took 0.05 s at m = 8, 0.45-0.48 s at m = 9 and 7.1-7.9 s at
-# m = 10, up to 11.4 s in a slow phase of the 2-core shared host (CPython
-# 3.11): each stage doubles both degree and coefficient size, and took about
-# ten and fifteen times the last.  It caps synth --u and rank --by p=.
-SYNTH_CAP = 10
-
-# verify and synth of every channel convert each channel with the comb-based
-# to_path_counts: 0.04 s a channel at m = 8 (11 s for all), 0.41-0.66 s at
-# m = 9 (5 min for all), about sixteen times the last per stage (2-core host).
-CONVERT_CAP = 8
-
-# rank --by p=a/q writes every score over q^(2^m), up to 2^m * digits(q)
-# digits.  rank --k 1 with a 99-digit q took 0.5 s at m = 7, 2.9-4.3 s at
-# m = 8 and 25 s at m = 9; at m = 9 with 50 digits 8.2 s; and at m = 10,
-# 10.0 s with 1 digit, 19.4 s with 9 and 44 s with 25 (2-core host).  The cap keeps
-# the scoring within about the 10 s that synthesis takes at its own cap.
-SCORE_DIGITS_CAP = 10_000
-
-# distribution, avrplot and rank --by avr|beta build no polynomial: the
-# average walk of every label took 0.19 s at m = 11, 1.6 s at m = 12 and
-# 12.6 s at m = 13 (2-core host), about eight times the last per stage.
-AVERAGE_CAP = 13
+# One admission rule.  A row of COSTS is (reference m, a layer's seconds per
+# unit of work at it, growth per stage); a command's estimate sums its units
+# times those seconds at its m.  Measured in-process, one run each
+# (CPython 3.11, 2-core shared host):
+#   synthesis     synth_all: 0.09 / 0.66 / 9.7 s at m = 8 / 9 / 10.
+#   conversion    to_path_counts of one channel: 3.8 / 49 / 600 ms at m = 7 /
+#                 8 / 9.  synth --u converts one, verify and synth 2^m.
+#   average walk  average_numerators: 0.42 / 2.7 / 23.5 s at m = 11 / 12 / 13.
+#   scoring       rank --by p=a/q --k 1 past synthesis, per digit of q: 0.34 /
+#                 2.8 / 32.5 s with 99 digits at m = 7 / 8 / 9.  It grows faster
+#                 than the digits, so short q are over-estimated: m = 10 took
+#                 1.2 s with 1 digit and 11.3 s with 9, estimated 3 and 27 s.
+# BUDGET sits just above the average walk at m = 13, the costliest admitted
+# stage of any layer; each layer's next stage is estimated at 95 s or more.
+COSTS = {"synthesis": (10, 9.7, 12), "conversion": (9, 0.6, 12.6),
+         "average walk": (13, 23.5, 8), "scoring": (9, 0.3, 10)}
+BUDGET = 25
 
 
-def _admit(args: argparse.Namespace, layer: str) -> None:
-    """Refuse a request's m before any work: outside 1..MAX_M always
-    (`monomials.check_m`), and above the cap of the command's costliest
-    `layer` unless --force is given."""
-    check_m(args.m)
-    cap, growth = {"synthesis": (SYNTH_CAP, "tenfold"), "conversion": (CONVERT_CAP, "sixteenfold"),
-                   "average walk": (AVERAGE_CAP, "eightfold")}[layer]
-    if args.m > cap and not args.force:
-        raise ValueError(f"m={args.m} exceeds the {layer} cap {cap} (cost grows {growth} "
-                         "per stage); pass --force to override")
+def _admit(args: argparse.Namespace, units: dict[str, int]) -> None:
+    """Refuse, unless --force is given, work whose estimate exceeds BUDGET
+    seconds, before any of it runs.  `units` counts the command's work in
+    each layer of COSTS; the refusal names the costliest one."""
+    seconds = {layer: count * cost * growth ** (args.m - ref)
+               for layer, count in units.items() for ref, cost, growth in [COSTS[layer]]}
+    total = sum(seconds.values())
+    if total > BUDGET and not args.force:
+        layer = max(seconds, key=seconds.get)
+        raise ValueError(f"m={args.m} is estimated at {total:.3g} s ({layer} "
+                         f"{seconds[layer]:.3g} s), over the {BUDGET} s budget; "
+                         "pass --force to override")
 
 
 def _dec(value: Fraction) -> str:
@@ -105,14 +102,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     time: the JSON is written entry by entry, each entry's text indented as
     `json.dumps(..., indent=2)` nests it, so no text of the whole table is
     ever built."""
-    _admit(args, "synthesis" if args.u is not None else "conversion")
     m = args.m
-    if args.u is not None and not 0 <= args.u < (1 << m):
-        raise ValueError(f"u={args.u} out of range for m={m}")
-    if args.u is not None:
-        polys = [(args.u, synthesis.synth_poly(Monomial(m, args.u)))]
-    else:
+    if args.u is None:
+        _admit(args, {"synthesis": 1, "conversion": 1 << m})
         polys = enumerate(synthesis.synth_labels(m))
+    else:
+        _admit(args, {"conversion": 1})
+        if not 0 <= args.u < (1 << m):
+            raise ValueError(f"u={args.u} out of range for m={m}")
+        polys = [(args.u, synthesis.synth_poly(Monomial(m, args.u)))]
     entries = (_channel_entry(m, u, poly) for u, poly in polys)
     if args.format == "json":
         out = sys.stdout
@@ -158,13 +156,11 @@ def cmd_rank(args: argparse.Namespace) -> int:
     scores; `p=` and `beta=` run the recursion on the k listed labels only.
     """
     criterion = _parse_criterion(args.by)
-    _admit(args, "synthesis" if criterion.kind == "pointwise" else "average walk")
-    m = args.m
     if criterion.kind == "pointwise":
-        digits = (1 << m) * len(str(criterion.p.denominator))
-        if digits > SCORE_DIGITS_CAP and not args.force:
-            raise ValueError(f"p={criterion.p} at m={m} scores over q^{1 << m}, up to {digits} "
-                             f"digits, above the cap {SCORE_DIGITS_CAP}; pass --force to override")
+        _admit(args, {"synthesis": 1, "scoring": len(str(criterion.p.denominator))})
+    else:
+        _admit(args, {"average walk": 1})
+    m = args.m
     k = args.k if args.k is not None else 1 << m
     if not 0 <= k <= (1 << m):
         raise ValueError(f"--k {k} out of range for m={m}")
@@ -208,7 +204,6 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_poset(args: argparse.Namespace) -> int:
-    check_m(args.m)
     m = args.m
     relation = _RELATIONS[args.relation]
     edges = orders.hasse_edges(m, relation)
@@ -234,7 +229,7 @@ def cmd_poset(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _admit(args, "conversion")
+    _admit(args, {"synthesis": 1, "conversion": 1 << args.m})
     table = synthesis.synth_all(args.m)
     count = failures = 0
     for check in checks.REGISTRY:
@@ -258,7 +253,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_distribution(args: argparse.Namespace) -> int:
-    _admit(args, "average walk")
+    _admit(args, {"average walk": 1})
     counts = construction.avr_distribution(args.m)
     print("bucket_low,bucket_high,count")
     for i, c in enumerate(counts):
@@ -267,7 +262,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 
 def cmd_avrplot(args: argparse.Namespace) -> int:
-    _admit(args, "average walk")
+    _admit(args, {"average walk": 1})
     nums, d = synthesis.average_numerators(args.m)
     lines = ["u,avr"] + [f"{u},{construction.render_avr(x, 6, d)}" for u, x in enumerate(nums)]
     text = "\n".join(lines) + "\n"
@@ -300,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--u", type=int, default=None, help="single channel label (default: all)")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--force", action="store_true", help="override the m cap")
+    sp.add_argument("--force", action="store_true", help="run past the cost budget")
     sp.set_defaults(func=cmd_synth)
 
     sp = subs.add_parser("rank", help="order channels by a reliability criterion")
@@ -308,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--by", required=True, help="avr | p=<rational> | beta=<decimal>")
     sp.add_argument("--k", type=int, default=None, help="emit only the best k channels")
     sp.add_argument("--format", choices=("json", "csv"), default="csv")
-    sp.add_argument("--force", action="store_true", help="override the m cap")
+    sp.add_argument("--force", action="store_true", help="run past the cost budget")
     sp.set_defaults(func=cmd_rank)
 
     sp = subs.add_parser("poset", help="Hasse diagram in DOT format")
@@ -320,18 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("verify", help="run exact verification checks")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--suite", choices=checks.SUITES + ("all",), default="all")
-    sp.add_argument("--force", action="store_true", help="override the m cap")
+    sp.add_argument("--force", action="store_true", help="run past the cost budget")
     sp.set_defaults(func=cmd_verify)
 
     sp = subs.add_parser("distribution", help="decile histogram of average reliabilities")
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--force", action="store_true", help="override the m cap")
+    sp.add_argument("--force", action="store_true", help="run past the cost budget")
     sp.set_defaults(func=cmd_distribution)
 
     sp = subs.add_parser("avrplot", help="per-channel average reliabilities as CSV")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--out", required=True, help="output file ('-' for stdout)")
-    sp.add_argument("--force", action="store_true", help="override the m cap")
+    sp.add_argument("--force", action="store_true", help="run past the cost budget")
     sp.set_defaults(func=cmd_avrplot)
 
     return parser
@@ -346,6 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
+        check_m(args.m)  # every command takes --m: a label width, 1..MAX_M
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

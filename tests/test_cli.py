@@ -287,16 +287,19 @@ def test_bad_m_exits_before_synthesis(capsys, monkeypatch, argv):
     assert err.startswith("error: m must be in 1..16") and err.count("\n") == 1
 
 
-SYNTHESIS_REFUSAL = ("error: m=11 exceeds the synthesis cap 10 (cost grows tenfold per stage); "
-                     "pass --force to override\n")
-CONVERSION_REFUSAL = ("error: m=11 exceeds the conversion cap 8 (cost grows sixteenfold per "
-                      "stage); pass --force to override\n")
-AVERAGE_REFUSAL = ("error: m=14 exceeds the average walk cap 13 (cost grows eightfold per "
-                   "stage); pass --force to override\n")
+def _refusal(m, total, layer, part):
+    return (f"error: m={m} is estimated at {total} s ({layer} {part} s), over the "
+            f"{cli.BUDGET} s budget; pass --force to override\n")
+
+
+SYNTHESIS_REFUSAL = _refusal(11, "146", "synthesis", "116")
+ONE_CONVERSION_REFUSAL = _refusal(11, "95.3", "conversion", "95.3")
+CONVERSION_REFUSAL = _refusal(11, "1.95e+05", "conversion", "1.95e+05")
+AVERAGE_REFUSAL = _refusal(14, "188", "average walk", "188")
 
 
 @pytest.mark.parametrize("argv, m, refusal", [
-    (("synth", "--u", "0"), 11, SYNTHESIS_REFUSAL),
+    (("synth", "--u", "0"), 11, ONE_CONVERSION_REFUSAL),
     (("rank", "--by", "avr"), 14, AVERAGE_REFUSAL),
     (("rank", "--by", "beta=1.22"), 14, AVERAGE_REFUSAL),
     (("rank", "--by", "p=1/3"), 11, SYNTHESIS_REFUSAL),
@@ -305,11 +308,10 @@ AVERAGE_REFUSAL = ("error: m=14 exceeds the average walk cap 13 (cost grows eigh
     (("avrplot", "--out", "-"), 14, AVERAGE_REFUSAL),
 ], ids=["synth", "rank-avr", "rank-beta", "rank-p", "verify", "distribution", "avrplot"])
 def test_m_above_the_cap_exits_before_synthesis(capsys, monkeypatch, argv, m, refusal):
-    """The CLI alone caps m, each command by its costliest layer: without
-    --force, m above the cap is refused before any library call that
-    synthesizes, averages or ranks.  Commands that build a polynomial take
-    the synthesis or conversion cap; commands that only walk averages take
-    the average walk's cap, 13."""
+    """The CLI alone admits work by its estimated seconds: without --force,
+    an m whose estimate exceeds the budget is refused before any library
+    call that synthesizes, averages or ranks, and the one stderr line names
+    the estimate and its costliest layer."""
     from becpolar import construction, synthesis
 
     def refuse(*args, **kwargs):
@@ -328,8 +330,9 @@ Q99 = "1" + "0" * 97 + "3"  # a 99-digit denominator
 
 @pytest.mark.parametrize("m", [9, 10])
 def test_long_denominator_exits_before_synthesis(capsys, monkeypatch, m):
-    """`rank --by p=a/q` scores over q^(2^m): without --force, a 99-digit q
-    is refused at m = 9 and 10 before any synthesis."""
+    """`rank --by p=a/q` is estimated as synthesis plus scoring per digit of
+    q: without --force, a 99-digit q is refused at m = 9 and 10 before any
+    synthesis, with scoring named as the costliest layer."""
     from becpolar import construction, synthesis
 
     def refuse(*args, **kwargs):
@@ -338,34 +341,82 @@ def test_long_denominator_exits_before_synthesis(capsys, monkeypatch, m):
         monkeypatch.setattr(module, "synth_all", refuse)
     code, out, err = run_cli(capsys, "rank", "--m", str(m), "--k", "1", "--by", f"p=1/{Q99}")
     assert code == 2 and out == "" and err.count("\n") == 1
-    assert err.endswith(f"up to {(1 << m) * 99} digits, above the cap 10000; "
-                        "pass --force to override\n")
-
-
-@pytest.mark.parametrize("m, p", [(8, "8/9"), (8, "1/100000000000000003"), (10, "1/100000003")])
-def test_denominators_within_the_cap_reach_synthesis(monkeypatch, m, p):
-    from becpolar import construction
-
-    def reached(*args, **kwargs):
-        raise AssertionError("synthesis reached")
-    monkeypatch.setattr(construction, "synth_all", reached)
-    with pytest.raises(AssertionError, match="synthesis reached"):
-        cli.main(["rank", "--m", str(m), "--k", "1", "--by", f"p={p}"])
+    assert err.startswith(f"error: m={m} is estimated at ") and "(scoring " in err
 
 
 def test_long_denominator_keeps_force(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "SCORE_DIGITS_CAP", 16)
+    monkeypatch.setattr(cli, "BUDGET", 0)
     code, _, err = run_cli(capsys, "rank", "--m", "3", "--by", "p=1/107")
-    assert code == 2 and "up to 24 digits" in err
+    assert code == 2 and "(scoring " in err
     code, out, _ = run_cli(capsys, "rank", "--m", "3", "--by", "p=1/107", "--force")
     assert code == 0 and len(out.splitlines()) == 9
+
+
+class Reached(Exception):
+    """Raised by a patched library entry point: the command was admitted."""
+
+
+@pytest.fixture
+def entry_points(monkeypatch):
+    """Every library call through which a command starts its costly work,
+    patched to raise `Reached`."""
+    from becpolar import construction, synthesis
+
+    def reached(*args, **kwargs):
+        raise Reached
+    for module, name in ((synthesis, "synth_poly"), (synthesis, "synth_labels"),
+                         (synthesis, "synth_all"), (synthesis, "average_numerators"),
+                         (construction, "synth_all"), (construction, "average_numerators"),
+                         (construction, "rank")):
+        monkeypatch.setattr(module, name, reached)
+
+
+Q9, Q18 = "100000003", "100000000000000003"
+
+ADMITTED = [
+    *[("rank", "--m", "8", "--k", "11", "--by", by)
+      for by in ("p=8/9", f"p=1/{Q9}", "avr", "beta=1.37")],
+    *[(cmd, "--m", m) + extra for cmd, extra in (("distribution", ()), ("avrplot", ("--out", "-")))
+      for m in ("8", "9", "13")],
+    ("verify", "--m", "7"), ("verify", "--m", "8"), ("synth", "--m", "7"), ("synth", "--m", "8"),
+    ("synth", "--m", "10", "--u", "0"),
+    ("rank", "--m", "8", "--by", f"p=1/{Q18}"),  # README
+    ("rank", "--m", "7", "--by", f"p=1/{Q99}"),
+    ("rank", "--m", "10", "--by", "p=1/7"),
+]
+REFUSED = [
+    ("rank", "--m", "10", "--by", f"p=1/{Q9}"),
+    ("rank", "--m", "9", "--by", f"p=1/{Q99}"),
+    ("synth", "--m", "11", "--u", "0"),
+    ("verify", "--m", "9"),
+    ("distribution", "--m", "14"),
+]
+
+
+def _case_id(argv):
+    return " ".join(argv).replace(Q99, "<99 digits>")
+
+
+@pytest.mark.parametrize("argv", ADMITTED, ids=_case_id)
+def test_admitted_work_reaches_the_library(entry_points, argv):
+    with pytest.raises(Reached):
+        cli.main(list(argv))
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=_case_id)
+def test_refused_work_never_reaches_the_library(capsys, entry_points, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("error: m=") and err.endswith("; pass --force to override\n")
+    with pytest.raises(Reached):
+        cli.main([*argv, "--force"])
 
 
 @pytest.mark.parametrize("argv", [("distribution",), ("rank", "--by", "beta=1.22", "--k", "2")],
                          ids=["distribution", "rank-beta"])
 def test_averages_run_above_the_synthesis_cap(capsys, argv):
-    """m = 11 builds no polynomial for these commands, so the synthesis cap
-    does not refuse it."""
+    """m = 11 builds no polynomial for these commands: their estimate is the
+    average walk alone, well inside the budget."""
     code, out, err = run_cli(capsys, *argv, "--m", "11")
     assert code == 0 and err == ""
     assert len(out.splitlines()) == (11 if argv[0] == "distribution" else 3)
@@ -383,8 +434,7 @@ def test_converting_every_channel_caps_m_at_8(capsys, monkeypatch, argv):
         monkeypatch.setattr(synthesis, name, refuse)
     code, out, err = run_cli(capsys, *argv, "--m", "9")
     assert code == 2 and out == ""
-    assert err == ("error: m=9 exceeds the conversion cap 8 (cost grows sixteenfold per stage); "
-                   "pass --force to override\n")
+    assert err == _refusal(9, "308", "conversion", "307")
 
 
 def test_one_channel_keeps_the_synthesis_cap(capsys):
@@ -396,11 +446,9 @@ def test_one_channel_keeps_the_synthesis_cap(capsys):
 @pytest.mark.parametrize("argv", [("verify", "--suite", "identities"), ("synth",)],
                          ids=["verify", "synth"])
 def test_converting_every_channel_keeps_force(capsys, monkeypatch, argv):
-    monkeypatch.setattr(cli, "CONVERT_CAP", 3)
-    code, out, _ = run_cli(capsys, *argv, "--m", "3")
-    assert code == 0 and len(out.splitlines()) > 5
+    monkeypatch.setattr(cli, "BUDGET", 0)
     code, _, err = run_cli(capsys, *argv, "--m", "4")
-    assert code == 2 and "m=4 exceeds the conversion cap 3" in err
+    assert code == 2 and "(conversion " in err
     code, out, _ = run_cli(capsys, *argv, "--m", "4", "--force")
     assert code == 0 and len(out.splitlines()) > 5
 
@@ -437,9 +485,9 @@ def test_averages_build_no_polynomial(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", AVERAGE_COMMANDS, ids=lambda argv: argv[0])
 def test_averages_keep_force(capsys, monkeypatch, argv):
-    monkeypatch.setattr(cli, "AVERAGE_CAP", 3)
+    monkeypatch.setattr(cli, "BUDGET", 0)
     code, _, err = run_cli(capsys, *argv, "--m", "4")
-    assert code == 2 and "m=4 exceeds the average walk cap 3" in err
+    assert code == 2 and "(average walk " in err
     code, out, _ = run_cli(capsys, *argv, "--m", "4", "--force")
     assert code == 0 and len(out.splitlines()) > 10
 

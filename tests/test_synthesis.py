@@ -10,6 +10,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from becpolar.checks import REGISTRY
 from becpolar.monomials import MAX_M, Monomial
 from becpolar.polynomials import IntPoly, eval_rational, integrate01, to_path_counts
 from becpolar.reliability import avr_closed_form, avr_closed_form_complement
@@ -94,6 +95,15 @@ class TestSynthAll:
     @pytest.mark.parametrize("m", range(1, 7))
     def test_erasure_conservation(self, m, cache):
         assert cache.check("identities/erasure-conservation", m) is None
+
+    def test_erasure_conservation_rejects_one_wrong_count(self):
+        """The check reads the path counts: one count off by one fails it."""
+        table = ChannelTable(4, synth_all(4).polys)
+        counts = list(table.counts[6])
+        counts[5] += 1
+        table.counts[6] = tuple(counts)
+        check = next(c for c in REGISTRY if c.name == "identities/erasure-conservation")
+        assert check.run(4, table) == "sum of N_5 is 21841, not 5*C(16,5)"
 
     def test_cap_enforced(self):
         # the library checks only the width; the cost cap is the CLI's
