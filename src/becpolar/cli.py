@@ -147,13 +147,16 @@ def _parse_criterion(text: str) -> construction.Criterion:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    """Rank every channel; print the best k with their averages and thresholds.
+    """Rank the channels; print the best k with their averages and thresholds.
 
     Thresholds come from the label by integer square roots
-    (`channel_threshold`), and averages from the moment recursion
-    (`average_numerators`), so only `p=` builds a polynomial: it scores from
-    the full table.  `avr` reads each listed average off its own ranking
-    scores; `p=` and `beta=` run the recursion on the k listed labels only.
+    (`channel_threshold`), and averages from the moment recursion, so only
+    `p=` builds a polynomial: it scores from the full table.  `avr` lists
+    the best k from the standard-order frontier (`best_by_average`), which
+    computes only the averages it reads, while k <= 2^(m-3); past that it
+    walks half the labels (`rank`), and each listed average is its score.
+    `p=` and `beta=` rank every label and run the recursion
+    (`average_numerators`) on the k listed labels only.
     """
     criterion = _parse_criterion(args.by)
     if criterion.kind == "pointwise":
@@ -164,17 +167,20 @@ def cmd_rank(args: argparse.Namespace) -> int:
     k = args.k if args.k is not None else 1 << m
     if not 0 <= k <= (1 << m):
         raise ValueError(f"--k {k} out of range for m={m}")
-    ranking = construction.rank(criterion, m)
-    listed = ranking.order[:k]
-    if criterion.kind == "average":
-        avrs = [ranking.score(u) for u in listed]
+    if criterion.kind == "average" and 8 * k <= 1 << m:
+        listed, nums, d = construction.best_by_average(m, k)
     else:
-        nums, d = synthesis.average_numerators(m, listed)
-        avrs = [Fraction(x, d) for x in nums]
+        ranking = construction.rank(criterion, m)
+        listed = ranking.order[:k]
+        if criterion.kind == "average":
+            nums, d = [ranking.keys[u] for u in listed], ranking.denominator
+        else:
+            nums, d = synthesis.average_numerators(m, listed)
+    avrs = [Fraction(x, d) for x in nums]
+    scores = avrs if criterion.kind == "average" else [ranking.score(u) for u in listed]
     tol = Fraction(1, 2**30)
     records = []
-    for u, avr in zip(listed, avrs):
-        score = ranking.score(u)
+    for u, avr, score in zip(listed, avrs, scores):
         exact = _beta_decimal(score, criterion.beta, m) if criterion.kind == "beta" else _frac(score)
         threshold = synthesis.channel_threshold(Monomial(m, u), tol)
         records.append({

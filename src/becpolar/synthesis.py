@@ -159,11 +159,12 @@ def average_numerators(m: int, labels: Iterable[int] | None = None) -> tuple[tup
     M[1] after a 0-bit and D - M[1] after a 1-bit.
 
     For every label, about n^2 / 2 subtractions of integers of up to 1.44 n
-    bits, n = 2^m, and no products: 1.9 ms at m = 8, 7 ms at m = 9, 0.03 s
-    at m = 10, 0.19 s at m = 11, 1.6 s at m = 12 and 12.6 s at m = 13 (one
-    run each, 2-core host, CPython 3.11).  Fewer labels skip every
-    difference table that no requested suffix needs.  m must pass
-    `check_m`; no cost cap applies.
+    bits, n = 2^m, and no products: 1.9 ms at m = 8, 7 ms at m = 9 and
+    0.03 s at m = 10, then the figures of `cli.COSTS`: 0.42, 2.7 and 23.5 s
+    at m = 11, 12 and 13 (2-core shared host, CPython 3.11; repeated runs
+    took 2.7-3.3 s at m = 12 and 23.5-26.5 s at m = 13).  Fewer labels
+    skip every difference table that no requested suffix needs.  m must
+    pass `check_m`; no cost cap applies.
     """
     check_m(m)
     order = None if labels is None else list(labels)

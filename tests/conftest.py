@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from becpolar import checks, orders, synthesis
+from becpolar import checks, construction, orders, synthesis
 from becpolar.monomials import Monomial, all_monomials
 
 
@@ -55,6 +55,7 @@ class ChannelCache:
     def __init__(self) -> None:
         self._tables: dict[int, synthesis.ChannelTable] = {}
         self._avrs: dict[int, list[Fraction]] = {}
+        self._by_average: dict[int, construction.RankedChannels] = {}
         self._pointwise: dict[int, dict[tuple[int, int], orders.OrderVerdict]] = {}
 
     def table(self, m: int) -> synthesis.ChannelTable:
@@ -71,6 +72,13 @@ class ChannelCache:
             table = self.table(m)
             self._avrs[m] = [table.avr(u) for u in range(1 << m)]
         return self._avrs[m]
+
+    def by_average(self, m: int) -> construction.RankedChannels:
+        """`rank` by average of m, ranked once per session: at m = 11 it
+        takes a few tenths of a second."""
+        if m not in self._by_average:
+            self._by_average[m] = construction.rank(construction.Criterion.average(), m)
+        return self._by_average[m]
 
     def pointwise(self, m: int) -> dict[tuple[int, int], orders.OrderVerdict]:
         """`compare(f, g, Relation.POINTWISE, table)` of every ordered label

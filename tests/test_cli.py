@@ -170,6 +170,25 @@ class TestRank:
             exact = Fraction(int(num), int(den))
             assert abs(exact - Fraction(rec["avr_decimal"])) <= Fraction(1, 10**6)
 
+    def test_avr_top_k_computes_only_the_averages_it_lists(self, capsys, monkeypatch):
+        """The best 10 of m = 10 by average come off the standard-order
+        frontier: a few dozen leaves of the moment walk, where ranking every
+        label reaches 512, one of each complement pair."""
+        from becpolar import synthesis
+        m, leaves = 10, []
+        step = synthesis._moment_children
+
+        def spy(k, w, moments, want):
+            if k == m - 1:
+                leaves.extend(bit for bit in (0, 1) if want[bit])
+            return step(k, w, moments, want)
+        monkeypatch.setattr(synthesis, "_moment_children", spy)
+        code, out, _ = run_cli(capsys, "rank", "--m", str(m), "--by", "avr", "--k", "10")
+        assert code == 0
+        assert [int(r.split(",")[0]) for r in out.splitlines()[1:]] == [
+            0, 1, 2, 4, 8, 16, 3, 5, 32, 6]
+        assert len(leaves) <= 32
+
     def test_beta_builds_no_table(self, capsys, monkeypatch):
         from becpolar import synthesis
 
@@ -367,7 +386,7 @@ def entry_points(monkeypatch):
     for module, name in ((synthesis, "synth_poly"), (synthesis, "synth_labels"),
                          (synthesis, "synth_all"), (synthesis, "average_numerators"),
                          (construction, "synth_all"), (construction, "average_numerators"),
-                         (construction, "rank")):
+                         (construction, "rank"), (construction, "best_by_average")):
         monkeypatch.setattr(module, name, reached)
 
 

@@ -1,5 +1,6 @@
 """Ranking criteria, incomparable pairs, histograms, beta."""
 
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
@@ -10,6 +11,7 @@ from becpolar import construction, golden
 from becpolar.construction import (
     Criterion,
     avr_distribution,
+    best_by_average,
     beta_avr_conflicts,
     beta_incompatible_count,
     incomparable_pairs,
@@ -60,11 +62,11 @@ class TestRank:
             rank(criterion, m)
 
     @pytest.mark.parametrize("m", range(1, 11))
-    def test_average_keys_from_half_the_labels_equal_the_full_walk(self, m):
+    def test_average_keys_from_half_the_labels_equal_the_full_walk(self, m, cache):
         """Complement halving against the walk over every label: at m = 1
         the half is label 0 alone."""
         nums, d = average_numerators(m)
-        ranking = rank(Criterion.average(), m)
+        ranking = cache.by_average(m)
         assert ranking.keys == nums
         assert ranking.denominator == d
         assert ranking.order == _order(nums)
@@ -80,6 +82,51 @@ class TestRank:
         monkeypatch.setattr(construction, "average_numerators", spy)
         rank(Criterion.average(), m)
         assert sorted(requested) == list(range(1 << (m - 1)))
+
+
+def _prefix(ranking, k):
+    """The best k labels of a ranking, their keys and its denominator: what
+    `best_by_average` returns."""
+    order = ranking.order[:k]
+    return order, tuple(ranking.keys[u] for u in order), ranking.denominator
+
+
+class TestBestByAverage:
+    """The standard-order frontier against its twin, the prefix of `rank`."""
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_every_k_equals_the_rank_prefix(self, m, cache):
+        ranking = cache.by_average(m)
+        for k in range((1 << m) + 1):
+            assert best_by_average(m, k) == _prefix(ranking, k), k
+
+    @pytest.mark.parametrize("m", range(8, 12))
+    def test_ks_around_the_cli_switch_equal_the_rank_prefix(self, m, cache):
+        """k = 2^(m-3) is the largest the CLI lists from the frontier."""
+        ranking, n = cache.by_average(m), 1 << m
+        for k in (1, 10, n >> 3, (n >> 3) + 1, n):
+            assert best_by_average(m, k) == _prefix(ranking, k), k
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_one_move_pairs_are_strict_standard_relations(self, m):
+        """Each move goes strictly up the standard order to a larger label,
+        so a label ranks after every label one move below it; and the
+        moves into v number `_moves_below_count(v)`."""
+        below = Counter()
+        for u in range(1 << m):
+            above = construction._moves_above(u, m)
+            assert len(set(above)) == len(above)
+            for v in above:
+                f, g = Monomial(m, u), Monomial(m, v)
+                assert u < v and leq(f, g, Relation.STANDARD) and not leq(g, f, Relation.STANDARD)
+                below[v] += 1
+        assert [below[v] for v in range(1 << m)] == [
+            construction._moves_below_count(v) for v in range(1 << m)]
+
+    @pytest.mark.parametrize("m, k", [(0, 1), (17, 1), (3, -1), (3, 9)])
+    def test_refuses_a_width_or_count_out_of_range(self, m, k):
+        with pytest.raises(ValueError, match="out of range|m must be in"):
+            best_by_average(m, k)
 
 
 class TestConstruct:
