@@ -40,6 +40,13 @@ _RELATIONS = {"w": Relation.WEAK, "std": Relation.STANDARD, "dom": Relation.DOMI
 #   conversion    to_path_counts of one channel: 3.8 / 49 / 600 ms at m = 7 /
 #                 8 / 9.  synth --u converts one, verify and synth 2^m.
 #   average walk  average_numerators: 0.42 / 2.7 / 23.5 s at m = 11 / 12 / 13.
+#                 rank --by avr --k K from the frontier, K <= 2^(m-3), counts
+#                 sqrt(K / 2^(m-1)) of it.  Its cost steps up when the frontier
+#                 reaches a variable high enough to need a difference table
+#                 near the root, which K alone does not tell: K / 2^(m-1) would
+#                 estimate m = 15, K = 272 at 25 s, measured 135 s.  Every time
+#                 measured at m = 12..16 is at most 0.73 of the square root's
+#                 estimate (m = 16, K = 10: 4.6 s and 812 MB, estimated 210 s).
 #   scoring       rank --by p=a/q --k 1 past synthesis, per digit of q: 0.34 /
 #                 2.8 / 32.5 s with 99 digits at m = 7 / 8 / 9.  It grows faster
 #                 than the digits, so short q are over-estimated: m = 10 took
@@ -155,19 +162,27 @@ def cmd_rank(args: argparse.Namespace) -> int:
     the best k from the standard-order frontier (`best_by_average`), which
     computes only the averages it reads, while k <= 2^(m-3); past that it
     walks half the labels (`rank`), and each listed average is its score.
-    `p=` and `beta=` rank every label and run the recursion
-    (`average_numerators`) on the k listed labels only.
+    `p=` and `beta=` rank every label and take the k listed averages from
+    the same descent as the frontier (`average_descent`).
+
+    The frontier counts as sqrt(k / 2^(m-1)) of the average walk in the
+    estimate, k / 2^(m-1) being the share of the half walk's labels it can
+    read: its cost is the difference tables near the root that its deepest
+    labels need, and k alone does not say which (`COSTS`).  So the best 144
+    of m = 14 are admitted where all of them are not.
     """
     criterion = _parse_criterion(args.by)
+    m = args.m
+    k = args.k if args.k is not None else 1 << m
+    frontier = criterion.kind == "average" and 0 <= k and 8 * k <= 1 << m
     if criterion.kind == "pointwise":
         _admit(args, {"synthesis": 1, "scoring": len(str(criterion.p.denominator))})
     else:
-        _admit(args, {"average walk": 1})
-    m = args.m
-    k = args.k if args.k is not None else 1 << m
+        # k = 0 still builds the root's moments, as one label would
+        _admit(args, {"average walk": (max(k, 1) / (1 << (m - 1))) ** 0.5 if frontier else 1})
     if not 0 <= k <= (1 << m):
         raise ValueError(f"--k {k} out of range for m={m}")
-    if criterion.kind == "average" and 8 * k <= 1 << m:
+    if frontier:
         listed, nums, d = construction.best_by_average(m, k)
     else:
         ranking = construction.rank(criterion, m)
@@ -175,23 +190,24 @@ def cmd_rank(args: argparse.Namespace) -> int:
         if criterion.kind == "average":
             nums, d = [ranking.keys[u] for u in listed], ranking.denominator
         else:
-            nums, d = synthesis.average_numerators(m, listed)
+            numerator, d = synthesis.average_descent(m)
+            nums = [numerator(u) for u in listed]
     avrs = [Fraction(x, d) for x in nums]
     scores = avrs if criterion.kind == "average" else [ranking.score(u) for u in listed]
     tol = Fraction(1, 2**30)
     records = []
     for u, avr, score in zip(listed, avrs, scores):
         exact = _beta_decimal(score, criterion.beta, m) if criterion.kind == "beta" else _frac(score)
-        threshold = synthesis.channel_threshold(Monomial(m, u), tol)
+        mono = Monomial(m, u)
         records.append({
             "u": u,
-            "monomial": str(Monomial(m, u)),
-            "degree": Monomial(m, u).degree,
+            "monomial": str(mono),
+            "degree": mono.degree,
             "score": exact,
             "score_decimal": _dec(score),
             "avr": _frac(avr),
             "avr_decimal": _dec(avr),
-            "threshold_decimal": _dec(threshold),
+            "threshold_decimal": _dec(synthesis.channel_threshold(mono, tol)),
         })
     if args.format == "json":
         print(json.dumps({"m": m, "criterion": criterion.label(), "records": records}, indent=2))

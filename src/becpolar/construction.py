@@ -18,7 +18,7 @@ from heapq import heappop, heappush
 
 from . import orders, synthesis
 from .monomials import all_monomials, check_m
-from .polynomials import eval_rational, integration_weights
+from .polynomials import eval_rational
 from .synthesis import ChannelTable, average_numerators, synth_all
 
 INCOMPARABLE_M_CAP = 6
@@ -168,35 +168,19 @@ def best_by_average(m: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...], i
     So every label ranks after those one move below it, ties broken by
     label as in `rank`, and the next best label is always on the frontier:
     the labels not yet chosen whose every label one move below is chosen.
-    Each frontier label's average is computed once, by descending the suffix
-    tree of `average_numerators` from the deepest node already computed, and
-    every node computed is kept.  A label of the upper half takes D - x of
-    its complement, as in `rank`, so only the root's 0-child is descended.
-    The best 11 of m = 8 read 15 averages and the best 10 of m = 10 or 12
-    read 13, where `rank` reads 2^(m-1).  m must pass `check_m`.
+    Each frontier label's average is read once from one
+    `synthesis.average_descent`: down the suffix tree of
+    `average_numerators` from the deepest node kept, with the chain flips
+    in closed form and a label of the upper half as D - x of its
+    complement, as in `rank`.  The best 11 of m = 8 read 15 averages and
+    the best 10 of m = 10 or 12 read 13, where `rank` reads 2^(m-1).  m
+    must pass `check_m`.
     """
     check_m(m)
     n = 1 << m
     if not 0 <= k <= n:
         raise ValueError(f"k={k} out of range for m={m}")
-    d, root = integration_weights(n + 1)
-    nodes = {1: root}  # node w at depth t, keyed 2^t + w: the moments of its suffix
-
-    def numerator(u: int) -> int:
-        v = min(u, n - 1 - u)
-        key, depth = n | v, m
-        while key not in nodes:
-            key, depth = key >> 1, depth - 1
-        moments = nodes[key]
-        for t in range(depth, m):
-            bit = (v >> (m - t - 1)) & 1
-            want = (not bit, bool(bit))
-            moments = synthesis._moment_children(t, v >> (m - t), moments, want)[bit]
-            key = 2 * key + bit
-            nodes[key] = moments
-        x = d - moments[1] if v & 1 else moments[1]
-        return x if u == v else d - x
-
+    numerator, d = synthesis.average_descent(m)
     chosen: dict[int, int] = {}
     waiting: dict[int, int] = {}  # label -> how many labels one move below it are not chosen
     frontier = [(numerator(0), 0)] if k else []

@@ -10,7 +10,8 @@ After k steps the state depends only on the top k bits of u, so one walk of
 the labels' suffix tree, `_suffix_walk`, builds each state once for all the
 labels below it: `synth_labels` on polynomials, kept by `synth_all` as a
 `ChannelTable`, and `average_numerators` on moments, which gives every exact
-average with no polynomial.
+average with no polynomial.  `average_descent` computes the same moments one
+label at a time, for a ranking that lists a few labels.
 
 The same recursion, run on a number in place of a polynomial, is Arikan's
 Bhattacharyya recursion Z_u(x), exact on the BEC.  Both steps are increasing
@@ -26,7 +27,7 @@ from fractions import Fraction
 from itertools import islice
 from math import isqrt
 from operator import sub
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .monomials import Monomial, check_m
 from .polynomials import IntPoly, P, integrate01, integration_weights, to_path_counts
@@ -144,7 +145,9 @@ def average_numerators(m: int, labels: Iterable[int] | None = None) -> tuple[tup
     """Integer numerators of the exact averages of the given labels, in the
     order given (None: every label of m, in label order), and their common
     denominator D = lcm(1..2^m + 1).  This is the library's one source of
-    exact averages; `ChannelTable.avr` is its integration twin.
+    exact averages for sets of labels, and the twin of `average_descent`,
+    which reads them one at a time; `ChannelTable.avr` is its integration
+    twin.
 
     The suffix walk run on moments: node w at depth d >= 1 holds the
     integers M[k] = D * integral_0^1 Y^k dp, k <= 2^(m-d), with Y = Z_w
@@ -172,6 +175,71 @@ def average_numerators(m: int, labels: Iterable[int] | None = None) -> tuple[tup
     leaves = _suffix_walk(m, root, _moment_children, order)
     return tuple(d - z[1] if u & 1 else z[1]
                  for u, z in zip(range(1 << m) if order is None else order, leaves)), d
+
+
+def _chain_flip(m: int, k: int, d: int) -> list[int]:
+    """The moments of the 1-child of node 0^k of m, 1 <= k < m, over D = d,
+    in closed form: `_moment_children`'s difference table is its twin.
+
+    Node 0^k has Y = p^A, A = 2^k, and its 1-child keeps
+    F[j] = D * integral_0^1 (1 - p^A)^(2j) dp, j <= 2^(m-k-1), which Euler's
+    Beta integral gives as D * prod_{i=1..2j} A i / (A i + 1).  So
+    F[j] = F[j-1] a b / ((a + 1)(b + 1)), a = A(2j - 1), b = 2Aj, and every
+    division is exact, since every F[j] is an integer: one product and one
+    quotient by small integers per entry, where the table subtracts rows."""
+    big = 1 << k
+    flip = [d]
+    for j in range(1, (1 << (m - k - 1)) + 1):
+        a, b = big * (2 * j - 1), 2 * big * j
+        flip.append(flip[-1] * (a * b) // ((a + 1) * (b + 1)))
+    return flip
+
+
+def average_descent(m: int) -> tuple[Callable[[int], int], int]:
+    """A function from a label of m to the integer numerator of its exact
+    average, and the common denominator D = lcm(1..2^m + 1): the numerators
+    of `average_numerators(m)`, its twin, computed one label at a time.
+
+    Each call descends the suffix tree of `average_numerators` from the
+    deepest node kept above the label's leaf and keeps every node it
+    computes.  A parent is dropped once both its children are computed:
+    every leaf below it then has a kept node between them, which the search
+    from the leaf up meets first.  A label of the upper half takes D - x of
+    its complement, as in `construction.rank`, so only the root's 0-child is
+    descended.  The 1-child of each node 0^k, k >= 1, comes in closed form
+    (`_chain_flip`); every other step is `_moment_children`.  At m = 8 the
+    closed form takes the depth-1 flip, the costliest difference table of
+    the half walk.  m must pass `check_m`; a label out of range raises
+    ValueError.
+    """
+    check_m(m)
+    n = 1 << m
+    d, root = integration_weights(n + 1)
+    nodes = {1: root}  # node w at depth t, keyed 2^t + w: its moments, None once dropped
+
+    def numerator(u: int) -> int:
+        if not 0 <= u < n:
+            raise ValueError(f"label {u} out of range for m={m}")
+        v = min(u, n - 1 - u)
+        key, depth = n | v, m
+        while key not in nodes:
+            key, depth = key >> 1, depth - 1
+        moments = nodes[key]
+        for t in range(depth, m):
+            bit = (v >> (m - t - 1)) & 1
+            w = v >> (m - t)
+            if bit and not w and t:  # the 1-child of node 0^t, t >= 1
+                moments = _chain_flip(m, t, d)
+            else:
+                moments = _moment_children(t, w, moments, (not bit, bool(bit)))[bit]
+            key = 2 * key + bit
+            nodes[key] = moments
+            if key ^ 1 in nodes:  # both children computed: no descent reads the parent again
+                nodes[key >> 1] = None
+        x = d - moments[1] if v & 1 else moments[1]
+        return x if u == v else d - x
+
+    return numerator, d
 
 
 def _ceil_isqrt(x: int) -> int:

@@ -173,21 +173,41 @@ class TestRank:
     def test_avr_top_k_computes_only_the_averages_it_lists(self, capsys, monkeypatch):
         """The best 10 of m = 10 by average come off the standard-order
         frontier: a few dozen leaves of the moment walk, where ranking every
-        label reaches 512, one of each complement pair."""
+        label reaches 512, one of each complement pair.  Leaves come from the
+        difference table and from the closed-form chain flip alike."""
         from becpolar import synthesis
         m, leaves = 10, []
-        step = synthesis._moment_children
+        step, flip = synthesis._moment_children, synthesis._chain_flip
 
         def spy(k, w, moments, want):
             if k == m - 1:
-                leaves.extend(bit for bit in (0, 1) if want[bit])
+                leaves.extend(2 * w + bit for bit in (0, 1) if want[bit])
             return step(k, w, moments, want)
+
+        def flip_spy(m_, k, d):
+            if k == m - 1:
+                leaves.append(1)  # the 1-child of node 0^(m-1)
+            return flip(m_, k, d)
         monkeypatch.setattr(synthesis, "_moment_children", spy)
+        monkeypatch.setattr(synthesis, "_chain_flip", flip_spy)
         code, out, _ = run_cli(capsys, "rank", "--m", str(m), "--by", "avr", "--k", "10")
         assert code == 0
         assert [int(r.split(",")[0]) for r in out.splitlines()[1:]] == [
             0, 1, 2, 4, 8, 16, 3, 5, 32, 6]
+        assert 1 in leaves  # only the closed form makes label 1's leaf
         assert len(leaves) <= 32
+
+    @pytest.mark.parametrize("by", ["beta=1.22", "p=2/7"])
+    def test_listed_averages_come_from_the_descent(self, capsys, monkeypatch, by):
+        """`p=` and `beta=` read the k listed averages from `average_descent`,
+        not from the walk of `average_numerators`."""
+        from becpolar import synthesis
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the listed averages walked the suffix tree")
+        monkeypatch.setattr(synthesis, "average_numerators", refuse)
+        code, out, _ = run_cli(capsys, "rank", "--m", "5", "--by", by, "--k", "4")
+        assert code == 0 and len(out.splitlines()) == 5
 
     def test_beta_builds_no_table(self, capsys, monkeypatch):
         from becpolar import synthesis
@@ -386,7 +406,8 @@ def entry_points(monkeypatch):
     for module, name in ((synthesis, "synth_poly"), (synthesis, "synth_labels"),
                          (synthesis, "synth_all"), (synthesis, "average_numerators"),
                          (construction, "synth_all"), (construction, "average_numerators"),
-                         (construction, "rank"), (construction, "best_by_average")):
+                         (construction, "rank"), (construction, "best_by_average"),
+                         (synthesis, "average_descent")):
         monkeypatch.setattr(module, name, reached)
 
 
@@ -402,6 +423,8 @@ ADMITTED = [
     ("rank", "--m", "8", "--by", f"p=1/{Q18}"),  # README
     ("rank", "--m", "7", "--by", f"p=1/{Q99}"),
     ("rank", "--m", "10", "--by", "p=1/7"),
+    ("rank", "--m", "14", "--by", "avr", "--k", "10"),  # the frontier: 6.6 s estimated
+    ("rank", "--m", "14", "--by", "avr", "--k", "144"),  # 24.9 s estimated, 16 s measured
 ]
 REFUSED = [
     ("rank", "--m", "10", "--by", f"p=1/{Q9}"),
@@ -409,6 +432,9 @@ REFUSED = [
     ("synth", "--m", "11", "--u", "0"),
     ("verify", "--m", "9"),
     ("distribution", "--m", "14"),
+    ("rank", "--m", "14", "--by", "avr", "--k", "145"),
+    ("rank", "--m", "15", "--by", "avr", "--k", "10"),
+    ("rank", "--m", "16", "--by", "avr", "--k", "0"),
 ]
 
 
@@ -509,6 +535,19 @@ def test_averages_keep_force(capsys, monkeypatch, argv):
     assert code == 2 and "(average walk " in err
     code, out, _ = run_cli(capsys, *argv, "--m", "4", "--force")
     assert code == 0 and len(out.splitlines()) > 10
+
+
+@pytest.mark.parametrize("m, k, estimate", [
+    (14, 10, "6.57"), (13, 1024, "11.8"), (16, 10, "210"), (16, 8192, "6.02e+03"),
+    (13, 1025, "23.5"), (16, 8193, "1.2e+04"),
+])
+def test_the_frontier_counts_a_share_of_the_average_walk(capsys, monkeypatch, m, k, estimate):
+    """`rank --by avr --k K`, K <= 2^(m-3), is estimated as
+    sqrt(K / 2^(m-1)) average walks, above every share measured at
+    m = 12..16; a larger K is one whole walk."""
+    monkeypatch.setattr(cli, "BUDGET", 0)
+    code, _, err = run_cli(capsys, "rank", "--m", str(m), "--by", "avr", "--k", str(k))
+    assert code == 2 and err == _refusal(m, estimate, "average walk", estimate)
 
 
 def test_pointwise_rank_builds_one_table_and_integrates_nothing(capsys, monkeypatch):

@@ -7,7 +7,7 @@ from math import lcm
 
 import pytest
 
-from becpolar import construction, golden
+from becpolar import construction, golden, synthesis
 from becpolar.construction import (
     Criterion,
     avr_distribution,
@@ -106,6 +106,24 @@ class TestBestByAverage:
         ranking, n = cache.by_average(m), 1 << m
         for k in (1, 10, n >> 3, (n >> 3) + 1, n):
             assert best_by_average(m, k) == _prefix(ranking, k), k
+
+    @pytest.mark.parametrize("m, k, read", [(8, 11, 15), (10, 10, 13), (12, 10, 13)])
+    def test_reads_the_averages_its_docstring_counts(self, monkeypatch, m, k, read):
+        """Each frontier label's average is read once, from one descent."""
+        calls = []
+        descent = synthesis.average_descent
+
+        def spy(m):
+            numerator, d = descent(m)
+            calls.append(0)
+
+            def counted(u):
+                calls[-1] += 1
+                return numerator(u)
+            return counted, d
+        monkeypatch.setattr(synthesis, "average_descent", spy)
+        best_by_average(m, k)
+        assert calls == [read]
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_one_move_pairs_are_strict_standard_relations(self, m):

@@ -12,13 +12,22 @@ from hypothesis import given, settings, strategies as st
 
 from becpolar.checks import REGISTRY
 from becpolar.monomials import MAX_M, Monomial
-from becpolar.polynomials import IntPoly, eval_rational, integrate01, to_path_counts
+from becpolar.polynomials import (
+    IntPoly,
+    eval_rational,
+    integrate01,
+    integration_weights,
+    to_path_counts,
+)
 from becpolar.reliability import avr_closed_form, avr_closed_form_complement
 from becpolar.synthesis import (
     ChannelTable,
+    _chain_flip,
     _half_enclosure,
+    _moment_children,
     _suffix_walk,
     _threshold_floor,
+    average_descent,
     average_numerators,
     channel_threshold,
     synth_all,
@@ -303,6 +312,53 @@ class TestChannelAverages:
         mask = (1 << m) - 1
         assert all(a + averages[mask ^ u] == 1 for u, a in enumerate(averages))
         assert len(set(averages)) == 1 << m
+
+
+class TestAverageDescent:
+    """The shared descent against its twins: `_moment_children`'s difference
+    table for each closed-form chain flip, `average_numerators` for every
+    label."""
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_chain_flips_equal_the_difference_table(self, m):
+        """Node 0^k keeps every 2^k-th root moment, D / (2^k j + 1)."""
+        d, root = integration_weights((1 << m) + 1)
+        for k in range(1, m):
+            node = list(root[::1 << k])
+            assert _chain_flip(m, k, d) == _moment_children(k, 0, node, (False, True))[1], k
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_equals_the_walk_on_every_label(self, m):
+        """In label order, and in a shuffled order with repeats, which
+        descends from kept nodes in every pattern."""
+        full, d = average_numerators(m)
+        numerator, d_descent = average_descent(m)
+        assert d_descent == d
+        assert tuple(map(numerator, range(1 << m))) == full
+        rng = random.Random(m)
+        labels = [rng.randrange(1 << m) for _ in range(3 << m)]
+        numerator, _ = average_descent(m)
+        assert [numerator(u) for u in labels] == [full[u] for u in labels]
+
+    def test_drops_each_parent_of_two_computed_children(self):
+        """Every label of m = 10 in label order: about 0.3 MB, most of it the
+        leaves kept for the complements' second reads.  Keeping every node
+        computed would hold the half tree, about 0.7 MB."""
+        numerator, _ = average_descent(10)
+        tracemalloc.start()
+        try:
+            for u in range(1 << 10):
+                numerator(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 450_000
+
+    @pytest.mark.parametrize("u", [-1, 8])
+    def test_refuses_a_label_out_of_range(self, u):
+        numerator, _ = average_descent(3)
+        with pytest.raises(ValueError, match="out of range"):
+            numerator(u)
 
 
 def _dual(a: IntPoly) -> IntPoly:
