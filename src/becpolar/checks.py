@@ -147,7 +147,8 @@ def _inclusion_exclusion(m, table):
 
 @_check("reliability/closed-form-avr")
 def _closed_form_avr(m, table):
-    """Closed forms equal the averages for i leading 1-bits and i leading 0-bits."""
+    """Closed forms equal the averages for i leading 1-bits, i leading 0-bits,
+    each single variable x_j and the complement of each."""
     mask = (1 << m) - 1
     nums, d = synthesis.average_numerators(m)
     avr = [Fraction(x, d) for x in nums]
@@ -159,6 +160,13 @@ def _closed_form_avr(m, table):
         closed = reliability.avr_closed_form_complement(m, i)
         if closed != avr[mask ^ u]:
             yield f"i_zeros={i}: {closed} != {avr[mask ^ u]}"
+    for j in range(m):
+        u = 1 << j
+        closed = reliability.avr_single_variable(m, j)
+        if closed != avr[u]:
+            yield f"x{j}: {closed} != {avr[u]}"
+        if 1 - closed != avr[mask ^ u]:
+            yield f"all but x{j}: {1 - closed} != {avr[mask ^ u]}"
 
 
 @_check("identities/erasure-conservation")

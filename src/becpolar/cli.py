@@ -25,6 +25,8 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 from . import checks, construction, orders, polynomials, synthesis
 from .monomials import Monomial, check_m
@@ -40,13 +42,20 @@ _RELATIONS = {"w": Relation.WEAK, "std": Relation.STANDARD, "dom": Relation.DOMI
 #   conversion    to_path_counts of one channel: 3.8 / 49 / 600 ms at m = 7 /
 #                 8 / 9.  synth --u converts one, verify and synth 2^m.
 #   average walk  average_numerators: 0.42 / 2.7 / 23.5 s at m = 11 / 12 / 13.
-#                 rank --by avr --k K from the frontier, K <= 2^(m-3), counts
-#                 sqrt(K / 2^(m-1)) of it.  Its cost steps up when the frontier
-#                 reaches a variable high enough to need a difference table
-#                 near the root, which K alone does not tell: K / 2^(m-1) would
-#                 estimate m = 15, K = 272 at 25 s, measured 135 s.  Every time
-#                 measured at m = 12..16 is at most 0.73 of the square root's
-#                 estimate (m = 16, K = 10: 4.6 s and 812 MB, estimated 210 s).
+#   frontier      rank --by avr --k K from the frontier, K <= 2^(m-3), per
+#                 (K / 64)^4.  Its costliest read is the difference table of
+#                 x0*x_j for the highest variable x_j among the best K: about
+#                 4^j subtractions of 1.44 * 2^m bits, while x_j ranks about
+#                 1.44^j-th (m = 13), hence K^4 and twofold per stage.  At
+#                 m = 15 / 16, K = 64 took 0.73 / 1.25 s, K = 100 6.7 / 13 s,
+#                 K = 120 7.4 / 17 s and K = 144 31 / 53 s.  Past the step
+#                 where x_(m-2) joins, sqrt(K / 2^(m-1)) average walks is the
+#                 smaller estimate, so the frontier counts as the smaller of
+#                 the two.
+#                 Every time measured at m = 12..16 above 0.5 s is at most
+#                 0.67 of that estimate (m = 14, K = 144: 16.6 s, estimated
+#                 24.9 s); below it the fixed cost of D and the chain flips
+#                 shows, and the best 10 took 0.008-0.11 s.
 #   scoring       rank --by p=a/q --k 1 past synthesis, per digit of q: 0.34 /
 #                 2.8 / 32.5 s with 99 digits at m = 7 / 8 / 9.  It grows faster
 #                 than the digits, so short q are over-estimated: m = 10 took
@@ -54,16 +63,21 @@ _RELATIONS = {"w": Relation.WEAK, "std": Relation.STANDARD, "dom": Relation.DOMI
 # BUDGET sits just above the average walk at m = 13, the costliest admitted
 # stage of any layer; each layer's next stage is estimated at 95 s or more.
 COSTS = {"synthesis": (10, 9.7, 12), "conversion": (9, 0.6, 12.6),
-         "average walk": (13, 23.5, 8), "scoring": (9, 0.3, 10)}
+         "average walk": (13, 23.5, 8), "frontier": (15, 2, 2), "scoring": (9, 0.3, 10)}
 BUDGET = 25
 
 
-def _admit(args: argparse.Namespace, units: dict[str, int]) -> None:
+def _seconds(m: int, units: dict[str, float]) -> dict[str, float]:
+    """Each layer's estimated seconds at m for `units` of its work (COSTS)."""
+    return {layer: count * cost * growth ** (m - ref)
+            for layer, count in units.items() for ref, cost, growth in [COSTS[layer]]}
+
+
+def _admit(args: argparse.Namespace, units: dict[str, float]) -> None:
     """Refuse, unless --force is given, work whose estimate exceeds BUDGET
     seconds, before any of it runs.  `units` counts the command's work in
     each layer of COSTS; the refusal names the costliest one."""
-    seconds = {layer: count * cost * growth ** (args.m - ref)
-               for layer, count in units.items() for ref, cost, growth in [COSTS[layer]]}
+    seconds = _seconds(args.m, units)
     total = sum(seconds.values())
     if total > BUDGET and not args.force:
         layer = max(seconds, key=seconds.get)
@@ -72,19 +86,21 @@ def _admit(args: argparse.Namespace, units: dict[str, int]) -> None:
                          "pass --force to override")
 
 
-def _dec(value: Fraction) -> str:
-    return str(construction.render_avr(value, 6))
+def _dec(value: Fraction | int, denominator: int = 1) -> str:
+    return str(construction.render_avr(value, 6, denominator))
 
 
-def _frac(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+def _ratio(x: int, d: int) -> str:
+    """x / d in lowest terms as num/den, from one gcd."""
+    g = gcd(x, d)
+    return f"{x // g}/{d // g}"
 
 
-def _beta_decimal(score: Fraction, beta: Decimal, m: int) -> str:
-    """A beta score, a sum of powers below beta^m, written exactly as a
-    decimal without trailing zeros."""
+def _beta_decimal(x: int, d: int, beta: Decimal, m: int) -> str:
+    """A beta score x / d, a sum of powers below beta^m, written exactly as
+    a decimal without trailing zeros."""
     places = (m - 1) * max(0, -beta.as_tuple().exponent)
-    text = format(construction.render_avr(score, places), "f")
+    text = format(construction.render_avr(x, places, d), "f")
     return text.rstrip("0").rstrip(".") if "." in text else text
 
 
@@ -153,6 +169,20 @@ def _parse_criterion(text: str) -> construction.Criterion:
     raise ValueError(f"--by must be 'avr', 'p=<rational>', or 'beta=<decimal>', got {text!r}")
 
 
+def _rank_json(m: int, label: str, records: list[dict]) -> str:
+    """The text of `json.dumps({"m": m, "criterion": label, "records":
+    records}, indent=2)` for records of flat ints and strings.  `indent`
+    makes `json` fall back to its pure-Python encoder; this writes the
+    fixed layout directly and escapes each string with `json`'s own
+    encoder."""
+    rows = ",\n".join(
+        "    {\n" + ",\n".join(f"      {_quote(key)}: {value if type(value) is int else _quote(value)}"
+                              for key, value in rec.items()) + "\n    }"
+        for rec in records)
+    listing = f"[\n{rows}\n  ]" if records else "[]"
+    return f'{{\n  "m": {m},\n  "criterion": {_quote(label)},\n  "records": {listing}\n}}'
+
+
 def cmd_rank(args: argparse.Namespace) -> int:
     """Rank the channels; print the best k with their averages and thresholds.
 
@@ -165,11 +195,12 @@ def cmd_rank(args: argparse.Namespace) -> int:
     `p=` and `beta=` rank every label and take the k listed averages from
     the same descent as the frontier (`average_descent`).
 
-    The frontier counts as sqrt(k / 2^(m-1)) of the average walk in the
-    estimate, k / 2^(m-1) being the share of the half walk's labels it can
-    read: its cost is the difference tables near the root that its deepest
-    labels need, and k alone does not say which (`COSTS`).  So the best 144
-    of m = 14 are admitted where all of them are not.
+    The frontier counts in the estimate as the smaller of two (`COSTS`):
+    (k / 64)^4 units of its own row, its costliest read being the difference
+    table of x0*x_j for the highest variable x_j among the best k, and
+    sqrt(k / 2^(m-1)) average walks, which bounds it once x_(m-2) has
+    joined.  So the best 144 of m = 14, 120 of m = 15 and 101 of m = 16
+    are admitted where all of them are not.
     """
     criterion = _parse_criterion(args.by)
     m = args.m
@@ -177,9 +208,11 @@ def cmd_rank(args: argparse.Namespace) -> int:
     frontier = criterion.kind == "average" and 0 <= k and 8 * k <= 1 << m
     if criterion.kind == "pointwise":
         _admit(args, {"synthesis": 1, "scoring": len(str(criterion.p.denominator))})
+    elif frontier:
+        _admit(args, min({"frontier": (k / 64) ** 4}, {"average walk": (k / (1 << (m - 1))) ** 0.5},
+                         key=lambda units: sum(_seconds(m, units).values())))
     else:
-        # k = 0 still builds the root's moments, as one label would
-        _admit(args, {"average walk": (max(k, 1) / (1 << (m - 1))) ** 0.5 if frontier else 1})
+        _admit(args, {"average walk": 1})
     if not 0 <= k <= (1 << m):
         raise ValueError(f"--k {k} out of range for m={m}")
     if frontier:
@@ -192,25 +225,30 @@ def cmd_rank(args: argparse.Namespace) -> int:
         else:
             numerator, d = synthesis.average_descent(m)
             nums = [numerator(u) for u in listed]
-    avrs = [Fraction(x, d) for x in nums]
-    scores = avrs if criterion.kind == "average" else [ranking.score(u) for u in listed]
     tol = Fraction(1, 2**30)
     records = []
-    for u, avr, score in zip(listed, avrs, scores):
-        exact = _beta_decimal(score, criterion.beta, m) if criterion.kind == "beta" else _frac(score)
+    for u, x in zip(listed, nums):
+        avr, avr_decimal = _ratio(x, d), _dec(x, d)
+        if criterion.kind == "average":
+            score, score_decimal = avr, avr_decimal
+        else:
+            key, den = ranking.keys[u], ranking.denominator
+            score = (_beta_decimal(key, den, criterion.beta, m) if criterion.kind == "beta"
+                     else _ratio(key, den))
+            score_decimal = _dec(key, den)
         mono = Monomial(m, u)
         records.append({
             "u": u,
             "monomial": str(mono),
             "degree": mono.degree,
-            "score": exact,
-            "score_decimal": _dec(score),
-            "avr": _frac(avr),
-            "avr_decimal": _dec(avr),
+            "score": score,
+            "score_decimal": score_decimal,
+            "avr": avr,
+            "avr_decimal": avr_decimal,
             "threshold_decimal": _dec(synthesis.channel_threshold(mono, tol)),
         })
     if args.format == "json":
-        print(json.dumps({"m": m, "criterion": criterion.label(), "records": records}, indent=2))
+        print(_rank_json(m, criterion.label(), records))
     else:
         cols = ["u", "monomial", "degree", "score", "score_decimal",
                 "avr", "avr_decimal", "threshold_decimal"]

@@ -1,5 +1,6 @@
 """Two-terminal compositions, a brute-force path-count oracle, and closed
-forms for the average reliability of series-prefixed parallel channels.
+forms for the average reliability of series-prefixed parallel channels and
+of single-variable channels.
 
 A channel label u of m bits corresponds to a series/parallel composition of
 2^m identical devices between a source S and a sink T: starting from a single
@@ -13,7 +14,7 @@ independently of the polynomial recursion.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .monomials import Monomial
 from .polynomials import PathCounts
@@ -141,3 +142,26 @@ def avr_closed_form_complement(m: int, i_zeros: int) -> Fraction:
     w = 1 << i_zeros
     x = Fraction(w) + Fraction(1, 1 << (m - i_zeros))
     return 1 / gen_binomial(x, w)
+
+
+def avr_single_variable(m: int, j: int) -> Fraction:
+    """Exact average reliability of the single-variable channel x_j, label
+    2^j of m, 0 <= j < m:
+
+        sum_{l=0..B} (-1)^l C(B, l) 2^(B-l) / (A (B + l) + 1),
+
+    A = 2^(m-1-j), B = 2^j.  The steps of its m - 1 - j bits above bit j
+    square p, Y = p^A, bit j maps Y to 2Y - Y^2, and the j steps below
+    square that, so Z = (2Y - Y^2)^B = sum_l (-1)^l C(B, l) 2^(B-l)
+    p^(A (B + l)), integrated term by term.  The terms are summed as
+    integers over the lcm of their denominators, every one of which divides
+    lcm(1..2^m + 1); its complement, every variable but x_j, has one minus
+    it.
+    """
+    if not 0 <= j < m:
+        raise ValueError(f"j={j} must be in 0..m-1={m - 1}")
+    a, b = 1 << (m - 1 - j), 1 << j
+    dens = [a * (b + l) + 1 for l in range(b + 1)]
+    d = lcm(*dens)
+    return Fraction(sum((-1) ** l * (comb(b, l) << (b - l)) * (d // den)
+                        for l, den in enumerate(dens)), d)

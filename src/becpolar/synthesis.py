@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import islice
-from math import isqrt
-from operator import sub
+from math import isqrt, lcm
+from operator import add, mul, sub
 from typing import Callable, Iterable
 
 from .monomials import Monomial, check_m
@@ -195,48 +196,103 @@ def _chain_flip(m: int, k: int, d: int) -> list[int]:
     return flip
 
 
+def _flip_leaf(moments: list[int]) -> int:
+    """Entry j of the flip child of a node with moments M[0..2j]: the one
+    entry its leaf reads when every step below the flip repeats a bit,
+    since each such step keeps the even entries.  The child has
+    Y' = (1 - Y)^2, so the entry is D * integral (1 - Y)^(2j) dp =
+    sum_i (-1)^i C(2j, i) M[i], summed over the pairs M[i] + M[2j - i],
+    whose binomials are equal: j + 1 products, where `_moment_children`
+    subtracts its way through the whole difference table, about 2 j^2
+    subtractions."""
+    two_j = len(moments) - 1
+    j = two_j >> 1
+    binom, signed = 1, [1]
+    for i in range(1, j + 1):
+        binom = binom * (two_j + 1 - i) // i
+        signed.append(-binom if i & 1 else binom)
+    middle = signed.pop()
+    return middle * moments[j] + sum(map(mul, signed, map(add, moments[:j], moments[:j:-1])))
+
+
+def _lcm_range(lo: int, hi: int) -> int:
+    """lcm(lo..hi - 1) as a balanced tree of `lcm`s: 21 ms for 1..2^15 + 1,
+    where one `lcm` over the range, whose running lcm grows at every step,
+    took 0.41 s (62 ms against 1.7 s at m = 16)."""
+    if hi - lo <= 16:
+        return lcm(*range(lo, hi))
+    mid = (lo + hi) // 2
+    return lcm(_lcm_range(lo, mid), _lcm_range(mid, hi))
+
+
+@cache
+def _denominator(m: int) -> int:
+    """D = lcm(1..2^m + 1), the common denominator of the averages of m;
+    `integration_weights` is its twin.  Kept for each m: 12 KB at m = 16."""
+    return _lcm_range(1, (1 << m) + 2)
+
+
 def average_descent(m: int) -> tuple[Callable[[int], int], int]:
     """A function from a label of m to the integer numerator of its exact
     average, and the common denominator D = lcm(1..2^m + 1): the numerators
     of `average_numerators(m)`, its twin, computed one label at a time.
 
-    Each call descends the suffix tree of `average_numerators` from the
-    deepest node kept above the label's leaf and keeps every node it
-    computes.  A parent is dropped once both its children are computed:
-    every leaf below it then has a kept node between them, which the search
-    from the leaf up meets first.  A label of the upper half takes D - x of
-    its complement, as in `construction.rank`, so only the root's 0-child is
-    descended.  The 1-child of each node 0^k, k >= 1, comes in closed form
-    (`_chain_flip`); every other step is `_moment_children`.  At m = 8 the
-    closed form takes the depth-1 flip, the costliest difference table of
-    the half walk.  m must pass `check_m`; a label out of range raises
-    ValueError.
+    A label of the upper half takes D - x of its complement, as in
+    `construction.rank`, so only the subtree under the root's 0-child is
+    descended.  Node 0^k there holds D / (2^k j + 1) and its 1-child comes
+    in closed form (`_chain_flip`), so no node 0^k is built: label 0 reads
+    D / (2^m + 1), and every other label starts at the 1-child of its chain
+    of zeros, recomputed on each read, or below it.
+
+    Each call descends with `_moment_children` from the deepest node kept
+    above the label's leaf to the parent of the label's last flip, the
+    lowest bit that differs from the bit above it, and keeps every node it
+    computes.  Every step below that flip repeats a bit, so the leaf needs
+    one entry of the flip child, which one sum gives (`_flip_leaf`) in place
+    of the child's difference table.  The child is not built, so its parent
+    stays kept until a later label needs it, and the leaf's numerator is
+    kept for a second read.  A label whose last flip lies above a kept node
+    reads its leaf's entry of that node.  A parent is dropped once both its
+    children are computed: every leaf below it then has a kept node between
+    them, which the search from the leaf up meets first.  So the best 10 of
+    m = 10 or 15 need no difference table of more than 9 moments and no
+    vector of more than 65.  m must pass `check_m`; a label out of range
+    raises ValueError.
     """
     check_m(m)
     n = 1 << m
-    d, root = integration_weights(n + 1)
-    nodes = {1: root}  # node w at depth t, keyed 2^t + w: its moments, None once dropped
+    d = _denominator(m)
+    nodes: dict[int, list[int] | None] = {}  # node w at depth t, keyed 2^t + w: its moments, None once dropped
+
+    def keep(key: int, moments: list[int]) -> None:
+        nodes[key] = moments
+        if key ^ 1 in nodes:  # both children computed: no descent reads the parent again
+            nodes[key >> 1] = None
 
     def numerator(u: int) -> int:
         if not 0 <= u < n:
             raise ValueError(f"label {u} out of range for m={m}")
         v = min(u, n - 1 - u)
+        if not v:  # label 0: Z = p^n
+            return d // (n + 1) if u == v else d - d // (n + 1)
+        flips = v ^ (v >> 1)
+        below = m + 1 - (flips & -flips).bit_length()  # the depth of the last flip's child
+        top = m + 1 - v.bit_length()  # the depth of the 1-child of the chain 0^k
         key, depth = n | v, m
-        while key not in nodes:
+        while key not in nodes and depth > top:
             key, depth = key >> 1, depth - 1
-        moments = nodes[key]
-        for t in range(depth, m):
+        moments = nodes[key] if key in nodes else _chain_flip(m, top - 1, d)
+        for t in range(depth, below - 1):
             bit = (v >> (m - t - 1)) & 1
-            w = v >> (m - t)
-            if bit and not w and t:  # the 1-child of node 0^t, t >= 1
-                moments = _chain_flip(m, t, d)
-            else:
-                moments = _moment_children(t, w, moments, (not bit, bool(bit)))[bit]
+            moments = _moment_children(t, v >> (m - t), moments, (not bit, bool(bit)))[bit]
             key = 2 * key + bit
-            nodes[key] = moments
-            if key ^ 1 in nodes:  # both children computed: no descent reads the parent again
-                nodes[key >> 1] = None
-        x = d - moments[1] if v & 1 else moments[1]
+            keep(key, moments)
+        if depth < below:
+            x = _flip_leaf(moments)
+            keep(n | v, [d, x])  # the leaf's moments, for a second read
+        else:
+            x = moments[1 << (m - depth)]
+        x = d - x if v & 1 else x
         return x if u == v else d - x
 
     return numerator, d

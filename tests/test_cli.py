@@ -173,11 +173,13 @@ class TestRank:
     def test_avr_top_k_computes_only_the_averages_it_lists(self, capsys, monkeypatch):
         """The best 10 of m = 10 by average come off the standard-order
         frontier: a few dozen leaves of the moment walk, where ranking every
-        label reaches 512, one of each complement pair.  Leaves come from the
-        difference table and from the closed-form chain flip alike."""
+        label reaches 512, one of each complement pair.  A leaf comes from
+        the difference table, from the closed-form chain flip, or from the
+        one sum of a label's last flip (`_flip_leaf`), which stands in for
+        the flip child and the steps below it."""
         from becpolar import synthesis
         m, leaves = 10, []
-        step, flip = synthesis._moment_children, synthesis._chain_flip
+        step, flip, last = synthesis._moment_children, synthesis._chain_flip, synthesis._flip_leaf
 
         def spy(k, w, moments, want):
             if k == m - 1:
@@ -188,14 +190,30 @@ class TestRank:
             if k == m - 1:
                 leaves.append(1)  # the 1-child of node 0^(m-1)
             return flip(m_, k, d)
+
+        def last_spy(moments):
+            leaves.append(None)  # the leaf of the label whose last flip this is
+            return last(moments)
         monkeypatch.setattr(synthesis, "_moment_children", spy)
         monkeypatch.setattr(synthesis, "_chain_flip", flip_spy)
+        monkeypatch.setattr(synthesis, "_flip_leaf", last_spy)
         code, out, _ = run_cli(capsys, "rank", "--m", str(m), "--by", "avr", "--k", "10")
         assert code == 0
         assert [int(r.split(",")[0]) for r in out.splitlines()[1:]] == [
             0, 1, 2, 4, 8, 16, 3, 5, 32, 6]
         assert 1 in leaves  # only the closed form makes label 1's leaf
         assert len(leaves) <= 32
+
+    @pytest.mark.parametrize("by", ["avr", "beta=1.22", "p=2/7"])
+    @pytest.mark.parametrize("k", [0, 1, 11, 16])
+    def test_json_is_the_text_of_json_dumps(self, capsys, by, k):
+        """`rank` writes its JSON layout itself; the text is byte for byte
+        what `json.dumps(doc, indent=2)` writes for the same document."""
+        code, out, _ = run_cli(capsys, "rank", "--m", "4", "--by", by, "--k", str(k),
+                               "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and len(doc["records"]) == k
+        assert out == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize("by", ["beta=1.22", "p=2/7"])
     def test_listed_averages_come_from_the_descent(self, capsys, monkeypatch, by):
@@ -233,6 +251,9 @@ class TestRank:
         criterion = cli._parse_criterion(by)
         ranking = construction.rank(criterion, m)
         records = []
+
+        def frac(value):
+            return f"{value.numerator}/{value.denominator}"
         for u in ranking.order:
             score = ranking.score(u)
             threshold = _label_bisection(Monomial(m, u), Fraction(1, 2**30))
@@ -240,10 +261,10 @@ class TestRank:
                 "u": u,
                 "monomial": str(Monomial(m, u)),
                 "degree": u.bit_count(),
-                "score": (cli._beta_decimal(score, criterion.beta, m)
-                          if criterion.kind == "beta" else cli._frac(score)),
+                "score": (cli._beta_decimal(*score.as_integer_ratio(), criterion.beta, m)
+                          if criterion.kind == "beta" else frac(score)),
                 "score_decimal": cli._dec(score),
-                "avr": cli._frac(table.avr(u)),
+                "avr": frac(table.avr(u)),
                 "avr_decimal": cli._dec(table.avr(u)),
                 "threshold_decimal": cli._dec(threshold),
             })
@@ -423,8 +444,13 @@ ADMITTED = [
     ("rank", "--m", "8", "--by", f"p=1/{Q18}"),  # README
     ("rank", "--m", "7", "--by", f"p=1/{Q99}"),
     ("rank", "--m", "10", "--by", "p=1/7"),
-    ("rank", "--m", "14", "--by", "avr", "--k", "10"),  # the frontier: 6.6 s estimated
-    ("rank", "--m", "14", "--by", "avr", "--k", "144"),  # 24.9 s estimated, 16 s measured
+    # the frontier, estimated / measured
+    ("rank", "--m", "14", "--by", "avr", "--k", "10"),  # 0.0006 / 0.020 s
+    ("rank", "--m", "14", "--by", "avr", "--k", "144"),  # 24.9 / 16.6 s
+    ("rank", "--m", "15", "--by", "avr", "--k", "10"),  # 0.0012 / 0.029 s
+    ("rank", "--m", "15", "--by", "avr", "--k", "120"),  # 24.7 / 7.4 s
+    ("rank", "--m", "16", "--by", "avr", "--k", "0"),  # 0 / 0.069 s
+    ("rank", "--m", "16", "--by", "avr", "--k", "101"),  # 24.8 / 15.8 s
 ]
 REFUSED = [
     ("rank", "--m", "10", "--by", f"p=1/{Q9}"),
@@ -432,9 +458,10 @@ REFUSED = [
     ("synth", "--m", "11", "--u", "0"),
     ("verify", "--m", "9"),
     ("distribution", "--m", "14"),
-    ("rank", "--m", "14", "--by", "avr", "--k", "145"),
-    ("rank", "--m", "15", "--by", "avr", "--k", "10"),
-    ("rank", "--m", "16", "--by", "avr", "--k", "0"),
+    # the frontier, estimated / measured
+    ("rank", "--m", "14", "--by", "avr", "--k", "145"),  # 25.0 / 16.6 s at K = 144
+    ("rank", "--m", "15", "--by", "avr", "--k", "144"),  # 51 / 31 s
+    ("rank", "--m", "16", "--by", "avr", "--k", "102"),  # 25.8 / 15.7 s
 ]
 
 
@@ -538,16 +565,27 @@ def test_averages_keep_force(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("m, k, estimate", [
-    (14, 10, "6.57"), (13, 1024, "11.8"), (16, 10, "210"), (16, 8192, "6.02e+03"),
-    (13, 1025, "23.5"), (16, 8193, "1.2e+04"),
+    (13, 1024, "11.8"), (16, 8192, "6.02e+03"), (13, 1025, "23.5"), (16, 8193, "1.2e+04"),
 ])
 def test_the_frontier_counts_a_share_of_the_average_walk(capsys, monkeypatch, m, k, estimate):
     """`rank --by avr --k K`, K <= 2^(m-3), is estimated as
-    sqrt(K / 2^(m-1)) average walks, above every share measured at
-    m = 12..16; a larger K is one whole walk."""
+    sqrt(K / 2^(m-1)) average walks where that is the smaller estimate, above
+    every share measured at m = 12..16 (m = 13, K = 1024: 4.4 s); a larger K
+    is one whole walk."""
     monkeypatch.setattr(cli, "BUDGET", 0)
     code, _, err = run_cli(capsys, "rank", "--m", str(m), "--by", "avr", "--k", str(k))
     assert code == 2 and err == _refusal(m, estimate, "average walk", estimate)
+
+
+@pytest.mark.parametrize("m, k, estimate", [
+    (14, 10, "0.000596"), (16, 10, "0.00238"), (16, 100, "23.8"), (15, 144, "51.3"),
+])
+def test_the_best_few_count_as_the_frontier_row(capsys, monkeypatch, m, k, estimate):
+    """Until x_(m-2) joins the best K, the frontier's own row, (K / 64)^4
+    units, is the smaller estimate: measured 0.020, 0.11, 13.2 and 30.9 s."""
+    monkeypatch.setattr(cli, "BUDGET", 0)
+    code, _, err = run_cli(capsys, "rank", "--m", str(m), "--by", "avr", "--k", str(k))
+    assert code == 2 and err == _refusal(m, estimate, "frontier", estimate)
 
 
 def test_pointwise_rank_builds_one_table_and_integrates_nothing(capsys, monkeypatch):

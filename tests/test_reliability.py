@@ -11,6 +11,7 @@ from becpolar.polynomials import integrate01, to_path_counts
 from becpolar.reliability import (
     avr_closed_form,
     avr_closed_form_complement,
+    avr_single_variable,
     build_graph,
     gen_binomial,
     ni_inclusion_exclusion,
@@ -174,6 +175,17 @@ class TestClosedForm:
     def test_complement_sums_to_one(self, m):
         for i in range(m + 1):
             assert avr_closed_form(m, i) + avr_closed_form_complement(m, i) == 1
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_single_variable_equals_exact_integration(self, m):
+        for j in range(m):
+            z = synth_poly(Monomial(m, 1 << j))
+            assert avr_single_variable(m, j) == integrate01(z), j
+
+    def test_single_variable_refuses_a_variable_out_of_range(self):
+        for j in (-1, 3):
+            with pytest.raises(ValueError, match="must be in 0..m-1"):
+                avr_single_variable(3, j)
 
 
 def _trend_binomial(m: int, denom_kind: str) -> mp.mpf:

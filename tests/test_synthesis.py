@@ -23,6 +23,8 @@ from becpolar.reliability import avr_closed_form, avr_closed_form_complement
 from becpolar.synthesis import (
     ChannelTable,
     _chain_flip,
+    _denominator,
+    _flip_leaf,
     _half_enclosure,
     _moment_children,
     _suffix_walk,
@@ -316,8 +318,8 @@ class TestChannelAverages:
 
 class TestAverageDescent:
     """The shared descent against its twins: `_moment_children`'s difference
-    table for each closed-form chain flip, `average_numerators` for every
-    label."""
+    table for each closed-form chain flip and each last-flip sum,
+    `integration_weights` for D, `average_numerators` for every label."""
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_chain_flips_equal_the_difference_table(self, m):
@@ -327,7 +329,25 @@ class TestAverageDescent:
             node = list(root[::1 << k])
             assert _chain_flip(m, k, d) == _moment_children(k, 0, node, (False, True))[1], k
 
-    @pytest.mark.parametrize("m", range(1, 11))
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_last_flip_sums_equal_the_difference_table(self, m):
+        """The one sum gives the last entry of the flip child's table, for
+        every node of the half walk that has a flip child."""
+        d, root = integration_weights((1 << m) + 1)
+        level = {0: list(root[::2])}  # node 0 at depth 1
+        for t in range(1, m):
+            nxt = {}
+            for w, moments in level.items():
+                zero, one = _moment_children(t, w, moments, (True, True))
+                assert _flip_leaf(moments) == (zero if w & 1 else one)[-1], (t, w)
+                nxt[2 * w], nxt[2 * w + 1] = zero, one
+            level = nxt
+
+    @pytest.mark.parametrize("m", range(1, 14))
+    def test_denominator_equals_the_lcm(self, m):
+        assert _denominator(m) == lcm(*range(1, (1 << m) + 2))
+
+    @pytest.mark.parametrize("m", range(1, 12))
     def test_equals_the_walk_on_every_label(self, m):
         """In label order, and in a shuffled order with repeats, which
         descends from kept nodes in every pattern."""
@@ -340,10 +360,31 @@ class TestAverageDescent:
         numerator, _ = average_descent(m)
         assert [numerator(u) for u in labels] == [full[u] for u in labels]
 
+    @pytest.mark.parametrize("m", range(3, 12))
+    def test_a_sum_then_the_flip_child_it_skipped(self, m):
+        """Label 2^j takes its leaf from one sum at the node above its last
+        flip and leaves the flip child unbuilt; 2^j + 1, read next, builds
+        that child from the node kept above it.  Then both read again."""
+        full, _ = average_numerators(m)
+        for j in range(2, m - 1):
+            numerator, _ = average_descent(m)
+            labels = [1 << j, (1 << j) + 1, 1 << j, (1 << j) + 1]
+            assert [numerator(u) for u in labels] == [full[u] for u in labels], j
+
+    def test_builds_no_root_moments(self):
+        """D comes from `_denominator`, and no read builds the 2^m + 1 root
+        moments or fills `integration_weights`' cache."""
+        integration_weights.cache_clear()
+        numerator, _ = average_descent(9)
+        nums = [numerator(u) for u in range(1 << 9)]
+        assert integration_weights.cache_info().currsize == 0
+        assert nums == list(average_numerators(9)[0])
+
     def test_drops_each_parent_of_two_computed_children(self):
         """Every label of m = 10 in label order: about 0.3 MB, most of it the
-        leaves kept for the complements' second reads.  Keeping every node
-        computed would hold the half tree, about 0.7 MB."""
+        leaves of last-flip sums, kept for the complements' second reads, and
+        the nodes whose repeat child is read in place and so never computed.
+        Keeping every node computed would hold the half tree, about 0.7 MB."""
         numerator, _ = average_descent(10)
         tracemalloc.start()
         try:
