@@ -238,8 +238,8 @@ def _threshold_symmetry(m, table):
 @_check("tables/avr-2dp", applies=lambda m: m in golden.AVR_2DP_ROWS)
 def _avr_2dp(m, table):
     """Cited two-place averages, listed in ranked order."""
-    nums, d = synthesis.average_numerators(m, [u for u, _ in golden.AVR_2DP_ROWS[m]])
-    exact = [Fraction(x, d) for x in nums]
+    numerator, d = synthesis.average_descent(m)
+    exact = [Fraction(numerator(u), d) for u, _ in golden.AVR_2DP_ROWS[m]]
     for (u, cited), value in zip(golden.AVR_2DP_ROWS[m], exact):
         rendered = str(construction.render_avr(value, 2))
         pinned = golden.AVR_2DP_LOOSE.get((m, u))
@@ -325,17 +325,15 @@ def _first_order_rm(m, table):
 def _pair_avr_decimals(m, table):
     """Cited pair decimals agree with the exact averages to one unit in the
     last cited place, and the six-place renderings stay frozen."""
-    labels = [u for pair, _ in golden.FIRST4_PAIR_DECIMALS for u in pair]
-    nums, d = synthesis.average_numerators(m, labels + list(golden.PAIR_AVR_6DP_M5))
-    numerators = iter(nums)
+    numerator, d = synthesis.average_descent(m)
     for pair, cited in golden.FIRST4_PAIR_DECIMALS:
         places = max(len(text) - 2 for text in cited)
-        for u, text, x in zip(pair, cited, numerators):
-            got = construction.render_avr(x, places, d)
+        for u, text in zip(pair, cited):
+            got = construction.render_avr(numerator(u), places, d)
             if abs(got - Decimal(text)) > Decimal(1).scaleb(-places):
                 yield f"u={u}: {got} vs cited {text}"
-    for (u, want), x in zip(golden.PAIR_AVR_6DP_M5.items(), numerators):
-        got = str(construction.render_avr(x, 6, d))
+    for u, want in golden.PAIR_AVR_6DP_M5.items():
+        got = str(construction.render_avr(numerator(u), 6, d))
         if got != want:
             yield f"u={u}: {got} != {want} at six places"
 

@@ -42,6 +42,11 @@ _RELATIONS = {"w": Relation.WEAK, "std": Relation.STANDARD, "dom": Relation.DOMI
 #   conversion    to_path_counts of one channel: 3.8 / 49 / 600 ms at m = 7 /
 #                 8 / 9.  synth --u converts one, verify and synth 2^m.
 #   average walk  average_numerators: 0.42 / 2.7 / 23.5 s at m = 11 / 12 / 13.
+#                 rank --by avr past the frontier still counts one walk,
+#                 though it reads every label from average_descent, so the
+#                 row over-estimates it: its ranking took 3.3-4.2 s at
+#                 m = 13, estimated 23.5 s.  The row stays as measured for
+#                 the walk, so no admission boundary moves.
 #   frontier      rank --by avr --k K from the frontier, K <= 2^(m-3), per
 #                 (K / 64)^4.  Its costliest read is the difference table of
 #                 x0*x_j for the highest variable x_j among the best K: about
@@ -130,9 +135,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         _admit(args, {"synthesis": 1, "conversion": 1 << m})
         polys = enumerate(synthesis.synth_labels(m))
     else:
-        _admit(args, {"conversion": 1})
         if not 0 <= args.u < (1 << m):
             raise ValueError(f"u={args.u} out of range for m={m}")
+        _admit(args, {"conversion": 1})
         polys = [(args.u, synthesis.synth_poly(Monomial(m, args.u)))]
     entries = (_channel_entry(m, u, poly) for u, poly in polys)
     if args.format == "json":
@@ -188,12 +193,13 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
     Thresholds come from the label by integer square roots
     (`channel_threshold`), and averages from the moment recursion, so only
-    `p=` builds a polynomial: it scores from the full table.  `avr` lists
-    the best k from the standard-order frontier (`best_by_average`), which
-    computes only the averages it reads, while k <= 2^(m-3); past that it
-    walks half the labels (`rank`), and each listed average is its score.
+    `p=` builds a polynomial: it scores from the full table.  Every average
+    is read from the descent (`average_descent`).  `avr` lists the best k
+    from the standard-order frontier (`best_by_average`), which computes
+    only the averages it reads, while k <= 2^(m-3); past that it ranks every
+    label (`rank`) from one descent, and each listed average is its score.
     `p=` and `beta=` rank every label and take the k listed averages from
-    the same descent as the frontier (`average_descent`).
+    one descent.
 
     The frontier counts in the estimate as the smaller of two (`COSTS`):
     (k / 64)^4 units of its own row, its costliest read being the difference
@@ -205,7 +211,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
     criterion = _parse_criterion(args.by)
     m = args.m
     k = args.k if args.k is not None else 1 << m
-    frontier = criterion.kind == "average" and 0 <= k and 8 * k <= 1 << m
+    if not 0 <= k <= (1 << m):
+        raise ValueError(f"--k {k} out of range for m={m}")
+    frontier = criterion.kind == "average" and 8 * k <= 1 << m
     if criterion.kind == "pointwise":
         _admit(args, {"synthesis": 1, "scoring": len(str(criterion.p.denominator))})
     elif frontier:
@@ -213,8 +221,6 @@ def cmd_rank(args: argparse.Namespace) -> int:
                          key=lambda units: sum(_seconds(m, units).values())))
     else:
         _admit(args, {"average walk": 1})
-    if not 0 <= k <= (1 << m):
-        raise ValueError(f"--k {k} out of range for m={m}")
     if frontier:
         listed, nums, d = construction.best_by_average(m, k)
     else:

@@ -108,14 +108,10 @@ def rank(criterion: Criterion, m: int) -> RankedChannels:
     over one common denominator (a `Fraction` compare multiplies), and built
     as a `Fraction` only when read (`RankedChannels.score`).  Beta scores are
     over q^(m-1), beta = p/q.  Average scores are over D = lcm(1..2^m + 1),
-    from `average_numerators` walked on the labels below 2^(m-1) only, one
-    of each complement pair: Z_ubar(p) = 1 - Z_u(1 - p) gives
-    avr(ubar) = 1 - avr(u), so the complement 2^m - 1 - u of each takes
-    D - x.  That walk builds no polynomial and skips the subtree under the
-    root's 1-child, about half the work (1.8 against 3.3 s at m = 12); the
-    full walk of `average_numerators(m)` is its twin.  Pointwise scores at
-    p = a/q are over q^(2^m), evaluated on the channel table of m, which
-    this builds.
+    read for every label from one `synthesis.average_descent`, which builds
+    no polynomial; the walk of `average_numerators(m)` is its twin.
+    Pointwise scores at p = a/q are over q^(2^m), evaluated on the channel
+    table of m, which this builds.
     Ties break by ascending label; beta scores never tie, since two
     labels with equal scores would make the rational beta > 1 a root of a
     polynomial with coefficients in {-1, 0, 1}, whose rational roots are +-1.
@@ -131,8 +127,8 @@ def rank(criterion: Criterion, m: int) -> RankedChannels:
         scores = (eval_rational(poly, criterion.p) for poly in synth_all(m).polys)
         keys = [s.numerator * (den // s.denominator) for s in scores]
     elif criterion.kind == "average":
-        half, den = average_numerators(m, range(n >> 1))
-        keys = half + tuple(den - x for x in reversed(half))
+        numerator, den = synthesis.average_descent(m)
+        keys = [numerator(u) for u in range(n)]
     else:
         raise ValueError(f"unknown criterion kind {criterion.kind!r}")
     ordered = sorted(range(n), key=keys.__getitem__)  # stable: ties stay in label order
@@ -173,13 +169,13 @@ def best_by_average(m: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...], i
     `average_numerators` from the deepest node kept, with the chain flips
     in closed form, each label's last flip as one sum in place of a
     difference table, and a label of the upper half as D - x of its
-    complement, as in `rank`.  The best 11 of m = 8 read 15 averages and
-    the best 10 of m = 10 or 12 read 13, where `rank` reads 2^(m-1); they
-    took 0.16, 0.20 and 0.46 ms (0.33, 0.43 and 1.2 ms with each last flip
-    from its difference table and the root's moments built).  The costliest read is the table of x0*x_j
-    for the highest variable x_j chosen, so the cost steps up with k: the
-    best 64 / 100 / 144 of m = 15 took 0.73 / 6.7 / 31 s.  m must pass
-    `check_m`.
+    complement.  The best 11 of m = 8 read 15 averages and the best 10 of
+    m = 10 or 12 read 13, where `rank` reads all 2^m from the same descent;
+    they took 0.16, 0.20 and 0.46 ms (0.33, 0.43 and 1.2 ms with each last
+    flip from its difference table and the root's moments built).  The
+    costliest read is the table of x0*x_j for the highest variable x_j
+    chosen, so the cost steps up with k: the best 64 / 100 / 144 of m = 15
+    took 0.73 / 6.7 / 31 s.  m must pass `check_m`.
     """
     check_m(m)
     n = 1 << m

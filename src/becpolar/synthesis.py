@@ -9,9 +9,10 @@ polynomials.
 After k steps the state depends only on the top k bits of u, so one walk of
 the labels' suffix tree, `_suffix_walk`, builds each state once for all the
 labels below it: `synth_labels` on polynomials, kept by `synth_all` as a
-`ChannelTable`, and `average_numerators` on moments, which gives every exact
-average with no polynomial.  `average_descent` computes the same moments one
-label at a time, for a ranking that lists a few labels.
+`ChannelTable`, and `average_numerators` on moments, which gives the whole
+table of exact averages with no polynomial.  `average_descent` computes the
+same moments one label at a time, for the labels a caller chooses and for
+every ranking by average; the walk covers whole tables only.
 
 The same recursion, run on a number in place of a polynomial, is Arikan's
 Bhattacharyya recursion Z_u(x), exact on the BEC.  Both steps are increasing
@@ -28,7 +29,7 @@ from functools import cache
 from itertools import islice
 from math import isqrt, lcm
 from operator import add, mul, sub
-from typing import Callable, Iterable
+from typing import Callable
 
 from .monomials import Monomial, check_m
 from .polynomials import IntPoly, P, integrate01, integration_weights, to_path_counts
@@ -83,34 +84,24 @@ def synth_poly(u: Monomial) -> IntPoly:
     return z
 
 
-def _suffix_walk(m: int, root, children, labels: list[int] | None = None) -> tuple:
-    """The leaves of the suffix tree of m grown from `root`, one per label in
-    the order given (None: every label of m, in label order).  Node w at
-    depth k, the top k bits of a label, has children 2w (0-bit) and 2w + 1
-    (1-bit), whose states `children(k, w, state, want)` returns as a pair,
-    of which only those with `want[bit]` are read.  Only nodes that top some
-    requested label are expanded, and each parent is dropped once its
-    children exist.  m must pass `check_m`; labels are range-checked first."""
+def _suffix_walk(m: int, root, children) -> tuple:
+    """The leaves of the suffix tree of m grown from `root`, one per label of
+    m, in label order.  Node w at depth k, the top k bits of a label, has
+    children 2w (0-bit) and 2w + 1 (1-bit), whose states `children(k, w,
+    state)` returns as a pair, and each parent is dropped once its children
+    exist.  m must pass `check_m`."""
     check_m(m)
-    wanted = None if labels is None else set(labels)
-    if wanted and not 0 <= min(wanted) <= max(wanted) < 1 << m:
-        raise ValueError(f"labels must be in 0..{(1 << m) - 1} for m={m}")
-    level = {0: root} if wanted is None or wanted else {}
+    level = [root]
     for k in range(m):
-        keep = None if wanted is None else {u >> (m - k - 1) for u in wanted}
-        nxt = {}
-        for w in list(level):
-            want = (True, True) if keep is None else (2 * w in keep, 2 * w + 1 in keep)
-            zero, one = children(k, w, level.pop(w), want)
-            if want[0]:
-                nxt[2 * w] = zero
-            if want[1]:
-                nxt[2 * w + 1] = one
+        nxt = []
+        for w in range(len(level)):
+            nxt += children(k, w, level[w])
+            level[w] = None
         level = nxt
-    return tuple(level.values()) if labels is None else tuple(level[u] for u in labels)
+    return tuple(level)
 
 
-def _series_parallel(k: int, w: int, z: IntPoly, want: tuple[bool, bool]) -> tuple:
+def _series_parallel(k: int, w: int, z: IntPoly) -> tuple:
     """Both children from one squaring: z^2 (series) and 2z - z^2 (parallel)."""
     sq = z.square()
     return sq, z.scale(2) - sq
@@ -128,27 +119,33 @@ def synth_all(m: int) -> ChannelTable:
     return ChannelTable(m, synth_labels(m))
 
 
-def _moment_children(k: int, w: int, moments: list[int], want: tuple[bool, bool]) -> tuple:
-    """The moment step of `average_numerators`, which describes it."""
-    even = moments[::2]
-    if k == 0 or not want[1 - (w & 1)]:  # the root, or no child flips w's last bit
-        return even, even
-    # the other child: rows 0, 2, 4, ... of the difference table, at column 0
+def _flip_child(moments: list[int]) -> list[int]:
+    """The moments of the child that flips its parent's last bit: rows 0, 2,
+    4, ... of the difference table of the parent's moments, at column 0,
+    one row alive at a time (`average_numerators` describes the step)."""
     flip, row = [moments[0]], moments
     while len(row) > 1:
         row = list(map(sub, row, islice(row, 1, None)))
         row = list(map(sub, row, islice(row, 1, None)))
         flip.append(row[0])
+    return flip
+
+
+def _moment_children(k: int, w: int, moments: list[int]) -> tuple:
+    """The moment step of `average_numerators`, which describes it."""
+    even = moments[::2]
+    if k == 0:  # the root: neither child flips a bit
+        return even, even
+    flip = _flip_child(moments)
     return (flip, even) if w & 1 else (even, flip)
 
 
-def average_numerators(m: int, labels: Iterable[int] | None = None) -> tuple[tuple[int, ...], int]:
-    """Integer numerators of the exact averages of the given labels, in the
-    order given (None: every label of m, in label order), and their common
-    denominator D = lcm(1..2^m + 1).  This is the library's one source of
-    exact averages for sets of labels, and the twin of `average_descent`,
-    which reads them one at a time; `ChannelTable.avr` is its integration
-    twin.
+def average_numerators(m: int) -> tuple[tuple[int, ...], int]:
+    """Integer numerators of the exact averages of every label of m, in
+    label order, and their common denominator D = lcm(1..2^m + 1): the
+    library's engine for whole tables of averages, and the slow exact twin
+    of `average_descent`, which reads the labels a caller chooses and every
+    ranking; `ChannelTable.avr` is its integration twin.
 
     The suffix walk run on moments: node w at depth d >= 1 holds the
     integers M[k] = D * integral_0^1 Y^k dp, k <= 2^(m-d), with Y = Z_w
@@ -157,30 +154,27 @@ def average_numerators(m: int, labels: Iterable[int] | None = None) -> tuple[tup
     repeats w's last one, and both children of the root, have Y' = Y^2 and
     take the even entries.  The other child has Y' = (1 - Y)^2 and takes
     the even rows of column 0 of the difference table of M, whose row t
-    holds D * integral Y^a (1 - Y)^t dp, one row alive at a time.  Every
-    entry is D times the integral of an integer polynomial of degree <= 2^m
-    with values in [0, 1], so an integer in [0, D].  A leaf's numerator is
-    M[1] after a 0-bit and D - M[1] after a 1-bit.
+    holds D * integral Y^a (1 - Y)^t dp (`_flip_child`).  Every entry is D
+    times the integral of an integer polynomial of degree <= 2^m with values
+    in [0, 1], so an integer in [0, D].  A leaf's numerator is M[1] after a
+    0-bit and D - M[1] after a 1-bit.
 
     For every label, about n^2 / 2 subtractions of integers of up to 1.44 n
     bits, n = 2^m, and no products: 1.9 ms at m = 8, 7 ms at m = 9 and
     0.03 s at m = 10, then the figures of `cli.COSTS`: 0.42, 2.7 and 23.5 s
     at m = 11, 12 and 13 (2-core shared host, CPython 3.11; repeated runs
-    took 2.7-3.3 s at m = 12 and 23.5-26.5 s at m = 13).  Fewer labels
-    skip every difference table that no requested suffix needs.  m must
-    pass `check_m`; no cost cap applies.
+    took 2.7-3.3 s at m = 12 and 23.5-26.5 s at m = 13).  m must pass
+    `check_m`; no cost cap applies.
     """
     check_m(m)
-    order = None if labels is None else list(labels)
     d, root = integration_weights((1 << m) + 1)
-    leaves = _suffix_walk(m, root, _moment_children, order)
-    return tuple(d - z[1] if u & 1 else z[1]
-                 for u, z in zip(range(1 << m) if order is None else order, leaves)), d
+    leaves = _suffix_walk(m, root, _moment_children)
+    return tuple(d - z[1] if u & 1 else z[1] for u, z in enumerate(leaves)), d
 
 
 def _chain_flip(m: int, k: int, d: int) -> list[int]:
     """The moments of the 1-child of node 0^k of m, 1 <= k < m, over D = d,
-    in closed form: `_moment_children`'s difference table is its twin.
+    in closed form: the difference table of `_flip_child` is its twin.
 
     Node 0^k has Y = p^A, A = 2^k, and its 1-child keeps
     F[j] = D * integral_0^1 (1 - p^A)^(2j) dp, j <= 2^(m-k-1), which Euler's
@@ -202,7 +196,7 @@ def _flip_leaf(moments: list[int]) -> int:
     since each such step keeps the even entries.  The child has
     Y' = (1 - Y)^2, so the entry is D * integral (1 - Y)^(2j) dp =
     sum_i (-1)^i C(2j, i) M[i], summed over the pairs M[i] + M[2j - i],
-    whose binomials are equal: j + 1 products, where `_moment_children`
+    whose binomials are equal: j + 1 products, where `_flip_child`
     subtracts its way through the whole difference table, about 2 j^2
     subtractions."""
     two_j = len(moments) - 1
@@ -236,20 +230,24 @@ def average_descent(m: int) -> tuple[Callable[[int], int], int]:
     """A function from a label of m to the integer numerator of its exact
     average, and the common denominator D = lcm(1..2^m + 1): the numerators
     of `average_numerators(m)`, its twin, computed one label at a time.
+    Every ranking by average reads its labels here, all of them for
+    `construction.rank` and a few for `construction.best_by_average`.
 
-    A label of the upper half takes D - x of its complement, as in
-    `construction.rank`, so only the subtree under the root's 0-child is
-    descended.  Node 0^k there holds D / (2^k j + 1) and its 1-child comes
-    in closed form (`_chain_flip`), so no node 0^k is built: label 0 reads
-    D / (2^m + 1), and every other label starts at the 1-child of its chain
-    of zeros, recomputed on each read, or below it.
+    A label of the upper half takes D - x of its complement, since
+    Z_ubar(p) = 1 - Z_u(1 - p) gives avr(ubar) = 1 - avr(u), so only the
+    subtree under the root's 0-child is descended.  Node 0^k there holds
+    D / (2^k j + 1) and its 1-child comes in closed form (`_chain_flip`), so
+    no node 0^k is built: label 0 reads D / (2^m + 1), and every other label
+    starts at the 1-child of its chain of zeros, recomputed on each read, or
+    below it.
 
-    Each call descends with `_moment_children` from the deepest node kept
-    above the label's leaf to the parent of the label's last flip, the
-    lowest bit that differs from the bit above it, and keeps every node it
-    computes.  Every step below that flip repeats a bit, so the leaf needs
-    one entry of the flip child, which one sum gives (`_flip_leaf`) in place
-    of the child's difference table.  The child is not built, so its parent
+    Each call descends from the deepest node kept above the label's leaf to
+    the parent of the label's last flip, the lowest bit that differs from
+    the bit above it, and keeps every node it computes: the step of
+    `average_numerators`, the even entries on a repeated bit and
+    `_flip_child` on a flip.  Every step below that flip repeats a bit, so
+    the leaf needs one entry of the flip child, which one sum gives
+    (`_flip_leaf`) in place of the child's difference table.  The child is not built, so its parent
     stays kept until a later label needs it, and the leaf's numerator is
     kept for a second read.  A label whose last flip lies above a kept node
     reads its leaf's entry of that node.  A parent is dropped once both its
@@ -284,7 +282,7 @@ def average_descent(m: int) -> tuple[Callable[[int], int], int]:
         moments = nodes[key] if key in nodes else _chain_flip(m, top - 1, d)
         for t in range(depth, below - 1):
             bit = (v >> (m - t - 1)) & 1
-            moments = _moment_children(t, v >> (m - t), moments, (not bit, bool(bit)))[bit]
+            moments = moments[::2] if bit == (v >> (m - t)) & 1 else _flip_child(moments)
             key = 2 * key + bit
             keep(key, moments)
         if depth < below:

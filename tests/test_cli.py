@@ -179,12 +179,12 @@ class TestRank:
         the flip child and the steps below it."""
         from becpolar import synthesis
         m, leaves = 10, []
-        step, flip, last = synthesis._moment_children, synthesis._chain_flip, synthesis._flip_leaf
+        step, flip, last = synthesis._flip_child, synthesis._chain_flip, synthesis._flip_leaf
 
-        def spy(k, w, moments, want):
-            if k == m - 1:
-                leaves.extend(2 * w + bit for bit in (0, 1) if want[bit])
-            return step(k, w, moments, want)
+        def spy(moments):
+            if len(moments) == 3:  # a node of depth m - 1: its flip child is a leaf
+                leaves.append(0)
+            return step(moments)
 
         def flip_spy(m_, k, d):
             if k == m - 1:
@@ -194,7 +194,7 @@ class TestRank:
         def last_spy(moments):
             leaves.append(None)  # the leaf of the label whose last flip this is
             return last(moments)
-        monkeypatch.setattr(synthesis, "_moment_children", spy)
+        monkeypatch.setattr(synthesis, "_flip_child", spy)
         monkeypatch.setattr(synthesis, "_chain_flip", flip_spy)
         monkeypatch.setattr(synthesis, "_flip_leaf", last_spy)
         code, out, _ = run_cli(capsys, "rank", "--m", str(m), "--by", "avr", "--k", "10")
@@ -345,6 +345,18 @@ def test_bad_m_exits_before_synthesis(capsys, monkeypatch, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: m must be in 1..16") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("rank", "--m", "14", "--by", "avr", "--k", "-1"), "--k -1 out of range for m=14"),
+    (("synth", "--m", "12", "--u", "-1"), "u=-1 out of range for m=12"),
+], ids=["rank-k", "synth-u"])
+def test_bad_u_and_k_are_reported_before_the_budget(capsys, argv, message):
+    """An out-of-range --k or --u is a usage error at an m whose work the
+    budget would refuse, not a budget refusal."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def _refusal(m, total, layer, part):

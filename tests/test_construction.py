@@ -62,9 +62,9 @@ class TestRank:
             rank(criterion, m)
 
     @pytest.mark.parametrize("m", range(1, 11))
-    def test_average_keys_from_half_the_labels_equal_the_full_walk(self, m, cache):
-        """Complement halving against the walk over every label: at m = 1
-        the half is label 0 alone."""
+    def test_average_keys_from_the_descent_equal_the_walk(self, m, cache):
+        """The descent ranking against its twin, the walk over every label:
+        the same keys, denominator and order."""
         nums, d = average_numerators(m)
         ranking = cache.by_average(m)
         assert ranking.keys == nums
@@ -72,16 +72,21 @@ class TestRank:
         assert ranking.order == _order(nums)
 
     @pytest.mark.parametrize("m", [1, 5, 8])
-    def test_average_walks_one_label_of_each_complement_pair(self, monkeypatch, m):
-        requested = []
+    def test_average_never_calls_the_walk(self, monkeypatch, m):
+        """Every key is read once from one descent, and no walk runs."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("rank by average walked the suffix tree")
+        for module in (construction, synthesis):
+            monkeypatch.setattr(module, "average_numerators", refuse)
+        monkeypatch.setattr(synthesis, "_suffix_walk", refuse)
+        reads, descent = [], synthesis.average_descent
 
-        def spy(m, labels=None):
-            labels = range(1 << m) if labels is None else list(labels)
-            requested.extend(labels)
-            return average_numerators(m, labels)
-        monkeypatch.setattr(construction, "average_numerators", spy)
+        def spy(m):
+            numerator, d = descent(m)
+            return (lambda u: reads.append(u) or numerator(u)), d
+        monkeypatch.setattr(synthesis, "average_descent", spy)
         rank(Criterion.average(), m)
-        assert sorted(requested) == list(range(1 << (m - 1)))
+        assert reads == list(range(1 << m))
 
 
 def _prefix(ranking, k):
@@ -236,9 +241,8 @@ def test_average_keys_without_a_table_equal_the_table_path(m, cache):
 def _pair_decimals(m, pairs, places):
     """Half-up renderings of the averages of label pairs, each from its
     numerator over D, as the pair-avr-decimals check renders them."""
-    nums, d = average_numerators(m, [u for pair in pairs for u in pair])
-    views = [render_avr(x, places, d) for x in nums]
-    return list(zip(views[::2], views[1::2]))
+    numerator, d = synthesis.average_descent(m)
+    return [tuple(render_avr(numerator(u), places, d) for u in pair) for pair in pairs]
 
 
 class TestAvrOfPairs:

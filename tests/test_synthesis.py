@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 from functools import cache as memoize
 from math import comb, lcm
@@ -24,9 +25,9 @@ from becpolar.synthesis import (
     ChannelTable,
     _chain_flip,
     _denominator,
+    _flip_child,
     _flip_leaf,
     _half_enclosure,
-    _moment_children,
     _suffix_walk,
     _threshold_floor,
     average_descent,
@@ -173,16 +174,11 @@ class TestSynthLabels:
                 with pytest.raises(ValueError, match=f"1..{MAX_M}"):
                     build()
 
-    @pytest.mark.parametrize("labels", [[4], [-1], [0, 9]])
-    def test_rejects_labels_out_of_range(self, labels):
-        with pytest.raises(ValueError, match="labels"):
-            average_numerators(2, labels)
-
 
 def _bit_strings(calls):
     """A step that records each call and makes a node's state the string of
     its bits, outermost first, so a leaf reads back its own label."""
-    def children(k, w, state, want):
+    def children(k, w, state):
         calls.append((k, w))
         return state + "0", state + "1"
     return children
@@ -199,38 +195,23 @@ class TestSuffixWalk:
         assert leaves == tuple(format(u, f"0{m}b") for u in range(1 << m))
         assert len(calls) == (1 << m) - 1
 
-    @pytest.mark.parametrize("m", [1, 4, 7])
-    def test_one_label_expands_one_node_per_depth(self, m):
-        for u in (0, (1 << m) - 1, (1 << m) // 3):
-            calls = []
-            assert _suffix_walk(m, "", _bit_strings(calls), [u]) == (format(u, f"0{m}b"),)
-            assert calls == [(k, u >> (m - k)) for k in range(m)]
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_drops_each_parent_once_its_children_exist(self, m):
+        """When node w of depth k is expanded, the nodes alive below the
+        root are the 2^k - w of its depth not yet expanded, w among them,
+        and the 2w children of those before it."""
+        class Node:
+            def __init__(self, depth):
+                self.depth = depth
+        alive = weakref.WeakSet()
 
-    def test_expands_only_prefixes_of_requested_labels(self):
-        m, labels = 6, [5, 40, 41, 63]
-        calls = []
-        _suffix_walk(m, "", _bit_strings(calls), labels)
-        prefixes = {(k, u >> (m - k)) for u in labels for k in range(m)}
-        assert sorted(calls) == sorted(prefixes)
-
-    def test_repeated_labels_come_back_in_the_order_asked(self):
-        labels = [6, 1, 6, 6, 0, 1]
-        assert _suffix_walk(3, "", _bit_strings([]), labels) == tuple(
-            format(u, "03b") for u in labels)
-        assert _suffix_walk(3, "", _bit_strings([]), []) == ()
-
-    @pytest.mark.parametrize("labels", [[0, 8], [-1], [3, 2, 99]])
-    def test_out_of_range_label_raises_before_any_step(self, labels):
-        def children(*args):
-            raise AssertionError("a step ran before the range check")
-        with pytest.raises(ValueError, match="labels must be in 0..7 for m=3"):
-            _suffix_walk(3, "", children, labels)
-
-    def test_reads_only_wanted_children(self):
-        """A step may build any child; the walk keeps only the wanted ones."""
-        def children(k, w, state, want):
-            return (state + "0" if want[0] else None), (state + "1" if want[1] else None)
-        assert _suffix_walk(4, "", children, [9, 2]) == ("1001", "0010")
+        def children(k, w, state):
+            depths = [node.depth for node in alive if node.depth]
+            assert sorted(depths) == [k] * ((1 << k) - w if k else 0) + [k + 1] * 2 * w, (k, w)
+            pair = Node(k + 1), Node(k + 1)
+            alive.update(pair)
+            return pair
+        assert len(_suffix_walk(m, Node(0), children)) == 1 << m
 
 
 def _average_numerators_by_rows(m: int) -> tuple[tuple[int, ...], int]:
@@ -278,17 +259,6 @@ class TestChannelAverages:
     def test_equal_the_row_recursion(self, m):
         assert average_numerators(m) == _average_numerators_by_rows(m)
 
-    @pytest.mark.parametrize("m", range(1, 10))
-    def test_labels_read_the_full_walk(self, m):
-        """The walk restricted to the suffixes of some labels gives each the
-        numerator of the full walk, in the order asked, duplicates included."""
-        full, d = average_numerators(m)
-        rng = random.Random(m)
-        for size in (0, 1, 2, 5, (1 << m) // 2, 1 << m, 3 << m):
-            labels = [rng.randrange(1 << m) for _ in range(size)]
-            assert average_numerators(m, labels) == (tuple(full[u] for u in labels), d)
-        assert average_numerators(m, iter([(1 << m) - 1, 0])) == ((full[-1], full[0]), d)
-
     def test_keeps_one_difference_row_alive(self):
         """About 0.7-0.8 MB at m = 10; every row of the difference tables kept
         would be about n^2 / 2 integers, some 100 MB."""
@@ -317,7 +287,7 @@ class TestChannelAverages:
 
 
 class TestAverageDescent:
-    """The shared descent against its twins: `_moment_children`'s difference
+    """The shared descent against its twins: `_flip_child`'s difference
     table for each closed-form chain flip and each last-flip sum,
     `integration_weights` for D, `average_numerators` for every label."""
 
@@ -327,7 +297,7 @@ class TestAverageDescent:
         d, root = integration_weights((1 << m) + 1)
         for k in range(1, m):
             node = list(root[::1 << k])
-            assert _chain_flip(m, k, d) == _moment_children(k, 0, node, (False, True))[1], k
+            assert _chain_flip(m, k, d) == _flip_child(node), k
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_last_flip_sums_equal_the_difference_table(self, m):
@@ -338,9 +308,9 @@ class TestAverageDescent:
         for t in range(1, m):
             nxt = {}
             for w, moments in level.items():
-                zero, one = _moment_children(t, w, moments, (True, True))
-                assert _flip_leaf(moments) == (zero if w & 1 else one)[-1], (t, w)
-                nxt[2 * w], nxt[2 * w + 1] = zero, one
+                flip = _flip_child(moments)
+                assert _flip_leaf(moments) == flip[-1], (t, w)
+                nxt[2 * w + 1 - (w & 1)], nxt[2 * w + (w & 1)] = flip, moments[::2]
             level = nxt
 
     @pytest.mark.parametrize("m", range(1, 14))
