@@ -241,7 +241,7 @@ def _avr_2dp(m, table):
     numerator, d = synthesis.average_descent(m)
     exact = [Fraction(numerator(u), d) for u, _ in golden.AVR_2DP_ROWS[m]]
     for (u, cited), value in zip(golden.AVR_2DP_ROWS[m], exact):
-        rendered = str(construction.render_avr(value, 2))
+        rendered = construction.render_avr(value, 2)
         pinned = golden.AVR_2DP_LOOSE.get((m, u))
         if abs(value - Fraction(cited)) >= Fraction(1, 100):
             yield f"u={u}: exact {float(value):.4f} vs cited {cited}"
@@ -330,10 +330,10 @@ def _pair_avr_decimals(m, table):
         places = max(len(text) - 2 for text in cited)
         for u, text in zip(pair, cited):
             got = construction.render_avr(numerator(u), places, d)
-            if abs(got - Decimal(text)) > Decimal(1).scaleb(-places):
+            if abs(Decimal(got) - Decimal(text)) > Decimal(1).scaleb(-places):
                 yield f"u={u}: {got} vs cited {text}"
     for u, want in golden.PAIR_AVR_6DP_M5.items():
-        got = str(construction.render_avr(numerator(u), 6, d))
+        got = construction.render_avr(numerator(u), 6, d)
         if got != want:
             yield f"u={u}: {got} != {want} at six places"
 

@@ -29,7 +29,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
 from . import checks, construction, orders, polynomials, synthesis
-from .monomials import Monomial, check_m
+from .monomials import Monomial, check_m, monomial_text
 from .orders import Relation
 
 _RELATIONS = {"w": Relation.WEAK, "std": Relation.STANDARD, "dom": Relation.DOMINANCE}
@@ -42,11 +42,12 @@ _RELATIONS = {"w": Relation.WEAK, "std": Relation.STANDARD, "dom": Relation.DOMI
 #   conversion    to_path_counts of one channel: 3.8 / 49 / 600 ms at m = 7 /
 #                 8 / 9.  synth --u converts one, verify and synth 2^m.
 #   average walk  average_numerators: 0.42 / 2.7 / 23.5 s at m = 11 / 12 / 13.
-#                 rank --by avr past the frontier still counts one walk,
-#                 though it reads every label from average_descent, so the
-#                 row over-estimates it: its ranking took 3.3-4.2 s at
-#                 m = 13, estimated 23.5 s.  The row stays as measured for
-#                 the walk, so no admission boundary moves.
+#                 rank --by avr past the frontier, and --by beta= listing
+#                 every label, still count one walk, though they read every
+#                 label from average_descent, so the row over-estimates
+#                 them: rank by average took 3.3-4.2 s at m = 13, estimated
+#                 23.5 s.  The row stays as measured for the walk, so no
+#                 admission boundary moves.
 #   frontier      rank --by avr --k K from the frontier, K <= 2^(m-3), per
 #                 (K / 64)^4.  Its costliest read is the difference table of
 #                 x0*x_j for the highest variable x_j among the best K: about
@@ -61,6 +62,21 @@ _RELATIONS = {"w": Relation.WEAK, "std": Relation.STANDARD, "dom": Relation.DOMI
 #                 0.67 of that estimate (m = 14, K = 144: 16.6 s, estimated
 #                 24.9 s); below it the fixed cost of D and the chain flips
 #                 shows, and the best 10 took 0.008-0.11 s.
+#   difference tables
+#                 rank --by beta=x --k K, per (s / 2^12)^2 for each table of
+#                 s + 1 moments that average_descent builds to read the K
+#                 listed labels (`_difference_tables`, which the beta order,
+#                 ranked first, names), or one average walk if that is less.
+#                 Fitted above every time measured at m = 14..16, each
+#                 0.57-0.91 of its estimate: m = 14, K = 144 / 368 at
+#                 beta = 1.01 and K = 2144 at 1.22 took 19.5 / 22.0 / 26.3 s;
+#                 m = 15, K = 57 / 58 / 120 at 1.01 and 374 at 1.22 7.1 /
+#                 26.0 / 172 / 7.9 s; m = 16, K = 58 / 59 at 1.01 and 374 at
+#                 1.22 19.6 / 48.9 / 15.8 s.  At beta = 1.22 the best 64 of
+#                 m = 14 / 15 took 0.085 / 0.17 s and the best 10 of m = 16
+#                 0.088 s.  Near 1, beta lists x0*x_j of high j early, whose
+#                 tables the frontier row prices only at the K where avr
+#                 lists them.
 #   scoring       rank --by p=a/q --k 1 past synthesis, per digit of q: 0.34 /
 #                 2.8 / 32.5 s with 99 digits at m = 7 / 8 / 9.  It grows faster
 #                 than the digits, so short q are over-estimated: m = 10 took
@@ -68,7 +84,8 @@ _RELATIONS = {"w": Relation.WEAK, "std": Relation.STANDARD, "dom": Relation.DOMI
 # BUDGET sits just above the average walk at m = 13, the costliest admitted
 # stage of any layer; each layer's next stage is estimated at 95 s or more.
 COSTS = {"synthesis": (10, 9.7, 12), "conversion": (9, 0.6, 12.6),
-         "average walk": (13, 23.5, 8), "frontier": (15, 2, 2), "scoring": (9, 0.3, 10)}
+         "average walk": (13, 23.5, 8), "frontier": (15, 2, 2),
+         "difference tables": (15, 28, 2.3), "scoring": (9, 0.3, 10)}
 BUDGET = 25
 
 
@@ -91,8 +108,30 @@ def _admit(args: argparse.Namespace, units: dict[str, float]) -> None:
                          "pass --force to override")
 
 
-def _dec(value: Fraction | int, denominator: int = 1) -> str:
-    return str(construction.render_avr(value, 6, denominator))
+def _difference_tables(m: int, labels: list[int]) -> float:
+    """The difference tables `synthesis.average_descent` builds to read the
+    averages of `labels` of m, in units of the `difference tables` row of
+    COSTS: (s / 2^12)^2 for a table of s + 1 moments.  A label, or its
+    complement if that is lower, builds one at every flip below its top bit
+    but the last, which is one sum: the flip at bit i takes the table of the
+    node that keeps the label's bits above i, 2^(i+1) + 1 moments, once for
+    all the labels that pass it."""
+    mask = (1 << m) - 1
+    nodes = set()
+    for u in labels:
+        v = min(u, u ^ mask)
+        flips = (v ^ (v >> 1)) & (mask >> (m + 1 - v.bit_length()))  # below the top bit
+        flips &= flips - 1  # all but the last
+        while flips:
+            i = flips.bit_length() - 1
+            nodes.add((i, v >> (i + 1)))
+            flips ^= 1 << i
+    return sum(4.0 ** (i - 11) for i, _ in nodes)
+
+
+def _dec(x: int, d: int) -> str:
+    """x / d rounded half-up to 6 places, the decimal columns' text."""
+    return construction.render_avr(x, 6, d)
 
 
 def _ratio(x: int, d: int) -> str:
@@ -101,11 +140,11 @@ def _ratio(x: int, d: int) -> str:
     return f"{x // g}/{d // g}"
 
 
-def _beta_decimal(x: int, d: int, beta: Decimal, m: int) -> str:
-    """A beta score x / d, a sum of powers below beta^m, written exactly as
-    a decimal without trailing zeros."""
-    places = (m - 1) * max(0, -beta.as_tuple().exponent)
-    text = format(construction.render_avr(x, places, d), "f")
+def _beta_decimal(x: int, d: int, places: int) -> str:
+    """A beta score x / d, a sum of powers below beta^m with at most `places`
+    decimal places, (m - 1) times those of beta, written exactly as a
+    decimal without trailing zeros."""
+    text = construction.render_avr(x, places, d)
     return text.rstrip("0").rstrip(".") if "." in text else text
 
 
@@ -192,7 +231,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     """Rank the channels; print the best k with their averages and thresholds.
 
     Thresholds come from the label by integer square roots
-    (`channel_threshold`), and averages from the moment recursion, so only
+    (`threshold_floors`), and averages from the moment recursion, so only
     `p=` builds a polynomial: it scores from the full table.  Every average
     is read from the descent (`average_descent`).  `avr` lists the best k
     from the standard-order frontier (`best_by_average`), which computes
@@ -206,7 +245,16 @@ def cmd_rank(args: argparse.Namespace) -> int:
     table of x0*x_j for the highest variable x_j among the best k, and
     sqrt(k / 2^(m-1)) average walks, which bounds it once x_(m-2) has
     joined.  So the best 144 of m = 14, 120 of m = 15 and 101 of m = 16
-    are admitted where all of them are not.
+    are admitted where all of them are not.  `beta=` with `--k` ranks first,
+    2^m sums and one sort with no average, and counts the difference tables
+    the descent builds for the labels it lists (`_difference_tables`), or
+    one walk if that is less: the best 1622 by beta = 1.22 of m = 14 and
+    374 of m = 15 and 16 are admitted, and 103, 57 and 58 by beta = 1.01.
+
+    Each record is built from integers: the ratios by one gcd, every decimal
+    column by one divmod (`render_avr`), the monomial from the label's
+    cached support, and the thresholds of all listed labels from one
+    `synthesis.threshold_floors`.
     """
     criterion = _parse_criterion(args.by)
     m = args.m
@@ -214,44 +262,55 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if not 0 <= k <= (1 << m):
         raise ValueError(f"--k {k} out of range for m={m}")
     frontier = criterion.kind == "average" and 8 * k <= 1 << m
+    # a beta listing ranks first, 2^m sums and one sort with no average, so
+    # that its estimate counts the averages of the labels it lists
+    ranking = (construction.rank(criterion, m)
+               if criterion.kind == "beta" and args.k is not None else None)
+
+    def cheaper(*estimates: dict[str, float]) -> dict[str, float]:
+        return min(estimates, key=lambda units: sum(_seconds(m, units).values()))
     if criterion.kind == "pointwise":
         _admit(args, {"synthesis": 1, "scoring": len(str(criterion.p.denominator))})
     elif frontier:
-        _admit(args, min({"frontier": (k / 64) ** 4}, {"average walk": (k / (1 << (m - 1))) ** 0.5},
-                         key=lambda units: sum(_seconds(m, units).values())))
+        _admit(args, cheaper({"frontier": (k / 64) ** 4}, {"average walk": (k / (1 << (m - 1))) ** 0.5}))
+    elif ranking is not None:
+        _admit(args, cheaper({"difference tables": _difference_tables(m, ranking.order[:k])},
+                             {"average walk": 1}))
     else:
         _admit(args, {"average walk": 1})
     if frontier:
         listed, nums, d = construction.best_by_average(m, k)
     else:
-        ranking = construction.rank(criterion, m)
+        ranking = ranking or construction.rank(criterion, m)
         listed = ranking.order[:k]
         if criterion.kind == "average":
             nums, d = [ranking.keys[u] for u in listed], ranking.denominator
         else:
             numerator, d = synthesis.average_descent(m)
             nums = [numerator(u) for u in listed]
-    tol = Fraction(1, 2**30)
+    if criterion.kind == "beta":
+        places = (m - 1) * max(0, -criterion.beta.as_tuple().exponent)
+    # each threshold to within 2^-30, as `channel_threshold` gives it: the
+    # midpoint (2 floor(t 2^29) + 1) / 2^30 of its bracket
+    floors = synthesis.threshold_floors(m, listed, 29)
     records = []
-    for u, x in zip(listed, nums):
+    for u, x, floor in zip(listed, nums, floors):
         avr, avr_decimal = _ratio(x, d), _dec(x, d)
         if criterion.kind == "average":
             score, score_decimal = avr, avr_decimal
         else:
             key, den = ranking.keys[u], ranking.denominator
-            score = (_beta_decimal(key, den, criterion.beta, m) if criterion.kind == "beta"
-                     else _ratio(key, den))
+            score = _beta_decimal(key, den, places) if criterion.kind == "beta" else _ratio(key, den)
             score_decimal = _dec(key, den)
-        mono = Monomial(m, u)
         records.append({
             "u": u,
-            "monomial": str(mono),
-            "degree": mono.degree,
+            "monomial": monomial_text(u),
+            "degree": u.bit_count(),
             "score": score,
             "score_decimal": score_decimal,
             "avr": avr,
             "avr_decimal": avr_decimal,
-            "threshold_decimal": _dec(synthesis.channel_threshold(mono, tol)),
+            "threshold_decimal": _dec(2 * floor + 1, 1 << 30),
         })
     if args.format == "json":
         print(_rank_json(m, criterion.label(), records))
@@ -330,7 +389,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 def cmd_avrplot(args: argparse.Namespace) -> int:
     _admit(args, {"average walk": 1})
     nums, d = synthesis.average_numerators(args.m)
-    lines = ["u,avr"] + [f"{u},{construction.render_avr(x, 6, d)}" for u, x in enumerate(nums)]
+    lines = ["u,avr"] + [f"{u},{_dec(x, d)}" for u, x in enumerate(nums)]
     text = "\n".join(lines) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

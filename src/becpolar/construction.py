@@ -221,13 +221,14 @@ def incomparable_pairs(table: ChannelTable) -> list[tuple[int, int]]:
                   if verdict is orders.Comparison.INCOMPARABLE)
 
 
-def render_avr(value: Fraction | int, digits: int, denominator: int = 1) -> Decimal:
-    """Exact rational value / denominator rounded half-up to the given number
-    of decimal places.
+def render_avr(value: Fraction | int, digits: int, denominator: int = 1) -> str:
+    """The text of a nonnegative rational value / denominator rounded half-up
+    to the given number of decimal places, written out in full with no
+    exponent (`format(d, "f")` of the equal `Decimal` d).
 
-    One `divmod` of the numerator times 10^digits by the denominator, and the
-    `Decimal` is built from a string rather than under a `decimal` context,
-    so no value is rounded a second time, however many digits it has.  An
+    One `divmod` of the numerator times 10^digits by the denominator gives
+    the digits, and the text is cut from them, so no value is rounded a
+    second time, however many digits it has, and no `Decimal` is built.  An
     integer value with its denominator renders an average numerator over D
     without a `Fraction`.
     """
@@ -235,7 +236,10 @@ def render_avr(value: Fraction | int, digits: int, denominator: int = 1) -> Deci
     q, r = divmod(value.numerator * 10**digits, den)
     if 2 * r >= den:
         q += 1
-    return Decimal(f"{q}E{-digits}")
+    if not digits:
+        return str(q)
+    text = str(q).rjust(digits + 1, "0")
+    return f"{text[:-digits]}.{text[-digits:]}"
 
 
 def avr_distribution(m: int) -> list[int]:

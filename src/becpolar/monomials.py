@@ -57,9 +57,13 @@ class Monomial:
         return Monomial(self.m, self.bits | other.bits)
 
     def __str__(self) -> str:
-        if self.bits == 0:
-            return "1"
-        return "*".join(f"x{i}" for i in self.support())
+        return monomial_text(self.bits)
+
+
+def monomial_text(bits: int) -> str:
+    """The monomial of a mask as text, its variables ascending: x0*x2 for 5,
+    and 1 for the empty mask."""
+    return "*".join([f"x{i}" for i in _support(bits)]) or "1"
 
 
 @cache

@@ -239,7 +239,11 @@ def average_descent(m: int) -> tuple[Callable[[int], int], int]:
     D / (2^k j + 1) and its 1-child comes in closed form (`_chain_flip`), so
     no node 0^k is built: label 0 reads D / (2^m + 1), and every other label
     starts at the 1-child of its chain of zeros, recomputed on each read, or
-    below it.
+    below it.  Chain flips are the largest vectors of a descent, so keeping
+    them costs memory: kept, they lifted the peak RSS of `rank --m 15 --by
+    avr --k 64` from 34 to 47 MB and of `--k 144` from 110 to 183 MB, to
+    save 5 of the 12 rebuilds in the best 11 of m = 8: 141-142 against
+    150-155 us.
 
     Each call descends from the deepest node kept above the label's leaf to
     the parent of the label's last flip, the lowest bit that differs from
@@ -296,38 +300,65 @@ def average_descent(m: int) -> tuple[Callable[[int], int], int]:
     return numerator, d
 
 
-def _ceil_isqrt(x: int) -> int:
-    r = isqrt(x)
-    return r + (r * r < x)
-
-
-def _half_enclosure(bits: list[int], w: int) -> tuple[int, int]:
-    """Integers lo <= t * 2^w <= hi for the t with Z(t) = 1/2, where Z applies
-    one step per bit of `bits`, the first bit outermost.
+def _half_enclosures(m: int, labels: set[int], w: int) -> dict[int, tuple[int, int]]:
+    """Integers lo <= t_u * 2^w <= hi for each label u of m in `labels`, where
+    Z_u(t_u) = 1/2: one depth-first pass over the labels' bit prefixes, the
+    outermost bit u_0 first, so labels that share their first k bits share
+    their first k steps, each computed once.
 
     Inverts one step at a time from y = 1/2, the outermost first: a 0-bit
     (z^2) by y -> sqrt(y), a 1-bit (2z - z^2) by y -> 1 - sqrt(1 - y).  Each
     square root is `isqrt` rounded down for one bound and up for the other,
     so every step keeps the true value inside [lo, hi]."""
     one = 1 << w
-    lo = hi = one >> 1
-    for bit in bits:
-        if bit:
-            lo, hi = one - _ceil_isqrt((one - lo) << w), one - isqrt((one - hi) << w)
-        else:
-            lo, hi = isqrt(lo << w), _ceil_isqrt(hi << w)
-    return lo, hi
+    path = [(one >> 1, one >> 1)]  # path[k]: the enclosure after the last label's first k bits
+    enclosures, last = {}, 0
+    # in bit-reversed order each label follows the one it shares the most first bits with
+    for u in sorted(labels, key=lambda u: f"{u:0{m}b}"[::-1]):
+        diff = u ^ last
+        k = (diff & -diff).bit_length() - 1 if enclosures else 0  # the first bits u shares
+        del path[k + 1:]
+        lo, hi = path[k]
+        for i in range(k, m):
+            if u >> i & 1:
+                x = (one - lo) << w
+                r = isqrt(x)
+                lo, hi = one - r - (r * r < x), one - isqrt((one - hi) << w)
+            else:
+                x = hi << w
+                r = isqrt(x)
+                lo, hi = isqrt(lo << w), r + (r * r < x)
+            path.append((lo, hi))
+        enclosures[u], last = (lo, hi), u
+    return enclosures
 
 
-def _threshold_floor(bits: list[int], j: int, w: int) -> int:
-    """floor(t * 2^j) for the t of `_half_enclosure(bits, w)`, w >= j: read
-    from the enclosure once both of its ends agree on it, with w doubled
-    until they do.  Terminates whenever t * 2^j is not an integer."""
-    while True:
-        lo, hi = _half_enclosure(bits, w)
-        if lo >> (w - j) == hi >> (w - j):
-            return lo >> (w - j)
+def threshold_floors(m: int, labels: list[int], j: int) -> list[int]:
+    """floor(t_u * 2^j) for each label u of m in `labels`, in their order,
+    where Z_u(t_u) = 1/2: the integer inversion behind `channel_threshold`,
+    which describes it, run once for all the labels.
+
+    The enclosures of `_half_enclosures` start at width w = j + 2m + 8, which
+    decided every label of m <= 13 in one pass; a label whose bounds still
+    disagree on the floor is run again at twice the width.  That ends, as
+    t_u * 2^j is irrational.  For the same reason, when a label and its
+    complement are both listed, only the one with u_0 = 0 is inverted, and
+    the other takes 2^j - 1 minus its floor: Z_ubar(p) = 1 - Z_u(1 - p)
+    gives t_ubar = 1 - t_u."""
+    mask = (1 << m) - 1
+    wanted = set(labels)
+    todo = {u for u in wanted if not u & 1 or u ^ mask not in wanted}
+    floors: dict[int, int] = {}
+    w = j + 2 * m + 8
+    while todo:
+        shift = w - j
+        for u, (lo, hi) in _half_enclosures(m, todo, w).items():
+            if lo >> shift == hi >> shift:
+                floors[u] = lo >> shift
+        todo -= floors.keys()
         w *= 2
+    top = (1 << j) - 1
+    return [floors[u] if u in floors else top - floors[u ^ mask] for u in labels]
 
 
 def channel_threshold(u: Monomial, tol: Fraction = Fraction(1, 2**30)) -> Fraction:
@@ -337,21 +368,22 @@ def channel_threshold(u: Monomial, tol: Fraction = Fraction(1, 2**30)) -> Fracti
     transition point, which 1 - Avr estimates through the average.
 
     Z_u(t) = 1/2 says t = S_{u_{m-1}}(...S_{u_0}(1/2)), S_0(y) = sqrt(y) and
-    S_1(y) = 1 - sqrt(1 - y), which `_half_enclosure` encloses on integers
+    S_1(y) = 1 - sqrt(1 - y), which `_half_enclosures` encloses on integers
     over 2^w.  That t is irrational, since sqrt(1/2) is and each S_b maps an
     irrational to an irrational, so the bisection never hits it: it stops
     at the first j with 2^-j <= 2 tol and returns the midpoint
-    (2 floor(t 2^j) + 1) / 2^(j+1) of the one width-2^-j dyadic bracket that
-    holds t, which is what this returns.  The enclosure starts at
-    w = j + 2m + 8, which decided every label of m <= 13 in one pass.  At
-    the default tol a label took 13-21 us at m = 8 and 9 and 27-44 us at
-    m = 16 (2-core host, CPython 3.11).
+    (2 floor(t 2^j) + 1) / 2^(j+1) of the one width-2^-j bracket that holds
+    t, which is what this returns, from the floor of `threshold_floors` for
+    the one label.  At the default tol one label took 12 us at m = 8 and
+    24-25 us at m = 16, about 3 us of it the pass's bookkeeping; `rank`
+    lists its labels through one `threshold_floors`, and there the best 11
+    of m = 8 took 64-69 us and all 256 took 0.32-0.40 ms, against 0.11 and
+    2.9-3.0 ms for one inversion per label (2-core host, CPython 3.11).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     a, b = Fraction(tol).as_integer_ratio()
     # smallest j >= 0 with 2^j >= b / (2a), that is 2^-j <= 2 tol
     j = (-(-b // (2 * a)) - 1).bit_length()
-    bits = [(u.bits >> i) & 1 for i in range(u.m)]  # outermost bit u_0 first
-    lo = _threshold_floor(bits, j, j + 2 * u.m + 8)
-    return Fraction(2 * lo + 1, 1 << (j + 1))
+    [floor] = threshold_floors(u.m, [u.bits], j)
+    return Fraction(2 * floor + 1, 1 << (j + 1))

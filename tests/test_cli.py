@@ -242,8 +242,8 @@ class TestRank:
         # the records as built from the full table, its integrals and the
         # bisection on each label's recursion, the slow twins of the label
         # paths (the threshold twin at every m of the polynomial bisection
-        # is in tests/test_synthesis.py)
-        from fractions import Fraction
+        # is in tests/test_synthesis.py), each rendered by `decimal`
+        from decimal import ROUND_HALF_UP, Decimal, localcontext
 
         from becpolar import construction, synthesis
         m = 7
@@ -254,6 +254,21 @@ class TestRank:
 
         def frac(value):
             return f"{value.numerator}/{value.denominator}"
+
+        def exact(value):
+            # 200 digits hold every beta score of m = 7 exactly (12 places),
+            # and keep a quotient of a denominator of under 190 digits off a
+            # six-place tie unless it is one: this m's D has 56
+            with localcontext() as ctx:
+                ctx.prec, ctx.rounding = 200, ROUND_HALF_UP
+                return Decimal(value.numerator) / Decimal(value.denominator)
+
+        def dec(value):
+            return format(exact(value).quantize(Decimal("1e-6"), ROUND_HALF_UP), "f")
+
+        def beta_text(value):
+            text = format(exact(value), "f")
+            return text.rstrip("0").rstrip(".") if "." in text else text
         for u in ranking.order:
             score = ranking.score(u)
             threshold = _label_bisection(Monomial(m, u), Fraction(1, 2**30))
@@ -261,12 +276,11 @@ class TestRank:
                 "u": u,
                 "monomial": str(Monomial(m, u)),
                 "degree": u.bit_count(),
-                "score": (cli._beta_decimal(*score.as_integer_ratio(), criterion.beta, m)
-                          if criterion.kind == "beta" else frac(score)),
-                "score_decimal": cli._dec(score),
+                "score": beta_text(score) if criterion.kind == "beta" else frac(score),
+                "score_decimal": dec(score),
                 "avr": frac(table.avr(u)),
-                "avr_decimal": cli._dec(table.avr(u)),
-                "threshold_decimal": cli._dec(threshold),
+                "avr_decimal": dec(table.avr(u)),
+                "threshold_decimal": dec(threshold),
             })
         code, out, _ = run_cli(capsys, "rank", "--m", str(m), "--by", by, "--format", "json")
         assert code == 0
@@ -598,6 +612,81 @@ def test_the_best_few_count_as_the_frontier_row(capsys, monkeypatch, m, k, estim
     monkeypatch.setattr(cli, "BUDGET", 0)
     code, _, err = run_cli(capsys, "rank", "--m", str(m), "--by", "avr", "--k", str(k))
     assert code == 2 and err == _refusal(m, estimate, "frontier", estimate)
+
+
+# `rank --by beta=x --k K` ranks by beta, then counts the difference tables
+# of the K labels it lists; estimated / measured with --force
+BETA_ADMITTED = [
+    ("rank", "--m", "14", "--by", "beta=1.22", "--k", "4"),  # 0 / 0.015 s
+    ("rank", "--m", "14", "--by", "beta=1.22", "--k", "64"),  # 0.066 / 0.085 s
+    ("rank", "--m", "15", "--by", "beta=1.22", "--k", "64"),  # 0.15 / 0.17 s
+    ("rank", "--m", "16", "--by", "beta=1.22", "--k", "10"),  # 0.00006 / 0.088 s
+    ("rank", "--m", "14", "--by", "beta=1.01", "--k", "103"),  # 22.7 / 19.2 s
+    ("rank", "--m", "14", "--by", "beta=1.22", "--k", "1622"),  # 24.7 / 20.2 s
+    ("rank", "--m", "15", "--by", "beta=1.01", "--k", "57"),  # 9.35 / 7.1 s
+    ("rank", "--m", "16", "--by", "beta=1.01", "--k", "58"),  # 21.5 / 19.6 s
+    ("rank", "--m", "16", "--by", "beta=1.22", "--k", "374"),  # 22.6 / 15.8 s
+]
+BETA_REFUSED = [
+    ("rank", "--m", "14", "--by", "beta=1.01", "--k", "104"),  # 25.7 / 20.0 s
+    ("rank", "--m", "15", "--by", "beta=1.01", "--k", "58"),  # 37.3 / 26.0 s
+    ("rank", "--m", "15", "--by", "beta=1.01", "--k", "120"),  # 236 / 172 s
+    ("rank", "--m", "16", "--by", "beta=1.01", "--k", "59"),  # 85.9 / 48.9 s
+]
+
+
+@pytest.fixture
+def averages(monkeypatch):
+    """Every library call that reads an average patched to raise `Reached`:
+    a beta listing ranks before its estimate and reads averages after it."""
+    from becpolar import construction, synthesis
+
+    def reached(*args, **kwargs):
+        raise Reached
+    for module, name in ((synthesis, "average_descent"), (synthesis, "average_numerators"),
+                         (construction, "average_numerators")):
+        monkeypatch.setattr(module, name, reached)
+
+
+@pytest.mark.parametrize("argv", BETA_ADMITTED, ids=_case_id)
+def test_a_beta_listing_is_admitted_by_its_tables(averages, argv):
+    with pytest.raises(Reached):
+        cli.main(list(argv))
+
+
+@pytest.mark.parametrize("argv", BETA_REFUSED, ids=_case_id)
+def test_a_beta_listing_is_refused_by_its_tables(capsys, averages, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: m={argv[2]} is estimated at ") and "(difference tables " in err
+    with pytest.raises(Reached):
+        cli.main([*argv, "--force"])
+
+
+@pytest.mark.parametrize("m", [6, 8, 10])
+def test_difference_tables_count_what_the_descent_builds(monkeypatch, m):
+    """`_difference_tables` against the descent itself: reading the same
+    labels, in any order, with repeats, the best by beta and every label,
+    `_flip_child` builds tables of exactly the sizes counted."""
+    import random
+    from decimal import Decimal
+
+    from becpolar import construction, synthesis
+    built, step = [], synthesis._flip_child
+
+    def spy(moments):
+        built.append(len(moments) - 1)
+        return step(moments)
+    monkeypatch.setattr(synthesis, "_flip_child", spy)
+    rng = random.Random(m)
+    beta = construction.rank(construction.Criterion.beta_expansion(Decimal("1.01")), m)
+    for labels in (rng.sample(range(1 << m), 20), rng.choices(range(1 << m), k=50),
+                   list(beta.order[:40]), list(range(1 << m))):
+        built.clear()
+        numerator, _ = synthesis.average_descent(m)
+        for u in labels:
+            numerator(u)
+        assert built and cli._difference_tables(m, labels) == sum((s / 4096) ** 2 for s in built)
 
 
 def test_pointwise_rank_builds_one_table_and_integrates_nothing(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 """Ranking criteria, incomparable pairs, histograms, beta."""
 
 from collections import Counter
-from decimal import Decimal
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from math import lcm
 
@@ -248,17 +248,63 @@ def _pair_decimals(m, pairs, places):
 class TestAvrOfPairs:
     def test_three_decimal_pairs(self):
         got = _pair_decimals(5, [(3, 16), (12, 17)], 3)
-        assert got[0] == (Decimal("0.221"), Decimal("0.217"))  # exact 0.216528
-        assert got[1] == (Decimal("0.396"), Decimal("0.383"))
+        assert got[0] == ("0.221", "0.217")  # exact 0.216528
+        assert got[1] == ("0.396", "0.383")
 
     def test_four_decimal_pair(self):
         got = _pair_decimals(5, [(7, 20), (7, 24)], 4)
-        assert got[0] == (Decimal("0.4712"), Decimal("0.4710"))
-        assert got[1] == (Decimal("0.4712"), Decimal("0.5288"))
+        assert got[0] == ("0.4712", "0.4710")
+        assert got[1] == ("0.4712", "0.5288")
 
     def test_render_exact_boundary(self):
-        assert render_avr(Fraction(1, 5), 2) == Decimal("0.20")
-        assert render_avr(Fraction(1, 2**10), 3) == Decimal("0.001")
+        assert render_avr(Fraction(1, 5), 2) == "0.20"
+        assert render_avr(Fraction(1, 2**10), 3) == "0.001"
+
+
+def _decimal_twin(x: int, d: int, places: int) -> str:
+    """Slow twin of `render_avr`: x / d quantized half-up by `decimal`, under
+    a context wide enough that the division cannot round onto a tie: a
+    quotient that is not a tie lies at least 1 / (2 d 10^places) from one."""
+    with localcontext() as ctx:
+        ctx.prec = len(str(x // d)) + places + len(str(d)) + 5
+        ctx.rounding = ROUND_HALF_UP
+        return format((Decimal(x) / Decimal(d)).quantize(Decimal(1).scaleb(-places)), "f")
+
+
+class TestRenderAvr:
+    """`render_avr`, which cuts its text from one integer divmod, against
+    the `Decimal` twin."""
+
+    @pytest.mark.parametrize("x, d, places, text", [
+        (1, 8, 2, "0.13"), (3, 8, 2, "0.38"), (1, 2000, 3, "0.001"), (5, 2, 0, "3"),
+        (1, 2, 0, "1"), (5, 16, 3, "0.313"), (25, 4, 1, "6.3"), (1, 2 * 10**12, 12, "0.000000000001"),
+    ])
+    def test_exact_half_up_ties(self, x, d, places, text):
+        assert render_avr(x, places, d) == _decimal_twin(x, d, places) == text
+
+    @pytest.mark.parametrize("places", [0, 1, 2, 6, 9])
+    def test_zero_and_one(self, places):
+        d = lcm(*range(1, 10))
+        for x in (0, d):
+            assert render_avr(x, places, d) == _decimal_twin(x, d, places)
+        assert render_avr(Fraction(0), places) == _decimal_twin(0, 1, places)
+        assert render_avr(Fraction(1), places) == _decimal_twin(1, 1, places)
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_every_average_numerator(self, m):
+        nums, d = average_numerators(m)
+        for places in (2, 6):
+            assert [render_avr(x, places, d) for x in nums] == [
+                _decimal_twin(x, d, places) for x in nums]
+
+    @pytest.mark.parametrize("beta", ["1.37", "1.225"])
+    def test_beta_keys(self, beta):
+        m = 7
+        ranking = rank(Criterion.beta_expansion(Decimal(beta)), m)
+        d = ranking.denominator
+        for places in ((m - 1) * (len(beta) - 2), 6):
+            assert [render_avr(x, places, d) for x in ranking.keys] == [
+                _decimal_twin(x, d, places) for x in ranking.keys]
 
 
 class TestDistribution:

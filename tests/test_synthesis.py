@@ -27,15 +27,15 @@ from becpolar.synthesis import (
     _denominator,
     _flip_child,
     _flip_leaf,
-    _half_enclosure,
+    _half_enclosures,
     _suffix_walk,
-    _threshold_floor,
     average_descent,
     average_numerators,
     channel_threshold,
     synth_all,
     synth_labels,
     synth_poly,
+    threshold_floors,
 )
 from conftest import _excess, _label_bisection
 
@@ -512,6 +512,38 @@ class TestThreshold:
 LABEL_TOLS = [Fraction(1, 2**30), Fraction(1, 2**60), Fraction(1, 3 * 2**20), 1e-6, 0.75]
 
 
+def _bisection_floor(m: int, u: int) -> int:
+    """floor(t_u * 2^29) by `_label_bisection` to 2^-30, whose midpoint is
+    (2 floor + 1) / 2^30."""
+    return _label_bisection(Monomial(m, u), Fraction(1, 2**30)).numerator >> 1
+
+
+class TestThresholdFloors:
+    """`threshold_floors`, one pass over the listed labels' prefixes, against
+    the bisection on each label's recursion, for listings in any order,
+    with repeats and with complement pairs."""
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_every_label(self, m):
+        n, rng = 1 << m, random.Random(m)
+        want = [_bisection_floor(m, u) for u in range(n)]
+        assert threshold_floors(m, list(range(n)), 29) == want
+        shuffled = rng.choices(range(n), k=n + 3)  # repeats, both of some complement pairs
+        assert threshold_floors(m, shuffled, 29) == [want[u] for u in shuffled]
+        for u in rng.sample(range(n), min(n, 8)):
+            assert threshold_floors(m, [u], 29) == [want[u]]
+            pair = [n - 1 - u, u]
+            assert threshold_floors(m, pair, 29) == [want[v] for v in pair]
+
+    @pytest.mark.parametrize("m", [10, 11, 12])
+    def test_sampled_labels(self, m):
+        n, rng = 1 << m, random.Random(m)
+        some = rng.sample(range(n), 10)
+        labels = some + [n - 1 - u for u in some[:5]] + some[3:6]  # complement pairs and repeats
+        rng.shuffle(labels)
+        assert threshold_floors(m, labels, 29) == [_bisection_floor(m, u) for u in labels]
+
+
 class TestChannelThreshold:
     """`channel_threshold` against its slow twins: the Fraction bisection of
     the channel polynomial at m <= 6, the bracket certificate on the
@@ -568,22 +600,37 @@ class TestChannelThreshold:
         integers: Z(lo / 2^w) <= 1/2 <= Z(hi / 2^w), as Z increases."""
         bits = [(u >> i) & 1 for i in range(m)]  # outermost first
         for w in (1, 2, 3, 5, 8, 13, 40, 100):
-            lo, hi = _half_enclosure(bits, w)
+            lo, hi = _half_enclosures(m, {u}, w)[u]
             assert 0 <= lo <= hi <= 1 << w
             assert _excess(bits[::-1], lo, w) <= 0 <= _excess(bits[::-1], hi, w), w
 
-    def test_precision_doubling(self):
+    def test_precision_doubling(self, monkeypatch):
         """No label of m <= 12 needs a second pass from the starting width,
-        so the doubling is shown from a width too small to decide: it
-        reaches the same floor as the default start."""
-        u = Monomial(9, 300)
-        bits = [(u.bits >> i) & 1 for i in range(9)]
-        j = 30
-        lo, hi = _half_enclosure(bits, j + 1)
-        assert lo >> 1 != hi >> 1  # undecided at w = j + 1
-        floor = _threshold_floor(bits, j, j + 1)
-        assert floor == _threshold_floor(bits, j, j + 2 * 9 + 8)
-        assert Fraction(2 * floor + 1, 1 << (j + 1)) == channel_threshold(u, Fraction(1, 2**31))
+        so the doubling is shown from a width too small to decide: the first
+        pass returns the enclosures of w = j + 2, scaled to its width, where
+        labels 5, 17 and 300 of m = 9 are undecided, and only they run
+        again, to the floors of the default start.  Label 511 takes the
+        floor of its complement 0."""
+        from becpolar import synthesis
+        m, j, labels = 9, 30, [300, 5, 17, 0, 511, 6]
+        narrow = _half_enclosures(m, set(labels), j + 2)
+        undecided = {u for u, (lo, hi) in narrow.items() if lo >> 2 != hi >> 2}
+        assert undecided == {5, 17, 300}
+        want = threshold_floors(m, labels, j)
+        calls = []
+
+        def narrow_first(m_, todo, w):
+            calls.append(set(todo))
+            if len(calls) > 1:
+                return _half_enclosures(m_, todo, w)
+            shift = w - j - 2
+            return {u: (lo << shift, hi << shift)
+                    for u, (lo, hi) in _half_enclosures(m_, todo, j + 2).items()}
+        monkeypatch.setattr(synthesis, "_half_enclosures", narrow_first)
+        assert threshold_floors(m, labels, j) == want
+        assert calls == [{300, 5, 17, 0, 6}, undecided]
+        assert Fraction(2 * want[0] + 1, 1 << (j + 1)) == channel_threshold(
+            Monomial(m, 300), Fraction(1, 2**31))
 
     def test_rejects_non_positive_tol(self):
         for tol in (Fraction(0), -1, 0.0):
