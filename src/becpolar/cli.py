@@ -41,13 +41,8 @@ _RELATIONS = {"w": Relation.WEAK, "std": Relation.STANDARD, "dom": Relation.DOMI
 #   synthesis     synth_all: 0.09 / 0.66 / 9.7 s at m = 8 / 9 / 10.
 #   conversion    to_path_counts of one channel: 3.8 / 49 / 600 ms at m = 7 /
 #                 8 / 9.  synth --u converts one, verify and synth 2^m.
-#   average walk  average_numerators: 0.42 / 2.7 / 23.5 s at m = 11 / 12 / 13.
-#                 rank --by avr past the frontier, and --by beta= listing
-#                 every label, still count one walk, though they read every
-#                 label from average_descent, so the row over-estimates
-#                 them: rank by average took 3.3-4.2 s at m = 13, estimated
-#                 23.5 s.  The row stays as measured for the walk, so no
-#                 admission boundary moves.
+#   average walk  average_numerators, the walk of distribution and avrplot:
+#                 0.42 / 2.7 / 23.5 s at m = 11 / 12 / 13.
 #   frontier      rank --by avr --k K from the frontier, K <= 2^(m-3), per
 #                 (K / 64)^4.  Its costliest read is the difference table of
 #                 x0*x_j for the highest variable x_j among the best K: about
@@ -63,26 +58,28 @@ _RELATIONS = {"w": Relation.WEAK, "std": Relation.STANDARD, "dom": Relation.DOMI
 #                 24.9 s); below it the fixed cost of D and the chain flips
 #                 shows, and the best 10 took 0.008-0.11 s.
 #   difference tables
-#                 rank --by beta=x --k K, per (s / 2^12)^2 for each table of
-#                 s + 1 moments that average_descent builds to read the K
-#                 listed labels (`_difference_tables`, which the beta order,
-#                 ranked first, names), or one average walk if that is less.
+#                 rank --by beta=x and rank --by avr past the frontier, per
+#                 (s / 2^12)^2 for each table of s + 1 moments that
+#                 average_descent builds to read the labels listed, named by
+#                 the beta order ranked first, or every label, which
+#                 `construction.rank` reads (`synthesis.descent_tables`).
 #                 Fitted above every time measured at m = 14..16, each
 #                 0.57-0.91 of its estimate: m = 14, K = 144 / 368 at
 #                 beta = 1.01 and K = 2144 at 1.22 took 19.5 / 22.0 / 26.3 s;
 #                 m = 15, K = 57 / 58 / 120 at 1.01 and 374 at 1.22 7.1 /
 #                 26.0 / 172 / 7.9 s; m = 16, K = 58 / 59 at 1.01 and 374 at
-#                 1.22 19.6 / 48.9 / 15.8 s.  At beta = 1.22 the best 64 of
-#                 m = 14 / 15 took 0.085 / 0.17 s and the best 10 of m = 16
-#                 0.088 s.  Near 1, beta lists x0*x_j of high j early, whose
-#                 tables the frontier row prices only at the K where avr
-#                 lists them.
+#                 1.22 19.6 / 48.9 / 15.8 s.  Near 1, beta lists x0*x_j of
+#                 high j early, which the frontier row prices only at the K
+#                 where avr lists them.  Every label is estimated at 3.52 /
+#                 32.4 s at m = 13 / 14, where the descent over them took
+#                 3.15-3.5 / 28.6 s, and below one average walk at every m.
 #   scoring       rank --by p=a/q --k 1 past synthesis, per digit of q: 0.34 /
 #                 2.8 / 32.5 s with 99 digits at m = 7 / 8 / 9.  It grows faster
 #                 than the digits, so short q are over-estimated: m = 10 took
 #                 1.2 s with 1 digit and 11.3 s with 9, estimated 3 and 27 s.
 # BUDGET sits just above the average walk at m = 13, the costliest admitted
-# stage of any layer; each layer's next stage is estimated at 95 s or more.
+# stage of any layer; each layer's next stage is estimated at 95 s or more,
+# and every label's tables at m = 14 at 32.4 s.
 COSTS = {"synthesis": (10, 9.7, 12), "conversion": (9, 0.6, 12.6),
          "average walk": (13, 23.5, 8), "frontier": (15, 2, 2),
          "difference tables": (15, 28, 2.3), "scoring": (9, 0.3, 10)}
@@ -106,27 +103,6 @@ def _admit(args: argparse.Namespace, units: dict[str, float]) -> None:
         raise ValueError(f"m={args.m} is estimated at {total:.3g} s ({layer} "
                          f"{seconds[layer]:.3g} s), over the {BUDGET} s budget; "
                          "pass --force to override")
-
-
-def _difference_tables(m: int, labels: list[int]) -> float:
-    """The difference tables `synthesis.average_descent` builds to read the
-    averages of `labels` of m, in units of the `difference tables` row of
-    COSTS: (s / 2^12)^2 for a table of s + 1 moments.  A label, or its
-    complement if that is lower, builds one at every flip below its top bit
-    but the last, which is one sum: the flip at bit i takes the table of the
-    node that keeps the label's bits above i, 2^(i+1) + 1 moments, once for
-    all the labels that pass it."""
-    mask = (1 << m) - 1
-    nodes = set()
-    for u in labels:
-        v = min(u, u ^ mask)
-        flips = (v ^ (v >> 1)) & (mask >> (m + 1 - v.bit_length()))  # below the top bit
-        flips &= flips - 1  # all but the last
-        while flips:
-            i = flips.bit_length() - 1
-            nodes.add((i, v >> (i + 1)))
-            flips ^= 1 << i
-    return sum(4.0 ** (i - 11) for i, _ in nodes)
 
 
 def _dec(x: int, d: int) -> str:
@@ -240,16 +216,11 @@ def cmd_rank(args: argparse.Namespace) -> int:
     `p=` and `beta=` rank every label and take the k listed averages from
     one descent.
 
-    The frontier counts in the estimate as the smaller of two (`COSTS`):
-    (k / 64)^4 units of its own row, its costliest read being the difference
-    table of x0*x_j for the highest variable x_j among the best k, and
-    sqrt(k / 2^(m-1)) average walks, which bounds it once x_(m-2) has
-    joined.  So the best 144 of m = 14, 120 of m = 15 and 101 of m = 16
-    are admitted where all of them are not.  `beta=` with `--k` ranks first,
-    2^m sums and one sort with no average, and counts the difference tables
-    the descent builds for the labels it lists (`_difference_tables`), or
-    one walk if that is less: the best 1622 by beta = 1.22 of m = 14 and
-    374 of m = 15 and 16 are admitted, and 103, 57 and 58 by beta = 1.01.
+    The estimate (`COSTS`) prices the engine that runs: `p=` synthesis and
+    scoring; the frontier its own row or a share of the average walk,
+    whichever is less; every other listing the difference tables that the
+    descent builds for the labels it reads (`synthesis.descent_tables`),
+    every label for `avr` and the listed ones for `beta=`, which ranks first.
 
     Each record is built from integers: the ratios by one gcd, every decimal
     column by one divmod (`render_avr`), the monomial from the label's
@@ -258,26 +229,20 @@ def cmd_rank(args: argparse.Namespace) -> int:
     """
     criterion = _parse_criterion(args.by)
     m = args.m
-    k = args.k if args.k is not None else 1 << m
+    k = 1 << m if args.k is None else args.k
     if not 0 <= k <= (1 << m):
         raise ValueError(f"--k {k} out of range for m={m}")
     frontier = criterion.kind == "average" and 8 * k <= 1 << m
-    # a beta listing ranks first, 2^m sums and one sort with no average, so
-    # that its estimate counts the averages of the labels it lists
-    ranking = (construction.rank(criterion, m)
-               if criterion.kind == "beta" and args.k is not None else None)
-
-    def cheaper(*estimates: dict[str, float]) -> dict[str, float]:
-        return min(estimates, key=lambda units: sum(_seconds(m, units).values()))
+    # a beta ranking is 2^m sums and one sort, with no average: it names the labels to price
+    ranking = construction.rank(criterion, m) if criterion.kind == "beta" else None
     if criterion.kind == "pointwise":
         _admit(args, {"synthesis": 1, "scoring": len(str(criterion.p.denominator))})
     elif frontier:
-        _admit(args, cheaper({"frontier": (k / 64) ** 4}, {"average walk": (k / (1 << (m - 1))) ** 0.5}))
-    elif ranking is not None:
-        _admit(args, cheaper({"difference tables": _difference_tables(m, ranking.order[:k])},
-                             {"average walk": 1}))
-    else:
-        _admit(args, {"average walk": 1})
+        _admit(args, min({"frontier": (k / 64) ** 4}, {"average walk": (k / (1 << (m - 1))) ** 0.5},
+                         key=lambda units: sum(_seconds(m, units).values())))
+    else:  # the descent reads the listed labels, or every label for `rank` by average
+        tables = synthesis.descent_tables(m, ranking.order[:k] if ranking else range(1 << m))
+        _admit(args, {"difference tables": sum((s / 4096) ** 2 for s in tables)})
     if frontier:
         listed, nums, d = construction.best_by_average(m, k)
     else:

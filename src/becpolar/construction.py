@@ -165,17 +165,16 @@ def best_by_average(m: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...], i
     label as in `rank`, and the next best label is always on the frontier:
     the labels not yet chosen whose every label one move below is chosen.
     Each frontier label's average is read once from one
-    `synthesis.average_descent`: down the suffix tree of
-    `average_numerators` from the deepest node kept, with the chain flips
-    in closed form, each label's last flip as one sum in place of a
-    difference table, and a label of the upper half as D - x of its
-    complement.  The best 11 of m = 8 read 15 averages and the best 10 of
-    m = 10 or 12 read 13, where `rank` reads all 2^m from the same descent;
-    they took 0.16, 0.20 and 0.46 ms (0.33, 0.43 and 1.2 ms with each last
-    flip from its difference table and the root's moments built).  The
-    costliest read is the table of x0*x_j for the highest variable x_j
-    chosen, so the cost steps up with k: the best 64 / 100 / 144 of m = 15
-    took 0.73 / 6.7 / 31 s.  m must pass `check_m`.
+    `synthesis.average_descent`, which describes its steps.  The greedy
+    names its labels only as it reads them, so `cli` prices it by its own
+    row; `synthesis.descent_tables` of the labels read is the plan of the
+    tables it builds.  The best 11 of m = 8 read 15 averages and the best
+    10 of m = 10 or 12 read 13, where `rank` reads all 2^m from the same
+    descent; they took 0.16, 0.20 and 0.46 ms (0.33, 0.43 and 1.2 ms with
+    each last flip from its difference table and the root's moments
+    built).  The costliest read is the table of x0*x_j for the highest
+    variable x_j chosen, so the cost steps up with k: the best 64 / 100 /
+    144 of m = 15 took 0.73 / 6.7 / 31 s.  m must pass `check_m`.
     """
     check_m(m)
     n = 1 << m

@@ -29,7 +29,7 @@ from functools import cache
 from itertools import islice
 from math import isqrt, lcm
 from operator import add, mul, sub
-from typing import Callable
+from typing import Callable, Iterable
 
 from .monomials import Monomial, check_m
 from .polynomials import IntPoly, P, integrate01, integration_weights, to_path_counts
@@ -172,21 +172,26 @@ def average_numerators(m: int) -> tuple[tuple[int, ...], int]:
     return tuple(d - z[1] if u & 1 else z[1] for u, z in enumerate(leaves)), d
 
 
-def _chain_flip(m: int, k: int, d: int) -> list[int]:
-    """The moments of the 1-child of node 0^k of m, 1 <= k < m, over D = d,
-    in closed form: the difference table of `_flip_child` is its twin.
+def _chain_flip(m: int, k: int, d: int, r: int) -> list[int]:
+    """Every 2^r-th moment of the 1-child of node 0^k of m, 1 <= k < m,
+    over D = d, in closed form: the node r repeated bits below that child.
+    The difference table of `_flip_child`, at that stride, is its twin.
 
     Node 0^k has Y = p^A, A = 2^k, and its 1-child keeps
     F[j] = D * integral_0^1 (1 - p^A)^(2j) dp, j <= 2^(m-k-1), which Euler's
     Beta integral gives as D * prod_{i=1..2j} A i / (A i + 1).  So
     F[j] = F[j-1] a b / ((a + 1)(b + 1)), a = A(2j - 1), b = 2Aj, and every
     division is exact, since every F[j] is an integer: one product and one
-    quotient by small integers per entry, where the table subtracts rows."""
-    big = 1 << k
-    flip = [d]
+    quotient by small integers per entry, where the table subtracts rows.
+    Only the entries returned are kept: the whole child of node 0 of
+    m = 16 is 2^14 + 1 integers of 1.44 * 2^16 bits, about 200 MB."""
+    big, skip = 1 << k, (1 << r) - 1
+    x, flip = d, [d]
     for j in range(1, (1 << (m - k - 1)) + 1):
         a, b = big * (2 * j - 1), 2 * big * j
-        flip.append(flip[-1] * (a * b) // ((a + 1) * (b + 1)))
+        x = x * (a * b) // ((a + 1) * (b + 1))
+        if not j & skip:
+            flip.append(x)
     return flip
 
 
@@ -243,7 +248,8 @@ def average_descent(m: int) -> tuple[Callable[[int], int], int]:
     them costs memory: kept, they lifted the peak RSS of `rank --m 15 --by
     avr --k 64` from 34 to 47 MB and of `--k 144` from 110 to 183 MB, to
     save 5 of the 12 rebuilds in the best 11 of m = 8: 141-142 against
-    150-155 us.
+    150-155 us.  A chain flip keeps only the entries that the r repeated
+    bits below it read, and is kept as the node r steps down if r > 0.
 
     Each call descends from the deepest node kept above the label's leaf to
     the parent of the label's last flip, the lowest bit that differs from
@@ -283,7 +289,14 @@ def average_descent(m: int) -> tuple[Callable[[int], int], int]:
         key, depth = n | v, m
         while key not in nodes and depth > top:
             key, depth = key >> 1, depth - 1
-        moments = nodes[key] if key in nodes else _chain_flip(m, top - 1, d)
+        if key in nodes:
+            moments = nodes[key]
+        else:  # the chain flip, at the node of the r repeated bits below it
+            r = m - top - (flips & ((1 << (m - top)) - 1)).bit_length()
+            moments = _chain_flip(m, top - 1, d, r)
+            key, depth = ((key + 1) << r) - 1, top + r
+            if r:
+                keep(key, moments)
         for t in range(depth, below - 1):
             bit = (v >> (m - t - 1)) & 1
             moments = moments[::2] if bit == (v >> (m - t)) & 1 else _flip_child(moments)
@@ -298,6 +311,27 @@ def average_descent(m: int) -> tuple[Callable[[int], int], int]:
         return x if u == v else d - x
 
     return numerator, d
+
+
+def descent_tables(m: int, labels: Iterable[int]) -> list[int]:
+    """The size s of each difference table, of moments M[0..s], that
+    `average_descent(m)` builds to read the averages of `labels`, in any
+    order and with repeats: its plan, without the arithmetic.  A label,
+    or its complement if that is lower, builds one at every flip below its
+    top bit but the last, which is one sum: the flip at bit i takes the
+    table of the node that keeps the label's bits above i, s = 2^(i+1),
+    once for all the labels that pass it.  The chain flip of the top bit
+    is in closed form and builds none."""
+    mask = (1 << m) - 1
+    nodes = set()
+    for v in {min(u, u ^ mask) for u in labels}:
+        flips = (v ^ (v >> 1)) & (mask >> (m + 1 - v.bit_length()))  # below the top bit
+        flips &= flips - 1  # all but the last
+        while flips:
+            i = flips.bit_length() - 1
+            nodes.add((i, v >> (i + 1)))
+            flips ^= 1 << i
+    return [2 << i for i, _ in nodes]
 
 
 def _half_enclosures(m: int, labels: set[int], w: int) -> dict[int, tuple[int, int]]:

@@ -186,10 +186,10 @@ class TestRank:
                 leaves.append(0)
             return step(moments)
 
-        def flip_spy(m_, k, d):
+        def flip_spy(m_, k, d, r):
             if k == m - 1:
                 leaves.append(1)  # the 1-child of node 0^(m-1)
-            return flip(m_, k, d)
+            return flip(m_, k, d, r)
 
         def last_spy(moments):
             leaves.append(None)  # the leaf of the label whose last flip this is
@@ -382,17 +382,17 @@ SYNTHESIS_REFUSAL = _refusal(11, "146", "synthesis", "116")
 ONE_CONVERSION_REFUSAL = _refusal(11, "95.3", "conversion", "95.3")
 CONVERSION_REFUSAL = _refusal(11, "1.95e+05", "conversion", "1.95e+05")
 AVERAGE_REFUSAL = _refusal(14, "188", "average walk", "188")
+TABLES_REFUSAL = _refusal(14, "32.4", "difference tables", "32.4")
 
 
 @pytest.mark.parametrize("argv, m, refusal", [
     (("synth", "--u", "0"), 11, ONE_CONVERSION_REFUSAL),
-    (("rank", "--by", "avr"), 14, AVERAGE_REFUSAL),
-    (("rank", "--by", "beta=1.22"), 14, AVERAGE_REFUSAL),
+    (("rank", "--by", "avr"), 14, TABLES_REFUSAL),
     (("rank", "--by", "p=1/3"), 11, SYNTHESIS_REFUSAL),
     (("verify",), 11, CONVERSION_REFUSAL),
     (("distribution",), 14, AVERAGE_REFUSAL),
     (("avrplot", "--out", "-"), 14, AVERAGE_REFUSAL),
-], ids=["synth", "rank-avr", "rank-beta", "rank-p", "verify", "distribution", "avrplot"])
+], ids=["synth", "rank-avr", "rank-p", "verify", "distribution", "avrplot"])
 def test_m_above_the_cap_exits_before_synthesis(capsys, monkeypatch, argv, m, refusal):
     """The CLI alone admits work by its estimated seconds: without --force,
     an m whose estimate exceeds the budget is refused before any library
@@ -514,7 +514,8 @@ def test_refused_work_never_reaches_the_library(capsys, entry_points, argv):
                          ids=["distribution", "rank-beta"])
 def test_averages_run_above_the_synthesis_cap(capsys, argv):
     """m = 11 builds no polynomial for these commands: their estimate is the
-    average walk alone, well inside the budget."""
+    average walk, or the tables of the two listed labels, well inside the
+    budget."""
     code, out, err = run_cli(capsys, *argv, "--m", "11")
     assert code == 0 and err == ""
     assert len(out.splitlines()) == (11 if argv[0] == "distribution" else 3)
@@ -583,24 +584,43 @@ def test_averages_build_no_polynomial(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", AVERAGE_COMMANDS, ids=lambda argv: argv[0])
 def test_averages_keep_force(capsys, monkeypatch, argv):
+    """The walk prices `distribution` and `avrplot`; `rank` listing every
+    label by average or by beta counts the tables of every label."""
     monkeypatch.setattr(cli, "BUDGET", 0)
     code, _, err = run_cli(capsys, *argv, "--m", "4")
-    assert code == 2 and "(average walk " in err
+    layer = "difference tables" if argv[0] == "rank" else "average walk"
+    assert code == 2 and f"({layer} " in err
     code, out, _ = run_cli(capsys, *argv, "--m", "4", "--force")
     assert code == 0 and len(out.splitlines()) > 10
 
 
-@pytest.mark.parametrize("m, k, estimate", [
-    (13, 1024, "11.8"), (16, 8192, "6.02e+03"), (13, 1025, "23.5"), (16, 8193, "1.2e+04"),
-])
+@pytest.mark.parametrize("m, k, estimate", [(13, 1024, "11.8"), (16, 8192, "6.02e+03")])
 def test_the_frontier_counts_a_share_of_the_average_walk(capsys, monkeypatch, m, k, estimate):
     """`rank --by avr --k K`, K <= 2^(m-3), is estimated as
     sqrt(K / 2^(m-1)) average walks where that is the smaller estimate, above
-    every share measured at m = 12..16 (m = 13, K = 1024: 4.4 s); a larger K
-    is one whole walk."""
+    every share measured at m = 12..16 (m = 13, K = 1024: 4.4 s)."""
     monkeypatch.setattr(cli, "BUDGET", 0)
     code, _, err = run_cli(capsys, "rank", "--m", str(m), "--by", "avr", "--k", str(k))
     assert code == 2 and err == _refusal(m, estimate, "average walk", estimate)
+
+
+@pytest.mark.parametrize("m, k, estimate", [(13, 1025, "3.52"), (16, 8193, "2.75e+03")])
+def test_past_the_frontier_counts_every_labels_tables(capsys, monkeypatch, m, k, estimate):
+    """A larger K ranks every label from one descent (`construction.rank`),
+    whatever K: it counts the tables of every label."""
+    monkeypatch.setattr(cli, "BUDGET", 0)
+    code, _, err = run_cli(capsys, "rank", "--m", str(m), "--by", "avr", "--k", str(k))
+    assert code == 2 and err == _refusal(m, estimate, "difference tables", estimate)
+
+
+def test_every_labels_tables_cost_less_than_one_walk():
+    """The tables of a set of labels never exceed those of every label, so
+    no listing by average or beta is estimated above one average walk."""
+    from becpolar import synthesis
+    for m in range(1, 17):
+        units = sum((s / 4096) ** 2 for s in synthesis.descent_tables(m, range(1 << m)))
+        tables = cli._seconds(m, {"difference tables": units})["difference tables"]
+        assert tables < cli._seconds(m, {"average walk": 1})["average walk"], m
 
 
 @pytest.mark.parametrize("m, k, estimate", [
@@ -663,30 +683,64 @@ def test_a_beta_listing_is_refused_by_its_tables(capsys, averages, argv):
         cli.main([*argv, "--force"])
 
 
+@pytest.mark.parametrize("by", ["avr", "beta=1.22"])
+def test_every_label_is_estimated_by_its_tables(capsys, averages, by):
+    """Listing every label by average or by beta counts every label's
+    tables, 3.52 s at m = 13 and 32.4 s at m = 14, where one average walk is
+    23.5 and 188 s: m = 13 is admitted, and m = 14 refused, as by the walk,
+    before any average is read (the beta order is ranked first)."""
+    with pytest.raises(Reached):
+        cli.main(["rank", "--m", "13", "--by", by])
+    code, out, err = run_cli(capsys, "rank", "--m", "14", "--by", by)
+    assert code == 2 and out == "" and err == TABLES_REFUSAL
+    with pytest.raises(Reached):
+        cli.main(["rank", "--m", "14", "--by", by, "--force"])
+
+
 @pytest.mark.parametrize("m", [6, 8, 10])
 def test_difference_tables_count_what_the_descent_builds(monkeypatch, m):
-    """`_difference_tables` against the descent itself: reading the same
-    labels, in any order, with repeats, the best by beta and every label,
-    `_flip_child` builds tables of exactly the sizes counted."""
+    """`synthesis.descent_tables` against the descent itself: reading the
+    same labels, in any order, with repeats, the best by beta, the labels
+    `best_by_average` reads in the order it reads them, and every label
+    through `construction.rank`, `_flip_child` builds tables of exactly the
+    sizes planned."""
     import random
     from decimal import Decimal
 
     from becpolar import construction, synthesis
-    built, step = [], synthesis._flip_child
+    built, read = [], []
+    step, descent = synthesis._flip_child, synthesis.average_descent
 
     def spy(moments):
         built.append(len(moments) - 1)
         return step(moments)
-    monkeypatch.setattr(synthesis, "_flip_child", spy)
-    rng = random.Random(m)
-    beta = construction.rank(construction.Criterion.beta_expansion(Decimal("1.01")), m)
-    for labels in (rng.sample(range(1 << m), 20), rng.choices(range(1 << m), k=50),
-                   list(beta.order[:40]), list(range(1 << m))):
-        built.clear()
+
+    def reading(m_):
+        numerator, d = descent(m_)
+
+        def read_one(u):
+            read.append(u)
+            return numerator(u)
+        return read_one, d
+
+    def read_all(labels):
         numerator, _ = synthesis.average_descent(m)
         for u in labels:
             numerator(u)
-        assert built and cli._difference_tables(m, labels) == sum((s / 4096) ** 2 for s in built)
+    monkeypatch.setattr(synthesis, "_flip_child", spy)
+    monkeypatch.setattr(synthesis, "average_descent", reading)
+    rng = random.Random(m)
+    beta = construction.rank(construction.Criterion.beta_expansion(Decimal("1.01")), m)
+    for run in (lambda: read_all(rng.sample(range(1 << m), 20)),
+                lambda: read_all(rng.choices(range(1 << m), k=50)),
+                lambda: read_all(beta.order[:40]),
+                lambda: construction.best_by_average(m, 1 << (m - 3)),
+                lambda: construction.rank(construction.Criterion.average(), m)):
+        built.clear()
+        read.clear()
+        run()
+        assert built and sorted(built) == sorted(synthesis.descent_tables(m, read))
+    assert read == list(range(1 << m))
 
 
 def test_pointwise_rank_builds_one_table_and_integrates_nothing(capsys, monkeypatch):

@@ -286,6 +286,22 @@ class TestChannelAverages:
         assert len(set(averages)) == 1 << m
 
 
+def _avr_top_labels(m: int) -> tuple[Fraction, Fraction]:
+    """The exact averages of labels 2^(m-1) and 2^(m-1) + 1, x_(m-1) and
+    x0*x_(m-1), by Wallis' integrals W(n) = integral_0^1 (1 - p^2)^n dp =
+    prod_{i=1..n} 2i / (2i + 1).  With A = 2^(m-2), the complement 0 1^(m-1)
+    has Z = 1 - (1 - p^2)^(2A), and 0 1^(m-2) 0 has Z = (1 - (1 - p^2)^A)^2,
+    whose average is 1 - 2 W(A) + W(2A)."""
+    num = den = 1
+    wallis = []
+    for i in range(1, (1 << (m - 1)) + 1):
+        num, den = num * 2 * i, den * (2 * i + 1)
+        if i in (1 << (m - 2), 1 << (m - 1)):
+            wallis.append(Fraction(num, den))
+    half, whole = wallis
+    return whole, 2 * half - whole
+
+
 class TestAverageDescent:
     """The shared descent against its twins: `_flip_child`'s difference
     table for each closed-form chain flip and each last-flip sum,
@@ -293,11 +309,13 @@ class TestAverageDescent:
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_chain_flips_equal_the_difference_table(self, m):
-        """Node 0^k keeps every 2^k-th root moment, D / (2^k j + 1)."""
+        """Node 0^k keeps every 2^k-th root moment, D / (2^k j + 1); at
+        stride 2^r the chain flip keeps every 2^r-th entry of its child."""
         d, root = integration_weights((1 << m) + 1)
         for k in range(1, m):
-            node = list(root[::1 << k])
-            assert _chain_flip(m, k, d) == _flip_child(node), k
+            flip = _flip_child(list(root[::1 << k]))
+            for r in range(m - k):
+                assert _chain_flip(m, k, d, r) == flip[::1 << r], (k, r)
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_last_flip_sums_equal_the_difference_table(self, m):
@@ -319,12 +337,16 @@ class TestAverageDescent:
 
     @pytest.mark.parametrize("m", range(1, 12))
     def test_equals_the_walk_on_every_label(self, m):
-        """In label order, and in a shuffled order with repeats, which
-        descends from kept nodes in every pattern."""
+        """In label order, in reverse, where a chain flip read at a long
+        stride comes before the shorter strides below it, and in a shuffled
+        order with repeats, which descends from kept nodes in every
+        pattern."""
         full, d = average_numerators(m)
         numerator, d_descent = average_descent(m)
         assert d_descent == d
         assert tuple(map(numerator, range(1 << m))) == full
+        numerator, _ = average_descent(m)
+        assert tuple(numerator(u) for u in reversed(range(1 << m))) == full[::-1]
         rng = random.Random(m)
         labels = [rng.randrange(1 << m) for _ in range(3 << m)]
         numerator, _ = average_descent(m)
@@ -364,6 +386,29 @@ class TestAverageDescent:
         finally:
             tracemalloc.stop()
         assert peak < 450_000
+
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_the_top_labels_equal_their_closed_forms(self, m):
+        """The twins of the chain-flip test below, against the walk."""
+        full, d = average_numerators(m)
+        top = 1 << (m - 1)
+        assert (Fraction(full[top], d), Fraction(full[top + 1], d)) == _avr_top_labels(m)
+
+    @pytest.mark.parametrize("u", [1 << 13, (1 << 13) + 1])
+    def test_a_chain_flip_keeps_only_the_entries_read(self, u):
+        """At m = 14 label 2^13, whose complement reads the last entry of
+        the 1-child of node 0, and 2^13 + 1, whose last flip sums 3 entries
+        of it 11 repeats down, keep 2 and 3 of its 2^12 + 1 moments: a few
+        KB, where the whole child peaks at 12.5 MiB."""
+        numerator, d = average_descent(14)
+        tracemalloc.start()
+        try:
+            x = numerator(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
+        assert Fraction(x, d) == _avr_top_labels(14)[u & 1]
 
     @pytest.mark.parametrize("u", [-1, 8])
     def test_refuses_a_label_out_of_range(self, u):
