@@ -73,16 +73,23 @@ _RELATIONS = {"w": Relation.WEAK, "std": Relation.STANDARD, "dom": Relation.DOMI
 #                 where avr lists them.  Every label is estimated at 3.52 /
 #                 32.4 s at m = 13 / 14, where the descent over them took
 #                 3.15-3.5 / 28.6 s, and below one average walk at every m.
-#   scoring       rank --by p=a/q --k 1 past synthesis, per digit of q: 0.34 /
-#                 2.8 / 32.5 s with 99 digits at m = 7 / 8 / 9.  It grows faster
-#                 than the digits, so short q are over-estimated: m = 10 took
-#                 1.2 s with 1 digit and 11.3 s with 9, estimated 3 and 27 s.
+#   scoring       rank --by p=a/q, per digit of q for each channel scored:
+#                 all 2^m past the frontier, from it at most min(2^m, 1 + mK),
+#                 since each of the K chosen labels adds at most m labels and
+#                 each is scored once.  A score past synthesis, averaged over
+#                 every label, took 0.048 / 0.19 / 1.4 ms with 1 digit, 0.41 /
+#                 1.2 / 8.3 ms with 9 and 10.5 / 55 / 200 ms with 99 at m = 8 /
+#                 9 / 10 (m = 10, 99 digits: 64 random labels).  Fitted above
+#                 the 99-digit ones; the cost grows faster than the digits, so
+#                 short q are over-estimated.  The frontier's labels score
+#                 below the average: the best 5 of m = 10 with 99 digits took
+#                 0.57 s past synthesis, estimated 14.6 s.
 # BUDGET sits just above the average walk at m = 13, the costliest admitted
 # stage of any layer; each layer's next stage is estimated at 95 s or more,
 # and every label's tables at m = 14 at 32.4 s.
 COSTS = {"synthesis": (10, 9.7, 12), "conversion": (9, 0.6, 12.6),
          "average walk": (13, 23.5, 8), "frontier": (15, 2, 2),
-         "difference tables": (15, 28, 2.3), "scoring": (9, 0.3, 10)}
+         "difference tables": (15, 28, 2.3), "scoring": (9, 5.8e-4, 5)}
 BUDGET = 25
 
 
@@ -208,18 +215,22 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
     Thresholds come from the label by integer square roots
     (`threshold_floors`), and averages from the moment recursion, so only
-    `p=` builds a polynomial: it scores from the full table.  Every average
-    is read from the descent (`average_descent`).  `avr` lists the best k
-    from the standard-order frontier (`best_by_average`), which computes
-    only the averages it reads, while k <= 2^(m-3); past that it ranks every
-    label (`rank`) from one descent, and each listed average is its score.
-    `p=` and `beta=` rank every label and take the k listed averages from
-    one descent.
+    `p=` builds a polynomial: it scores on the full channel table.  Every
+    average is read from the descent (`average_descent`).  While
+    k <= 2^(m-3), `avr` and `p=` list the best k from the standard-order
+    frontier (`construction.best`), which scores only the labels its greedy
+    reads.  A move up the standard order never lowers a score, average or
+    at p, and always raises the label, so (score, label) rises along every
+    move and the greedy lists exactly the prefix of `rank`, ties broken by
+    label.  Past that, and for `beta=`, every label is ranked (`rank`).
+    The listed averages are the scores for `avr`; `p=` and `beta=` take
+    them for the k listed labels from one descent.
 
     The estimate (`COSTS`) prices the engine that runs: `p=` synthesis and
-    scoring; the frontier its own row or a share of the average walk,
-    whichever is less; every other listing the difference tables that the
-    descent builds for the labels it reads (`synthesis.descent_tables`),
+    scoring of the labels it reads, min(2^m, 1 + mk) from the frontier and
+    2^m past it; the `avr` frontier its own row or a share of the average
+    walk, whichever is less; every other listing the difference tables that
+    the descent builds for the labels it reads (`synthesis.descent_tables`),
     every label for `avr` and the listed ones for `beta=`, which ranks first.
 
     Each record is built from integers: the ratios by one gcd, every decimal
@@ -232,11 +243,12 @@ def cmd_rank(args: argparse.Namespace) -> int:
     k = 1 << m if args.k is None else args.k
     if not 0 <= k <= (1 << m):
         raise ValueError(f"--k {k} out of range for m={m}")
-    frontier = criterion.kind == "average" and 8 * k <= 1 << m
+    frontier = criterion.kind != "beta" and 8 * k <= 1 << m
     # a beta ranking is 2^m sums and one sort, with no average: it names the labels to price
     ranking = construction.rank(criterion, m) if criterion.kind == "beta" else None
     if criterion.kind == "pointwise":
-        _admit(args, {"synthesis": 1, "scoring": len(str(criterion.p.denominator))})
+        scores = min(1 << m, 1 + m * k) if frontier else 1 << m
+        _admit(args, {"synthesis": 1, "scoring": scores * len(str(criterion.p.denominator))})
     elif frontier:
         _admit(args, min({"frontier": (k / 64) ** 4}, {"average walk": (k / (1 << (m - 1))) ** 0.5},
                          key=lambda units: sum(_seconds(m, units).values())))
@@ -244,27 +256,27 @@ def cmd_rank(args: argparse.Namespace) -> int:
         tables = synthesis.descent_tables(m, ranking.order[:k] if ranking else range(1 << m))
         _admit(args, {"difference tables": sum((s / 4096) ** 2 for s in tables)})
     if frontier:
-        listed, nums, d = construction.best_by_average(m, k)
+        listed, keys, den = construction.best(criterion, m, k)
     else:
         ranking = ranking or construction.rank(criterion, m)
         listed = ranking.order[:k]
-        if criterion.kind == "average":
-            nums, d = [ranking.keys[u] for u in listed], ranking.denominator
-        else:
-            numerator, d = synthesis.average_descent(m)
-            nums = [numerator(u) for u in listed]
+        keys, den = [ranking.keys[u] for u in listed], ranking.denominator
+    if criterion.kind == "average":
+        nums, d = keys, den
+    else:
+        numerator, d = synthesis.average_descent(m)
+        nums = [numerator(u) for u in listed]
     if criterion.kind == "beta":
         places = (m - 1) * max(0, -criterion.beta.as_tuple().exponent)
     # each threshold to within 2^-30, as `channel_threshold` gives it: the
     # midpoint (2 floor(t 2^29) + 1) / 2^30 of its bracket
     floors = synthesis.threshold_floors(m, listed, 29)
     records = []
-    for u, x, floor in zip(listed, nums, floors):
+    for u, key, x, floor in zip(listed, keys, nums, floors):
         avr, avr_decimal = _ratio(x, d), _dec(x, d)
         if criterion.kind == "average":
             score, score_decimal = avr, avr_decimal
         else:
-            key, den = ranking.keys[u], ranking.denominator
             score = _beta_decimal(key, den, places) if criterion.kind == "beta" else _ratio(key, den)
             score_decimal = _dec(key, den)
         records.append({

@@ -115,6 +115,10 @@ def rank(criterion: Criterion, m: int) -> RankedChannels:
     Ties break by ascending label; beta scores never tie, since two
     labels with equal scores would make the rational beta > 1 a root of a
     polynomial with coefficients in {-1, 0, 1}, whose rational roots are +-1.
+    By average and at p, every prefix of the order is the twin of `best`,
+    which reads only the scores of the standard-order frontier: a move up
+    the standard order never lowers a score and always raises the label, so
+    (score, label), the key of this sort, rises along every move.
     m must pass `check_m`, whatever the criterion.
     """
     check_m(m)
@@ -144,7 +148,8 @@ def _moves_below_count(v: int) -> int:
 def _moves_above(u: int, m: int) -> list[int]:
     """The labels of m one move above u: add an absent variable x_j, or move
     x_j to an absent x_(j+1).  Each is above u in the standard order and a
-    larger integer, so it ranks after u by average, ties broken by label."""
+    larger integer, so it ranks after u by average and at every p, ties
+    broken by label."""
     above = []
     for j in range(m):
         if not (u >> j) & 1:
@@ -154,36 +159,54 @@ def _moves_above(u: int, m: int) -> list[int]:
     return above
 
 
-def best_by_average(m: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """The k best labels of m by average, best first, with their average
-    numerators over D = lcm(1..2^m + 1) and D: `rank(Criterion.average(),
-    m).order[:k]` and its keys, computing only the averages the greedy reads.
+def best(criterion: Criterion, m: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The k best labels of m by average or by the score at p, best first,
+    with their keys and denominator: `rank(criterion, m).order[:k]`, its
+    keys and denominator, scoring only the labels the greedy reads.
 
     A move (`_moves_above`) goes up the standard order, which implies the
-    pointwise order and so an average at least as high, to a larger label.
-    So every label ranks after those one move below it, ties broken by
-    label as in `rank`, and the next best label is always on the frontier:
-    the labels not yet chosen whose every label one move below is chosen.
-    Each frontier label's average is read once from one
-    `synthesis.average_descent`, which describes its steps.  The greedy
-    names its labels only as it reads them, so `cli` prices it by its own
-    row; `synthesis.descent_tables` of the labels read is the plan of the
-    tables it builds.  The best 11 of m = 8 read 15 averages and the best
-    10 of m = 10 or 12 read 13, where `rank` reads all 2^m from the same
-    descent; they took 0.16, 0.20 and 0.46 ms (0.33, 0.43 and 1.2 ms with
-    each last flip from its difference table and the root's moments
-    built).  The costliest read is the table of x0*x_j for the highest
-    variable x_j chosen, so the cost steps up with k: the best 64 / 100 /
-    144 of m = 15 took 0.73 / 6.7 / 31 s.  m must pass `check_m`.
+    pointwise order: Z_v(p) >= Z_u(p) at every p, and so at the p of the
+    criterion and on average.  A move also goes to a larger label.  So the
+    pair (score, label) rises along every move, every label ranks after
+    those one move below it, with ties broken by label as in `rank`, and
+    the next best label is always on the frontier: the labels not yet chosen
+    whose every label one move below is chosen.  Each frontier label is
+    scored once, when it joins, and each chosen label adds at most m, so at
+    most min(2^m, 1 + mk) scores are read.
+
+    By average, each score is read from one `synthesis.average_descent`,
+    which describes its steps.  The greedy names its labels only as it
+    reads them, so `cli` prices it by its own row; `synthesis.descent_tables`
+    of the labels read is the plan of the tables it builds.  The best 11 of
+    m = 8 read 15 averages and the best 10 of m = 10 or 12 read 13, where
+    `rank` reads all 2^m from the same descent; they took 0.16, 0.20 and
+    0.46 ms (0.33, 0.43 and 1.2 ms with each last flip from its difference
+    table and the root's moments built).  The costliest read is the table
+    of x0*x_j for the highest variable x_j chosen, so the cost steps up with
+    k: the best 64 / 100 / 144 of m = 15 took 0.73 / 6.7 / 31 s.
+
+    At p, the channel table of m is built once and each label read is one
+    `eval_rational`: the best 10 / 12 / 32 of m = 8 read 11 / 14 / 35 of the
+    256 scores.  m must pass `check_m`.
     """
     check_m(m)
-    n = 1 << m
-    if not 0 <= k <= n:
+    if not 0 <= k <= 1 << m:
         raise ValueError(f"k={k} out of range for m={m}")
-    numerator, d = synthesis.average_descent(m)
+    if criterion.kind == "average":
+        score, den = synthesis.average_descent(m)
+    elif criterion.kind == "pointwise":
+        # as in `rank`: over q^(2^m), p = a/q, since every channel has degree 2^m
+        p, polys = criterion.p, synth_all(m).polys
+        den = p.denominator ** (1 << m)
+
+        def score(u: int) -> int:
+            s = eval_rational(polys[u], p)
+            return s.numerator * (den // s.denominator)
+    else:
+        raise ValueError(f"the frontier ranks by average or at p, not by {criterion.kind!r}")
     chosen: dict[int, int] = {}
     waiting: dict[int, int] = {}  # label -> how many labels one move below it are not chosen
-    frontier = [(numerator(0), 0)] if k else []
+    frontier = [(score(0), 0)] if k else []
     while len(chosen) < k:
         x, u = heappop(frontier)
         chosen[u] = x
@@ -192,8 +215,8 @@ def best_by_average(m: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...], i
             if left > 1:
                 waiting[v] = left - 1
             else:
-                heappush(frontier, (numerator(v), v))
-    return tuple(chosen), tuple(chosen.values()), d
+                heappush(frontier, (score(v), v))
+    return tuple(chosen), tuple(chosen.values()), den
 
 
 @lru_cache(maxsize=INCOMPARABLE_M_CAP)

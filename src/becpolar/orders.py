@@ -95,7 +95,8 @@ def leq_pointwise(f: Monomial, g: Monomial, table: ChannelTable) -> OrderVerdict
     difference of the two channels' path counts (`ChannelTable.counts`, at
     n = 2^m >= deg(Z_g - Z_f)), so no pair converts or builds its difference
     polynomial: `nonneg_on_01` reads the roots at 0 and 1 and the sign off
-    the counts alone.
+    the counts alone.  A pair whose difference has one-signed counts takes
+    one sign decision either way round, an incomparable pair two.
     """
     _check_same_m(f, g)
     if table.m != f.m:
@@ -106,6 +107,8 @@ def leq_pointwise(f: Monomial, g: Monomial, table: ChannelTable) -> OrderVerdict
     diff = list(map(sub, counts[g.bits], counts[f.bits]))
     if nonneg_on_01(None, diff):
         return _BELOW
+    if max(diff) <= 0:  # the counts of Z_f - Z_g are all >= 0: certified already
+        return _ABOVE
     if nonneg_on_01(None, list(map(neg, diff))):
         return _ABOVE
     return _APART

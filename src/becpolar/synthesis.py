@@ -236,7 +236,7 @@ def average_descent(m: int) -> tuple[Callable[[int], int], int]:
     average, and the common denominator D = lcm(1..2^m + 1): the numerators
     of `average_numerators(m)`, its twin, computed one label at a time.
     Every ranking by average reads its labels here, all of them for
-    `construction.rank` and a few for `construction.best_by_average`.
+    `construction.rank` and a few for `construction.best`.
 
     A label of the upper half takes D - x of its complement, since
     Z_ubar(p) = 1 - Z_u(1 - p) gives avr(ubar) = 1 - avr(u), so only the

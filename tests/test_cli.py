@@ -417,15 +417,16 @@ Q99 = "1" + "0" * 97 + "3"  # a 99-digit denominator
 @pytest.mark.parametrize("m", [9, 10])
 def test_long_denominator_exits_before_synthesis(capsys, monkeypatch, m):
     """`rank --by p=a/q` is estimated as synthesis plus scoring per digit of
-    q: without --force, a 99-digit q is refused at m = 9 and 10 before any
-    synthesis, with scoring named as the costliest layer."""
+    q for each channel scored: without --force, a listing of every channel
+    with a 99-digit q is refused at m = 9 and 10 before any synthesis, with
+    scoring named as the costliest layer."""
     from becpolar import construction, synthesis
 
     def refuse(*args, **kwargs):
         raise AssertionError("work ran before the cap check")
     for module in (synthesis, construction):
         monkeypatch.setattr(module, "synth_all", refuse)
-    code, out, err = run_cli(capsys, "rank", "--m", str(m), "--k", "1", "--by", f"p=1/{Q99}")
+    code, out, err = run_cli(capsys, "rank", "--m", str(m), "--by", f"p=1/{Q99}")
     assert code == 2 and out == "" and err.count("\n") == 1
     assert err.startswith(f"error: m={m} is estimated at ") and "(scoring " in err
 
@@ -453,7 +454,7 @@ def entry_points(monkeypatch):
     for module, name in ((synthesis, "synth_poly"), (synthesis, "synth_labels"),
                          (synthesis, "synth_all"), (synthesis, "average_numerators"),
                          (construction, "synth_all"), (construction, "average_numerators"),
-                         (construction, "rank"), (construction, "best_by_average"),
+                         (construction, "rank"), (construction, "best"),
                          (synthesis, "average_descent")):
         monkeypatch.setattr(module, name, reached)
 
@@ -470,6 +471,10 @@ ADMITTED = [
     ("rank", "--m", "8", "--by", f"p=1/{Q18}"),  # README
     ("rank", "--m", "7", "--by", f"p=1/{Q99}"),
     ("rank", "--m", "10", "--by", "p=1/7"),
+    # p= from the frontier, which scores at most 1 + mK channels; estimated / measured
+    ("rank", "--m", "9", "--by", f"p=1/{Q99}", "--k", "10"),  # 6.0 / 1.4 s
+    ("rank", "--m", "10", "--by", f"p=1/{Q9}", "--k", "32"),  # 18.1 s
+    ("rank", "--m", "10", "--by", f"p=1/{Q99}", "--k", "5"),  # 24.3 s / 0.57 s past synthesis
     # the frontier, estimated / measured
     ("rank", "--m", "14", "--by", "avr", "--k", "10"),  # 0.0006 / 0.020 s
     ("rank", "--m", "14", "--by", "avr", "--k", "144"),  # 24.9 / 16.6 s
@@ -481,6 +486,8 @@ ADMITTED = [
 REFUSED = [
     ("rank", "--m", "10", "--by", f"p=1/{Q9}"),
     ("rank", "--m", "9", "--by", f"p=1/{Q99}"),
+    ("rank", "--m", "9", "--by", f"p=1/{Q99}", "--k", "64"),  # every channel: 1 + mK > 2^m
+    ("rank", "--m", "10", "--by", f"p=1/{Q99}", "--k", "6"),
     ("synth", "--m", "11", "--u", "0"),
     ("verify", "--m", "9"),
     ("distribution", "--m", "14"),
@@ -701,7 +708,7 @@ def test_every_label_is_estimated_by_its_tables(capsys, averages, by):
 def test_difference_tables_count_what_the_descent_builds(monkeypatch, m):
     """`synthesis.descent_tables` against the descent itself: reading the
     same labels, in any order, with repeats, the best by beta, the labels
-    `best_by_average` reads in the order it reads them, and every label
+    `best` reads by average in the order it reads them, and every label
     through `construction.rank`, `_flip_child` builds tables of exactly the
     sizes planned."""
     import random
@@ -734,7 +741,7 @@ def test_difference_tables_count_what_the_descent_builds(monkeypatch, m):
     for run in (lambda: read_all(rng.sample(range(1 << m), 20)),
                 lambda: read_all(rng.choices(range(1 << m), k=50)),
                 lambda: read_all(beta.order[:40]),
-                lambda: construction.best_by_average(m, 1 << (m - 3)),
+                lambda: construction.best(construction.Criterion.average(), m, 1 << (m - 3)),
                 lambda: construction.rank(construction.Criterion.average(), m)):
         built.clear()
         read.clear()

@@ -11,7 +11,7 @@ from becpolar import construction, golden, synthesis
 from becpolar.construction import (
     Criterion,
     avr_distribution,
-    best_by_average,
+    best,
     beta_avr_conflicts,
     beta_incompatible_count,
     incomparable_pairs,
@@ -89,9 +89,12 @@ class TestRank:
         assert reads == list(range(1 << m))
 
 
+AVR = Criterion.average()
+
+
 def _prefix(ranking, k):
     """The best k labels of a ranking, their keys and its denominator: what
-    `best_by_average` returns."""
+    `best` returns."""
     order = ranking.order[:k]
     return order, tuple(ranking.keys[u] for u in order), ranking.denominator
 
@@ -103,14 +106,14 @@ class TestBestByAverage:
     def test_every_k_equals_the_rank_prefix(self, m, cache):
         ranking = cache.by_average(m)
         for k in range((1 << m) + 1):
-            assert best_by_average(m, k) == _prefix(ranking, k), k
+            assert best(AVR, m, k) == _prefix(ranking, k), k
 
     @pytest.mark.parametrize("m", range(8, 12))
     def test_ks_around_the_cli_switch_equal_the_rank_prefix(self, m, cache):
         """k = 2^(m-3) is the largest the CLI lists from the frontier."""
         ranking, n = cache.by_average(m), 1 << m
         for k in (1, 10, n >> 3, (n >> 3) + 1, n):
-            assert best_by_average(m, k) == _prefix(ranking, k), k
+            assert best(AVR, m, k) == _prefix(ranking, k), k
 
     @pytest.mark.parametrize("m, k, read", [(8, 11, 15), (10, 10, 13), (12, 10, 13)])
     def test_reads_the_averages_its_docstring_counts(self, monkeypatch, m, k, read):
@@ -127,7 +130,7 @@ class TestBestByAverage:
                 return numerator(u)
             return counted, d
         monkeypatch.setattr(synthesis, "average_descent", spy)
-        best_by_average(m, k)
+        best(AVR, m, k)
         assert calls == [read]
 
     @pytest.mark.parametrize("m", range(1, 9))
@@ -149,7 +152,61 @@ class TestBestByAverage:
     @pytest.mark.parametrize("m, k", [(0, 1), (17, 1), (3, -1), (3, 9)])
     def test_refuses_a_width_or_count_out_of_range(self, m, k):
         with pytest.raises(ValueError, match="out of range|m must be in"):
-            best_by_average(m, k)
+            best(AVR, m, k)
+
+
+POINTS = [Fraction(2, 9), Fraction(1, 2), Fraction(2, 7), Fraction(1, 10**9 + 7),
+          Fraction(999, 1000)]
+
+
+class TestBestAtP:
+    """The standard-order frontier at p against its twin, the prefix of
+    `rank` at p, on one channel table per m."""
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_every_k_in_the_cli_range_equals_the_rank_prefix(self, monkeypatch, m, cache):
+        """Every k <= 2^(m-3), the frontier's range in the CLI (k <= 1 at
+        m < 3).  Each score of a point is computed once, for `rank`, and the
+        greedy reads the same values back."""
+        monkeypatch.setattr(construction, "synth_all", cache.table)
+        scores = {}
+
+        def once(poly, p):
+            if (id(poly), p) not in scores:
+                scores[id(poly), p] = eval_rational(poly, p)
+            return scores[id(poly), p]
+        monkeypatch.setattr(construction, "eval_rational", once)
+        for p in POINTS:
+            criterion = Criterion.pointwise_at(p)
+            ranking = rank(criterion, m)
+            for k in range(max((1 << m) >> 3, 1) + 1):
+                assert best(criterion, m, k) == _prefix(ranking, k), (p, k)
+
+    @pytest.mark.parametrize("m, k, read", [
+        (8, 10, 11), (8, 12, 14), (8, 32, 35), (3, 1, None), (6, 8, None), (9, 64, None)])
+    def test_scores_each_label_read_once(self, monkeypatch, m, k, read, cache):
+        """A spy on `eval_rational`: at every point, each label the greedy
+        reads is scored once, at most 1 + mk labels in all, and at m = 8,
+        p = 2/9 as many as the docstring of `best` counts."""
+        table = cache.table(m)
+        label = {poly: u for u, poly in enumerate(table.polys)}
+        scored = []
+
+        def spy(poly, p):
+            scored.append(label[poly])
+            return eval_rational(poly, p)
+        monkeypatch.setattr(construction, "synth_all", lambda m_: table)
+        monkeypatch.setattr(construction, "eval_rational", spy)
+        for p in POINTS:
+            scored.clear()
+            best(Criterion.pointwise_at(p), m, k)
+            assert len(set(scored)) == len(scored) <= 1 + m * k, p
+            if p == Fraction(2, 9) and read is not None:
+                assert len(scored) == read
+
+    def test_refuses_a_beta_criterion(self):
+        with pytest.raises(ValueError, match="by average or at p"):
+            best(Criterion.beta_expansion(Decimal("1.22")), 4, 2)
 
 
 class TestConstruct:

@@ -467,6 +467,23 @@ class TestPointwise:
                 for relation in Relation:
                     assert compare(f, f, relation, table).result is Comparison.EQUAL
 
+    @pytest.mark.parametrize("u, v, verdict, decisions", [
+        (0, 31, Comparison.LESS_OR_EQUAL, 1), (31, 0, Comparison.GREATER_OR_EQUAL, 1),
+        (3, 16, Comparison.INCOMPARABLE, 2), (16, 3, Comparison.INCOMPARABLE, 2),
+        (7, 7, Comparison.EQUAL, 0)])
+    def test_sign_decisions_per_pair(self, monkeypatch, cache, u, v, verdict, decisions):
+        """One `nonneg_on_01` call certifies a pair either way round, since
+        counts of Z_g - Z_f that are all <= 0 certify Z_f - Z_g; an
+        incomparable pair takes one call per direction."""
+        calls = []
+
+        def counted(d, counts=None):
+            calls.append(d)
+            return nonneg_on_01(d, counts)
+        monkeypatch.setattr(orders, "nonneg_on_01", counted)
+        assert leq_pointwise(M(u, 5), M(v, 5), cache.table(5)).result is verdict
+        assert len(calls) == decisions
+
     def test_verdicts_are_shared_instances(self, cache):
         """`compare` and `leq_pointwise` return one instance per result,
         4 in all, whatever the relation, and a newly built verdict equals it
